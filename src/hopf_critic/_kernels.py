@@ -9,18 +9,39 @@ drift and a polynomial diffusion,
 
 The kernel advances a whole chunk of paths through all steps, records every
 state, and freezes a path as diverged when it leaves the overflow guard or
-turns non-finite.  Two interchangeable implementations exist: a compiled
-per-path loop (numba) and a vectorized per-step loop (numpy).  Select with
-the environment variable ``HOPF_CRITIC_BACKEND`` (``numba`` or ``numpy``);
-the default is the compiled backend when numba imports cleanly.
+turns non-finite.  Polynomials arrive packed as flat arrays (component
+index, exponent rows, coefficients).
 
-Polynomials arrive packed as flat arrays (component index, exponent rows,
-coefficients) so both backends share one data layout.
+The numpy backend does not interpret the packed terms.  For each
+(drift, diffusion) pair it generates the source of one straight-line step
+function, with one numpy expression per term over state columns of shape
+(paths,), compiles it once and memoises it on the packed terms.  The chunk
+loop applies the linear flow as one matrix product and hands its image to
+the generated step.  The step keeps the exact operation order of a
+term-by-term evaluation, so equal inputs give bitwise equal states:
+
+- a term multiplies left to right, coefficient first, then each variable
+  as often as its exponent says (``c*u0*u0*u1``); no powers are shared;
+- every drift and noise component accumulates from 0.0 in packed term
+  order, and the update is ``(u + d*dt) + n``;
+- the only rewrites are exact in IEEE arithmetic: a ``1.0*`` factor is
+  dropped, ``-1.0*t`` becomes a subtraction, and coefficients and dt are
+  broadcast to arrays of the chunk's width.
+
+Tasks with equal packed terms share one generated step, so the coupled
+rescaled and reduced runs of a planar system stay bitwise equal.
+
+A compiled per-path loop (numba) over the same packed layout is the other
+backend.  Select with the environment variable ``HOPF_CRITIC_BACKEND``
+(``numba`` or ``numpy``); the default is the compiled backend when numba
+imports cleanly.
 """
 
 from __future__ import annotations
 
+import functools
 import os
+import sys
 
 import numpy as np
 
@@ -83,49 +104,111 @@ def active_backend():
     raise BackendError(f"unknown backend {choice!r} (use 'numba' or 'numpy')")
 
 
-def _chunk_numpy(x0, lin, dcomps, dexps, dcoefs, scomps, sexps, scoefs,
-                 dW, dt, guard, states, stop_index, stop_code):
-    n_paths, dim = x0.shape
+def _terms(packed):
+    """Hashable (component, exponents, coefficient) rows of a packed map.
+
+    The coefficient is kept as ``float.hex`` text, which round-trips every
+    float exactly and tells 0.0 from -0.0.
+    """
+    comps, exps, coefs = packed
+    return tuple((int(c), tuple(int(e) for e in row), float(v).hex())
+                 for c, row, v in zip(comps, exps, coefs))
+
+
+@functools.lru_cache(maxsize=128)
+def _generate_step(dim, m, drift_terms, sigma_terms):
+    """Compile the straight-line step of one (drift, diffusion) pair.
+
+    Takes the ``_terms`` rows of both maps and returns ``(step, coefs)``.
+    ``step(u, w, zero, dt, c)`` maps the linear-flow image ``u``
+    (paths, dim) and the increments ``w`` (paths, m) to the next state, a
+    fresh (paths, dim) array; ``zero``, ``dt`` and the tuple ``c`` are
+    arrays of shape (paths,) holding 0.0, the step size and the distinct
+    coefficients ``coefs``, in that order.
+    """
+    names = {}
+    drift = [[] for _ in range(dim)]
+    noise = [[] for _ in range(dim)]
+    used_w = set()
+    for terms, sums, channels in ((drift_terms, drift, False),
+                                  (sigma_terms, noise, True)):
+        for row, exps, coef in terms:
+            factors = [f"u{j}" for j, e in enumerate(exps) for _ in range(e)]
+            if channels:
+                row, col = divmod(row, m)
+                factors.append(f"w{col}")
+                used_w.add(col)
+            # Dropping a unit coefficient and turning -1.0*t into a
+            # subtraction are exact; a constant term keeps its coefficient.
+            value = float.fromhex(coef)
+            if factors and value in (1.0, -1.0):
+                sign = "-" if value < 0.0 else "+"
+            else:
+                sign = "+"
+                factors.insert(0, names.setdefault(coef, f"c{len(names)}"))
+            sums[row].append(f" {sign} {'*'.join(factors)}")
+
+    lines = ["def step(u, w, zero, dt, c):"]
+    if names:
+        lines.append(f"    [{', '.join(names.values())}] = c")
+    lines += [f"    u{j} = u[:, {j}]" for j in range(dim)]
+    lines += [f"    w{j} = w[:, {j}]" for j in sorted(used_w)]
+    lines.append("    out = empty(u.shape)")
+    for i in range(dim):
+        lines += [f"    d{i} = zero{''.join(drift[i])}",
+                  f"    n{i} = zero{''.join(noise[i])}",
+                  f"    out[:, {i}] = u{i} + d{i}*dt + n{i}"]
+    lines.append("    return out")
+    namespace = {"empty": np.empty}
+    exec(compile("\n".join(lines) + "\n", "<generated step>", "exec"),
+         namespace)
+    return namespace["step"], tuple(float.fromhex(h) for h in names)
+
+
+def _chunk_numpy(x0, lin, step, coefs, dW, dt, guard, states, stop_index,
+                 stop_code):
+    n_paths = x0.shape[0]
     n_steps = dW.shape[1]
-    m = dW.shape[2]
     guard_sq = guard * guard
-    x = x0.astype(np.float64).copy()
+    # A finite bound: a step passing it has only finite states inside the
+    # guard, so the full check below can be skipped.
+    fast_sq = min(guard_sq, sys.float_info.max)
+    lin_t = lin.T
+    x = np.array(x0, dtype=np.float64)
     states[:, 0, :] = x
     active = np.arange(n_paths)
+    all_live = True
+
+    def constants(width):
+        return (np.zeros(width), np.full(width, dt),
+                tuple(np.full(width, c) for c in coefs))
+
+    zero, dtv, c = constants(n_paths)
     for k in range(n_steps):
-        if active.size == 0:
-            states[:, k + 1, :] = states[:, k, :]
-            continue
-        xa = x[active]
-        u = xa @ lin.T
-        drift = np.zeros_like(u)
-        for t in range(dcomps.shape[0]):
-            val = np.full(u.shape[0], dcoefs[t])
-            for j in range(dim):
-                for _ in range(dexps[t, j]):
-                    val = val * u[:, j]
-            drift[:, dcomps[t]] += val
-        noise = np.zeros_like(u)
-        dWk = dW[active, k, :]
-        for t in range(scomps.shape[0]):
-            val = np.full(u.shape[0], scoefs[t])
-            for j in range(dim):
-                for _ in range(sexps[t, j]):
-                    val = val * u[:, j]
-            row, col = divmod(int(scomps[t]), m)
-            noise[:, row] += val * dWk[:, col]
-        x_new = u + drift * dt + noise
-        finite = np.isfinite(x_new).all(axis=1)
-        x_new[~finite] = xa[~finite]
-        inside = (x_new * x_new).sum(axis=1) <= guard_sq
-        bad = ~(finite & inside)
-        x[active] = x_new
+        xa = x if all_live else x[active]
+        dWk = dW[:, k] if all_live else dW[active, k]
+        x_new = step(xa @ lin_t, dWk, zero, dtv, c)
+        bad = None
+        if not ((x_new * x_new).sum(axis=1) <= fast_sq).all():
+            finite = np.isfinite(x_new).all(axis=1)
+            x_new[~finite] = xa[~finite]
+            inside = (x_new * x_new).sum(axis=1) <= guard_sq
+            bad = ~(finite & inside)
+        if all_live:
+            x = x_new
+        else:
+            x[active] = x_new
         states[:, k + 1, :] = x
-        if bad.any():
+        if bad is not None and bad.any():
             hit = active[bad]
             stop_index[hit] = k + 1
             stop_code[hit] = STOP_DIVERGED
             active = active[~bad]
+            all_live = False
+            if active.size == 0:
+                states[:, k + 2:, :] = x[:, None, :]
+                break
+            zero, dtv, c = constants(active.size)
     return states, stop_index, stop_code
 
 
@@ -228,10 +311,15 @@ def run_chunk(x0, lin, drift_packed, sigma_packed, dW, dt, guard,
     states = np.empty((n_paths, n_steps + 1, dim), dtype=np.float64)
     stop_index = np.full(n_paths, n_steps, dtype=np.int64)
     stop_code = np.zeros(n_paths, dtype=np.int64)
-    kernel = _chunk_njit if (backend or active_backend()) == "numba" \
-        else _chunk_numpy
-    dcomps, dexps, dcoefs = drift_packed
-    scomps, sexps, scoefs = sigma_packed
-    kernel(x0, lin, dcomps, dexps, dcoefs, scomps, sexps, scoefs,
-           dW, float(dt), float(guard), states, stop_index, stop_code)
+    if (backend or active_backend()) == "numba":
+        dcomps, dexps, dcoefs = drift_packed
+        scomps, sexps, scoefs = sigma_packed
+        _chunk_njit(x0, lin, dcomps, dexps, dcoefs, scomps, sexps, scoefs,
+                    dW, float(dt), float(guard), states, stop_index,
+                    stop_code)
+    else:
+        step, coefs = _generate_step(dim, dW.shape[2], _terms(drift_packed),
+                                     _terms(sigma_packed))
+        _chunk_numpy(x0, lin, step, coefs, dW, float(dt), float(guard),
+                     states, stop_index, stop_code)
     return states, stop_index, stop_code

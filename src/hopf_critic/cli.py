@@ -124,6 +124,12 @@ def _range_errors(cfg):
         if not 0.0 < c <= cfg.T * (1.0 + 1e-12):
             errors.append(f"checkpoint {c} outside (0, T]")
             break
+    if 0.0 < cfg.dt <= cfg.T:
+        try:
+            n_steps = sde._step_count(cfg.T, cfg.dt)
+            stats._checkpoint_indices(cfg.checkpoints, cfg.dt, n_steps)
+        except (sde.SdeError, stats.StatsError) as exc:
+            errors.append(str(exc))
     if not 0.0 < cfg.beta < 0.5:
         errors.append("beta must lie in (0, 0.5)")
     if cfg.big_delta <= 0.0:

@@ -40,8 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from ._kernels import (STOP_DIVERGED, STOP_HIT_INNER, STOP_HIT_OUTER,
-                       STOP_NONE, STOP_REASONS, pack_poly, run_chunk)
+from ._kernels import STOP_REASONS, pack_poly, run_chunk
 from .polyfield import PolyMap, stack
 
 CHUNK = 256

@@ -321,6 +321,20 @@ def test_flag_override_out_of_range_exits_one(tmp_path, capsys):
     assert "dt must lie in (0, T]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--dt", "0.3"], "not an integral number of dt"),
+    (["--checkpoints", "0.5005"], "not on the dt=0.001 grid"),
+])
+def test_off_grid_times_exit_one(tmp_path, capsys, flags, message):
+    code = cli.main(["converge", "--config", str(REPO_CONFIGS / "hopf2d.cfg"),
+                     "--out", str(tmp_path / "out"), *flags])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: CONFIG: ")
+    assert message in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main([])

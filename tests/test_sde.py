@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hopf_critic import sde
+from hopf_critic._kernels import STOP_DIVERGED, pack_poly, run_chunk
 from hopf_critic.polyfield import PolyMap
 
 
@@ -27,6 +28,146 @@ def planar_fields():
     Q = np.array([[0.0, -1.0], [1.0, 0.0]])
     P = np.zeros((0, 0))
     return f, g, sigma_q, sigma_p, Q, P
+
+
+def coupled3d_fields():
+    # planar cubic rotation plus one stable mode forced by z1^2 and fed
+    # back into the plane through the drift and a y-dependent noise
+    # coefficient
+    f = PolyMap(3, 2, [
+        (0, (3, 0, 0), -1.0), (0, (1, 2, 0), -1.0), (0, (1, 0, 1), 0.5),
+        (1, (2, 1, 0), -1.0), (1, (0, 3, 0), -1.0)])
+    g = PolyMap(3, 1, [(0, (2, 0, 0), 1.0)])
+    sigma_q = PolyMap(3, 6, [
+        (0, (0, 0, 0), 1.0), (0, (0, 0, 1), 1.0), (4, (0, 0, 0), 1.0)])
+    sigma_p = PolyMap(3, 3, [(2, (0, 0, 0), 1.0)])
+    Q = np.array([[0.0, -1.0], [1.0, 0.0]])
+    P = np.array([[-1.0]])
+    return f, g, sigma_q, sigma_p, Q, P
+
+
+def term_loop_chunk(x0, lin, dcomps, dexps, dcoefs, scomps, sexps, scoefs,
+                    dW, dt, guard, states, stop_index, stop_code):
+    """Reference numpy kernel that interprets the packed terms one by one.
+
+    The generated step must reproduce its operation order exactly.
+    """
+    n_paths, dim = x0.shape
+    n_steps = dW.shape[1]
+    m = dW.shape[2]
+    guard_sq = guard * guard
+    x = x0.astype(np.float64).copy()
+    states[:, 0, :] = x
+    active = np.arange(n_paths)
+    for k in range(n_steps):
+        if active.size == 0:
+            states[:, k + 1, :] = states[:, k, :]
+            continue
+        xa = x[active]
+        u = xa @ lin.T
+        drift = np.zeros_like(u)
+        for t in range(dcomps.shape[0]):
+            val = np.full(u.shape[0], dcoefs[t])
+            for j in range(dim):
+                for _ in range(dexps[t, j]):
+                    val = val * u[:, j]
+            drift[:, dcomps[t]] += val
+        noise = np.zeros_like(u)
+        dWk = dW[active, k, :]
+        for t in range(scomps.shape[0]):
+            val = np.full(u.shape[0], scoefs[t])
+            for j in range(dim):
+                for _ in range(sexps[t, j]):
+                    val = val * u[:, j]
+            row, col = divmod(int(scomps[t]), m)
+            noise[:, row] += val * dWk[:, col]
+        x_new = u + drift * dt + noise
+        finite = np.isfinite(x_new).all(axis=1)
+        x_new[~finite] = xa[~finite]
+        inside = (x_new * x_new).sum(axis=1) <= guard_sq
+        bad = ~(finite & inside)
+        x[active] = x_new
+        states[:, k + 1, :] = x
+        if bad.any():
+            hit = active[bad]
+            stop_index[hit] = k + 1
+            stop_code[hit] = STOP_DIVERGED
+            active = active[~bad]
+    return states, stop_index, stop_code
+
+
+def chunk_inputs(task, count, seed):
+    """run_chunk arguments for ``count`` keyed paths of a task."""
+    dW = np.stack([task.increments_from(
+        sde.NoiseStream(seed, p, task.stream_class)) for p in range(count)])
+    x0 = np.broadcast_to(task.x0, (count, task.dim))
+    return (x0, task.lin, pack_poly(task.drift, task.dim),
+            pack_poly(task.diffusion, task.dim), dW, task.dt, task.guard)
+
+
+def term_loop_run(x0, lin, drift_packed, sigma_packed, dW, dt, guard):
+    n_paths, n_steps = dW.shape[:2]
+    states = np.empty((n_paths, n_steps + 1, x0.shape[1]))
+    stop_index = np.full(n_paths, n_steps, dtype=np.int64)
+    stop_code = np.zeros(n_paths, dtype=np.int64)
+    return term_loop_chunk(np.ascontiguousarray(x0), lin, *drift_packed,
+                           *sigma_packed, dW, float(dt), float(guard),
+                           states, stop_index, stop_code)
+
+
+def kernel_tasks():
+    f, g, sigma_q, sigma_p, Q, P = planar_fields()
+    planar = sde.rescaled_task(f, g, sigma_q, sigma_p, Q, P, 1e-2,
+                               (1.0, 0.0), np.zeros(0), 1e-3, 0.2)
+    f, g, sigma_q, sigma_p, Q, P = coupled3d_fields()
+    coupled = sde.rescaled_task(f, g, sigma_q, sigma_p, Q, P, 1e-2,
+                                (1.0, 0.0), np.zeros(1), 1e-3, 0.2)
+    params = sde.LimitParams.from_sigma_bar(np.array([[1.0, 0.5],
+                                                      [0.0, 2.0]]))
+    limit = sde.limit_task(params, 1.0, 1e-3, 0.2)
+    cube = PolyMap(1, 1, [(0, (3,), 1.0)])
+    # from 0.5 the cubic blows up near t = 2: noise pushes some paths
+    # past the guard mid-chunk while others survive
+    partial = sde.em_task(cube, PolyMap(1, 1, [(0, (0,), 1.0)]),
+                          np.array([0.5]), 1e-2, 2.0, guard=10.0)
+    # a guard of 1e300 squares to inf, so only non-finite states (inf
+    # from the cube, nan from inf - inf against the noise) stop a path
+    overflow = sde.em_task(cube, PolyMap(1, 1, [(0, (2,), 1.0)]),
+                           np.array([1.0]), 1e-2, 2.0, guard=1e300)
+    # several terms of mixed size per component, with a step long enough
+    # that a reordered sum shows in the state
+    dense = sde.em_task(
+        PolyMap(2, 2, [
+            (0, (1, 0), -0.7), (0, (2, 0), 0.3), (0, (1, 1), -1.1),
+            (0, (0, 2), 0.45), (0, (3, 0), -1.0),
+            (1, (0, 1), -0.9), (1, (1, 1), 0.6), (1, (2, 1), -1.3),
+            (1, (0, 3), -1.0)]),
+        PolyMap(2, 4, [(0, (0, 0), 0.8), (0, (1, 0), 0.35),
+                       (0, (0, 1), -0.25), (1, (1, 1), 0.2),
+                       (3, (0, 0), 1.0), (3, (0, 1), -0.4)]),
+        np.array([0.6, -0.3]), 5e-2, 5.0)
+    # from 2.0 every path leaves the guard long before the horizon
+    all_guard = sde.em_task(cube, PolyMap(1, 1, [(0, (0,), 0.1)]),
+                            np.array([2.0]), 1e-2, 2.0)
+    return {"planar": planar, "coupled3d": coupled, "limit": limit,
+            "dense": dense, "partial_guard": partial, "overflow": overflow,
+            "all_guard": all_guard}
+
+
+@pytest.mark.parametrize("name", sorted(kernel_tasks()))
+def test_generated_step_matches_term_loop_bitwise(name):
+    task = kernel_tasks()[name]
+    args = chunk_inputs(task, 40, 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = term_loop_run(*args)
+        got = run_chunk(*args, backend="numpy")
+    for want, have in zip(expected, got):
+        assert want.dtype == have.dtype and want.shape == have.shape
+        assert want.tobytes() == have.tobytes()
+    diverged = int(np.sum(got[2] == STOP_DIVERGED))
+    expected_range = {"partial_guard": (1, 39), "overflow": (1, 39),
+                      "all_guard": (40, 40)}.get(name, (0, 0))
+    assert expected_range[0] <= diverged <= expected_range[1]
 
 
 def test_noise_stream_is_reproducible_and_distinct_per_path():

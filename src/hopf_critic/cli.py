@@ -9,14 +9,14 @@ converge     distances between amplified and limit radial marginals
 reduce       coupled center-manifold and planar error diagnostics
 report       human-readable summary of both studies
 
-Every run writes a ``manifest.json`` recording the config hash, seed,
-resolved worker count, backend, and package versions; with a fixed
-config and seed all data artifacts are byte-identical across reruns and
-worker counts.  Exit status is 0 on success (``check`` reports failed
-verdicts in its output, not its status), 1 on configuration or flag
-validation errors, and 2 on runtime failures, which are printed as
-``error: CODE: message`` with an upper-snake code derived from the
-exception type.
+Every run writes a ``manifest.json`` recording the config hash, every
+resolved run parameter with a hash over them, the resolved worker count,
+backend, and package versions; with a fixed config and seed all data
+artifacts are byte-identical across reruns and worker counts.  Exit status
+is 0 on success (``check`` reports failed verdicts in its output, not its
+status), 1 on configuration or flag validation errors, and 2 on runtime
+failures, which are printed as ``error: CODE: message`` with an
+upper-snake code derived from the exception type.
 """
 
 from __future__ import annotations
@@ -120,6 +120,11 @@ def _range_errors(cfg):
         if not 0.0 < e < 1.0:
             errors.append(f"epsilon {e} outside (0, 1)")
             break
+    names = [f"{e:g}" for e in cfg.epsilons]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        errors.append("epsilons must be distinct at :g precision, "
+                      f"repeated: {' '.join(repeated)}")
     for c in cfg.checkpoints:
         if not 0.0 < c <= cfg.T * (1.0 + 1e-12):
             errors.append(f"checkpoint {c} outside (0, T]")
@@ -169,19 +174,34 @@ def _numba_version():
     return numba.__version__
 
 
-def _write_manifest(cfg, command, outputs):
+def _write_manifest(cfg, args, outputs):
     import scipy
 
     from . import __version__
-    record = {
-        "subcommand": command,
-        "config_sha256": hashlib.sha256(cfg.text.encode()).hexdigest(),
+    config_sha256 = hashlib.sha256(cfg.text.encode()).hexdigest()
+    resolved = {
         "seed": cfg.seed,
         "epsilons": list(cfg.epsilons),
         "checkpoints": list(cfg.checkpoints),
         "dt": cfg.dt,
         "T": cfg.T,
         "paths": cfg.paths,
+        "rho0": cfg.rho0,
+        "delta": cfg.delta,
+        "N": cfg.nmax,
+        "Delta": cfg.big_delta,
+        "beta": cfg.beta,
+        "refine": getattr(args, "refine", False),
+        "formats": list(cfg.formats),
+        "plot": cfg.plot,
+    }
+    resolved_text = json.dumps({"config_sha256": config_sha256, **resolved},
+                               sort_keys=True)
+    record = {
+        "subcommand": args.command,
+        "config_sha256": config_sha256,
+        "resolved_sha256": hashlib.sha256(resolved_text.encode()).hexdigest(),
+        **resolved,
         "workers": sde._resolve_workers(cfg.workers),
         "backend": active_backend(),
         "versions": {
@@ -213,7 +233,7 @@ def _cmd_check(cfg, args):
           + ("unknown" if radial is None else f"{radial:.17g}"))
     for key, value in report.verdicts.items():
         print(f"{key}: {_verdict_word(value)}")
-    _write_manifest(cfg, "check", ["hypotheses.json"])
+    _write_manifest(cfg, args, ["hypotheses.json"])
     return 0
 
 
@@ -252,7 +272,7 @@ def _cmd_normal_form(cfg, args):
     print(f"radial_cubic_coefficient: {system.radial_coefficient:.17g}")
     print(f"limit_s: {system.limit.s:.17g}")
     print(f"wrote {os.path.join(out, 'normal_form.json')}")
-    _write_manifest(cfg, "normal-form", ["normal_form.json"])
+    _write_manifest(cfg, args, ["normal_form.json"])
     return 0
 
 
@@ -274,7 +294,7 @@ def _cmd_simulate(cfg, args):
                                    columns)
         outputs.append(name)
         print(f"wrote {name} ({cfg.paths} paths, {task.n_steps} steps)")
-    _write_manifest(cfg, "simulate", outputs)
+    _write_manifest(cfg, args, outputs)
     return 0
 
 
@@ -317,7 +337,7 @@ def _cmd_converge(cfg, args):
         print(f"eps={row.epsilon:g} stopped={row.stopped_fraction:.3f} "
               f"{cells}")
     print(f"verdicts: {report.verdicts}")
-    _write_manifest(cfg, "converge", outputs)
+    _write_manifest(cfg, args, outputs)
     return 0
 
 
@@ -353,7 +373,7 @@ def _cmd_reduce(cfg, args):
               f"phi_median={row.phi_median:.6g} "
               f"excluded={row.excluded_fraction:.3f}")
     print(f"fits: q={report.q_fit:.4f} gamma={report.gamma_fit:.4f}")
-    _write_manifest(cfg, "reduce", outputs)
+    _write_manifest(cfg, args, outputs)
     return 0
 
 
@@ -424,7 +444,7 @@ def _cmd_report(cfg, args):
               encoding="utf-8") as handle:
         handle.write(text)
     sys.stdout.write(text)
-    _write_manifest(cfg, "report", outputs)
+    _write_manifest(cfg, args, outputs)
     return 0
 
 

@@ -38,7 +38,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from ._kernels import STOP_REASONS, pack_poly, run_chunk
 from .polyfield import PolyMap, stack
@@ -339,6 +338,7 @@ def rescaled_task(f, g, sigma_q, sigma_p, Q, P, eps, z0, y0, dt, T,
     lin = np.zeros((dim, dim))
     lin[:2, :2] = _rotation(root * lam0 * float(dt))
     if k:
+        from scipy.linalg import expm
         lin[2:, 2:] = expm(root * P * float(dt))
     parts = [f, g] if k else [f]
     drift = stack(parts).graded_scaled(lambda d: eps ** ((d - 3) / 4.0))

@@ -23,6 +23,7 @@ planar approximation error Phi up to the first exit from a Delta-ball.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -626,21 +627,25 @@ def write_reduction_csv(report, path):
 
 
 def write_trajectory_csv(ensemble, path, columns):
-    """Trajectory CSV: path,t,<state columns>,stopped."""
+    """Trajectory CSV: path,t,<state columns>,stopped.
+
+    Each path is written as one block from a single ``%`` operation;
+    ``%.17g`` renders every float exactly as ``_fmt`` does.
+    """
     dim = ensemble.states.shape[2]
     if len(columns) != dim:
         raise StatsError("column names must match the state dimension")
-    lines = ["path,t," + ",".join(columns) + ",stopped"]
-    for p in range(ensemble.n_paths):
-        live = ensemble.stop_reason[p] == "none"
-        for k, t in enumerate(ensemble.grid):
-            stopped = 0 if live or k < ensemble.stop_index[p] else 1
-            values = [str(p), _fmt(t)]
-            values.extend(_fmt(v) for v in ensemble.states[p, k])
-            values.append(str(stopped))
-            lines.append(",".join(values))
+    times = ["%.17g" % t for t in ensemble.grid.tolist()]
+    ended = np.array([r != "none" for r in ensemble.stop_reason], dtype=bool)
+    stopped = ended[:, None] & (np.arange(len(times))
+                                >= np.asarray(ensemble.stop_index)[:, None])
+    tail = ",%.17g" * dim + ",%d\n"
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write("path,t," + ",".join(columns) + ",stopped\n")
+        for p, flags in enumerate(stopped.tolist()):
+            cells = zip(times, *ensemble.states[p].T.tolist(), flags)
+            handle.write((f"{p},%s{tail}" * len(times))
+                         % tuple(itertools.chain.from_iterable(cells)))
 
 
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")

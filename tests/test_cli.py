@@ -273,6 +273,29 @@ def test_converge_summary_and_manifest_contents(tmp_path, capsys):
         Path(cfg).read_bytes()).hexdigest()
     assert set(manifest["versions"]) == {"package", "python", "numpy",
                                          "scipy", "numba"}
+    assert (manifest["rho0"], manifest["delta"], manifest["N"]) == \
+        (1.0, 0.05, 10.0)
+    assert (manifest["Delta"], manifest["beta"]) == (2.0, 0.4)
+    assert manifest["refine"] is False
+    assert manifest["formats"] == ["csv", "json"]
+    assert manifest["plot"] is False
+
+
+def test_manifest_hash_tells_override_sets_apart(tmp_path):
+    cfg = write_config(tmp_path)
+    runs = {}
+    for name, flags in (("a", []), ("b", []), ("rho0", ["--rho0", "0.8"]),
+                        ("paths", ["--paths", "31"]), ("plot", ["--plot"])):
+        out = tmp_path / name
+        assert cli.main(["check", "--config", cfg, "--out", str(out),
+                         *flags]) == 0
+        runs[name] = json.loads((out / "manifest.json").read_text())
+    assert runs["rho0"]["rho0"] == 0.8
+    assert runs["plot"]["plot"] is True
+    assert len({run["config_sha256"] for run in runs.values()}) == 1
+    assert runs["a"]["resolved_sha256"] == runs["b"]["resolved_sha256"]
+    assert len({runs[name]["resolved_sha256"]
+                for name in ("a", "rho0", "paths", "plot")}) == 4
 
 
 def test_converge_plot_writes_svg(tmp_path):
@@ -333,6 +356,23 @@ def test_off_grid_times_exit_one(tmp_path, capsys, flags, message):
     assert err.startswith("error: CONFIG: ")
     assert message in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, flags, text", [
+    ("simulate", ["--epsilon", "0.01000001", "0.01"], GOLDEN),
+    ("converge", ["--epsilon", "0.1", "0.1"], GOLDEN),
+    ("simulate", [], GOLDEN.replace("epsilon 1e-1", "epsilon 1e-1 0.1")),
+])
+def test_epsilons_equal_at_g_precision_exit_one(tmp_path, capsys, command,
+                                                 flags, text):
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    code = cli.main([command, "--config", cfg, "--out", str(out), *flags])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: CONFIG: ")
+    assert "epsilons must be distinct" in err
+    assert not out.exists()
 
 
 def test_usage_errors_exit_one(capsys):

@@ -1,6 +1,10 @@
 """Noise streams, the splitting integrator, ensembles, and polar paths."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -398,3 +402,40 @@ def test_limit_params_recompute_validation():
     assert_allclose(params.sigma2_sq, 4.0)
     assert_allclose(params.sigma12, 1.0)
     assert_allclose(params.s, math.sqrt((1.25 + 4.0) / 2.0))
+
+
+IMPORT_GUARD = """
+import math
+import sys
+
+import numpy as np
+
+from hopf_critic import cli, sde, stats
+from hopf_critic.config import load_config
+
+code = cli.main(["normal-form", "--config", "configs/hopf2d.cfg",
+                 "--out", sys.argv[1]])
+assert code == 0
+assert "scipy.linalg" not in sys.modules, "planar run loaded scipy.linalg"
+
+cfg = load_config("configs/coupled3d.cfg")
+system = stats.prepare_system(cfg.drift, cfg.sigma)
+split = system.split
+eps, dt = 1e-2, 1e-3
+task = sde.rescaled_task(system.f, system.g, system.sigma_q, system.sigma_p,
+                         split.Q, split.P, eps, (1.0, 0.0), np.zeros(1),
+                         dt, 0.1)
+from scipy.linalg import expm
+want = expm(1.0 / math.sqrt(eps) * split.P * dt)
+assert task.lin[2:, 2:].tobytes() == want.tobytes(), "expm block differs"
+"""
+
+
+def test_scipy_linalg_loads_only_for_a_stable_block(tmp_path):
+    repo = Path(__file__).resolve().parent.parent
+    src = Path(sde.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", IMPORT_GUARD,
+                           str(tmp_path / "out")],
+                          cwd=repo, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

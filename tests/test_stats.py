@@ -431,6 +431,72 @@ def test_trajectory_csv_layout(tmp_path):
         stats.write_trajectory_csv(ens, out, ["x1", "x2"])
 
 
+def row_loop_trajectory_csv(ensemble, path, columns):
+    """Reference writer that formats one row at a time.
+
+    The block writer in ``stats`` must reproduce its bytes exactly.
+    """
+    lines = ["path,t," + ",".join(columns) + ",stopped"]
+    for p in range(ensemble.n_paths):
+        live = ensemble.stop_reason[p] == "none"
+        for k, t in enumerate(ensemble.grid):
+            stopped = 0 if live or k < ensemble.stop_index[p] else 1
+            values = [str(p), format(float(t), ".17g")]
+            values.extend(format(float(v), ".17g")
+                          for v in ensemble.states[p, k])
+            values.append(str(stopped))
+            lines.append(",".join(values))
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("\n".join(lines) + "\n")
+
+
+def writer_ensembles():
+    planar = sde.run_ensemble(sde.em_task(*golden_planar(),
+                                          np.array([1.0, 0.0]), 1e-2, 0.5),
+                              6, 1)
+    coupled = sde.run_ensemble(sde.em_task(*coupled_3d(),
+                                           np.array([1.0, 0.0, 0.2]),
+                                           1e-2, 0.5), 5, 2)
+    # from 0.5 the cubic blows up near t = 2, so noise pushes some paths
+    # past the guard mid-run while others survive
+    cube = PolyMap(1, 1, [(0, (3,), 1.0)])
+    noise = PolyMap(1, 1, [(0, (0,), 1.0)])
+    guarded = sde.run_ensemble(sde.em_task(cube, noise, np.array([0.5]),
+                                           1e-2, 2.0, guard=10.0), 40, 3)
+    states = planar.states[:4, :6].copy()
+    states[0, 1] = (-0.0, 5e-324)
+    states[0, 2] = (math.inf, -math.inf)
+    states[1, 3] = (math.nan, -0.0)
+    edited = sde.PathEnsemble(
+        grid=planar.grid[:6], states=states,
+        stop_index=np.array([5, 3, 0, 5]),
+        stop_time=planar.grid[[5, 3, 0, 5]],
+        stop_reason=("none", "diverged", "hit_outer", "none"),
+        master_seed=planar.master_seed)
+    return {"planar": (planar, ["z1", "z2"]),
+            "coupled3d": (coupled, ["z1", "z2", "y1"]),
+            "guarded": (guarded, ["x1"]),
+            "edited": (edited, ["z1", "z2"])}
+
+
+@pytest.mark.parametrize("name", sorted(writer_ensembles()))
+def test_trajectory_csv_matches_row_loop_bytes(tmp_path, name):
+    ensemble, columns = writer_ensembles()[name]
+    if name == "guarded":
+        assert 0 < ensemble.stop_reason.count("diverged") < ensemble.n_paths
+    want, got = tmp_path / "rows.csv", tmp_path / "blocks.csv"
+    row_loop_trajectory_csv(ensemble, want, columns)
+    stats.write_trajectory_csv(ensemble, got, columns)
+    assert got.read_bytes() == want.read_bytes()
+    if name == "edited":
+        text = got.read_text()
+        for cell in (",-0,4.9406564584124654e-324,0\n", ",inf,-inf,0\n",
+                     ",nan,-0,1\n"):
+            assert cell in text
+        assert [line[-1] for line in text.splitlines()
+                if line.startswith("2,")] == ["1"] * 6
+
+
 def test_svg_plot_writes_polylines_and_rejects_bad_log_data(tmp_path):
     out = tmp_path / "plot.svg"
     stats.svg_line_plot(out, [("a", [1.0, 2.0], [3.0, 4.0]),

@@ -36,21 +36,14 @@ from .sde import (
     LimitParams,
     NoiseStream,
     PathEnsemble,
-    PathResult,
     PolarEnsemble,
-    PolarPath,
     SimTask,
     em_task,
-    euler_maruyama,
     limit_task,
     polar_ensemble,
     reduced_task,
     rescaled_task,
     run_ensemble,
-    simulate_limit,
-    simulate_reduced,
-    simulate_rescaled,
-    to_polar,
 )
 from .stats import (
     ConvergenceReport,
@@ -75,11 +68,9 @@ __all__ = [
     "CenterManifold2", "QuadraticTransform", "apply_quadratic_transform",
     "center_manifold_quadratic", "invariance_defect",
     "lyapunov_radial_coefficient", "reduced_field", "solve_quadratic",
-    "LimitParams", "NoiseStream", "PathEnsemble", "PathResult",
-    "PolarEnsemble", "PolarPath", "SimTask", "em_task", "euler_maruyama",
-    "limit_task", "polar_ensemble", "reduced_task", "rescaled_task",
-    "run_ensemble", "simulate_limit", "simulate_reduced",
-    "simulate_rescaled", "to_polar",
+    "LimitParams", "NoiseStream", "PathEnsemble", "PolarEnsemble",
+    "SimTask", "em_task", "limit_task", "polar_ensemble", "reduced_task",
+    "rescaled_task", "run_ensemble",
     "ConvergenceReport", "ReductionReport", "StationaryReport",
     "averaged_diffusion", "averaged_drift", "convergence_study",
     "ks_distance", "noise_profile", "prepare_system",

@@ -32,7 +32,7 @@ import sys
 
 import numpy as np
 
-from ._kernels import active_backend
+from ._kernels import BackendError, active_backend
 from .config import ConfigError, load_config
 from .spectral import check_hypotheses, freeze_parameter
 from . import sde, stats
@@ -106,7 +106,7 @@ def _apply_overrides(cfg, args):
     return dataclasses.replace(cfg, **updates)
 
 
-def _range_errors(cfg):
+def _range_errors(cfg, command):
     errors = []
     if cfg.T <= 0.0:
         errors.append("T must be positive")
@@ -114,6 +114,8 @@ def _range_errors(cfg):
         errors.append("dt must lie in (0, T]")
     if cfg.paths < 1:
         errors.append("paths must be at least 1")
+    elif cfg.paths < 2 and command in ("converge", "report"):
+        errors.append(f"{command} needs at least 2 paths")
     if cfg.seed < 0:
         errors.append("seed must be nonnegative")
     for e in cfg.epsilons:
@@ -141,8 +143,14 @@ def _range_errors(cfg):
         errors.append("Delta must be positive")
     if not 0.0 < cfg.delta < cfg.rho0 < cfg.nmax:
         errors.append("need 0 < delta < rho0 < N")
-    if cfg.workers is not None and cfg.workers < 1:
-        errors.append("workers must be at least 1")
+    try:
+        sde._resolve_workers(cfg.workers)
+    except sde.SdeError as exc:
+        errors.append(str(exc))
+    try:
+        active_backend()
+    except BackendError as exc:
+        errors.append(str(exc))
     return errors
 
 
@@ -302,34 +310,53 @@ def _maybe_log(values):
     return all(v > 0.0 for v in values)
 
 
-def _cmd_converge(cfg, args):
-    system = _prepare(cfg)
-    out = _out_dir(cfg)
-    report = stats.convergence_study(
+def _convergence(cfg, system, args):
+    return stats.convergence_study(
         system, cfg.epsilons, cfg.checkpoints, cfg.paths, cfg.dt,
         delta=cfg.delta, nmax=cfg.nmax, rho0=cfg.rho0,
         master_seed=cfg.seed, workers=cfg.workers,
         refine=getattr(args, "refine", False))
+
+
+def _reduction(cfg, system):
+    return stats.reduction_diagnostics(
+        system, cfg.epsilons, cfg.big_delta, cfg.beta, cfg.paths, cfg.dt,
+        horizon=cfg.T, z0=(cfg.rho0, 0.0), master_seed=cfg.seed,
+        workers=cfg.workers)
+
+
+def _convergence_svg(out, report):
+    series = []
+    for j, c in enumerate(report.checkpoints):
+        ks = [row.cells[j].ks for row in report.rows]
+        series.append((f"t={c:g}", list(report.epsilons), ks))
+    logy = all(_maybe_log(ys) for _, _, ys in series)
+    stats.svg_line_plot(os.path.join(out, "convergence.svg"), series,
+                        title="distance to the limit law",
+                        xlabel="eps", ylabel="KS", logx=True, logy=logy)
+    return "convergence.svg"
+
+
+def _write_tables(cfg, out, stem, report, write_csv):
+    """Write the study's CSV and JSON as ``cfg.formats`` asks; list them."""
     outputs = []
     if "csv" in cfg.formats:
-        stats.write_convergence_csv(report, os.path.join(out,
-                                                         "convergence.csv"))
-        outputs.append("convergence.csv")
+        write_csv(report, os.path.join(out, f"{stem}.csv"))
+        outputs.append(f"{stem}.csv")
     if "json" in cfg.formats:
-        _write_json(os.path.join(out, "convergence.json"),
-                    report.as_record())
-        outputs.append("convergence.json")
+        _write_json(os.path.join(out, f"{stem}.json"), report.as_record())
+        outputs.append(f"{stem}.json")
+    return outputs
+
+
+def _cmd_converge(cfg, args):
+    system = _prepare(cfg)
+    out = _out_dir(cfg)
+    report = _convergence(cfg, system, args)
+    outputs = _write_tables(cfg, out, "convergence", report,
+                            stats.write_convergence_csv)
     if cfg.plot:
-        series = []
-        for j, c in enumerate(report.checkpoints):
-            ks = [row.cells[j].ks for row in report.rows]
-            series.append((f"t={c:g}", list(report.epsilons), ks))
-        logy = all(_maybe_log(ys) for _, _, ys in series)
-        stats.svg_line_plot(os.path.join(out, "convergence.svg"), series,
-                            title="distance to the limit law",
-                            xlabel="eps", ylabel="KS",
-                            logx=True, logy=logy)
-        outputs.append("convergence.svg")
+        outputs.append(_convergence_svg(out, report))
     for row in report.rows:
         cells = "  ".join(
             f"ks(t={c.checkpoint:g})={c.ks:.4f} w1={c.w1:.4f}"
@@ -344,18 +371,9 @@ def _cmd_converge(cfg, args):
 def _cmd_reduce(cfg, args):
     system = _prepare(cfg)
     out = _out_dir(cfg)
-    report = stats.reduction_diagnostics(
-        system, cfg.epsilons, cfg.big_delta, cfg.beta, cfg.paths, cfg.dt,
-        horizon=cfg.T, z0=(cfg.rho0, 0.0), master_seed=cfg.seed,
-        workers=cfg.workers)
-    outputs = []
-    if "csv" in cfg.formats:
-        stats.write_reduction_csv(report, os.path.join(out,
-                                                       "reduction.csv"))
-        outputs.append("reduction.csv")
-    if "json" in cfg.formats:
-        _write_json(os.path.join(out, "reduction.json"), report.as_record())
-        outputs.append("reduction.json")
+    report = _reduction(cfg, system)
+    outputs = _write_tables(cfg, out, "reduction", report,
+                            stats.write_reduction_csv)
     if cfg.plot:
         eps = list(report.epsilons)
         u = [row.u_median for row in report.rows]
@@ -380,11 +398,7 @@ def _cmd_reduce(cfg, args):
 def _cmd_report(cfg, args):
     system = _prepare(cfg)
     out = _out_dir(cfg)
-    conv = stats.convergence_study(
-        system, cfg.epsilons, cfg.checkpoints, cfg.paths, cfg.dt,
-        delta=cfg.delta, nmax=cfg.nmax, rho0=cfg.rho0,
-        master_seed=cfg.seed, workers=cfg.workers,
-        refine=getattr(args, "refine", False))
+    conv = _convergence(cfg, system, args)
     lines = [
         "critical fluctuation study",
         "==========================",
@@ -411,15 +425,11 @@ def _cmd_report(cfg, args):
         lines.append(f"verdict {name}: {value}")
     outputs = ["report.txt"]
     try:
-        red = stats.reduction_diagnostics(
-            system, cfg.epsilons, cfg.big_delta, cfg.beta, cfg.paths,
-            cfg.dt, horizon=cfg.T, z0=(cfg.rho0, 0.0),
-            master_seed=cfg.seed, workers=cfg.workers)
+        red = _reduction(cfg, system)
     except stats.NonTrivialQuadratic:
-        red = None
         lines += ["", "reduction diagnostics skipped: drift has mixed "
                       "quadratic terms (supply normal-form coordinates)"]
-    if red is not None:
+    else:
         lines += ["", "reduction errors", "----------------"]
         for row in red.rows:
             lines.append(
@@ -429,16 +439,7 @@ def _cmd_report(cfg, args):
         lines.append(f"fitted slopes: q={red.q_fit:.4f} "
                      f"gamma={red.gamma_fit:.4f}")
     if cfg.plot:
-        series = []
-        for j, c in enumerate(conv.checkpoints):
-            ks = [row.cells[j].ks for row in conv.rows]
-            series.append((f"t={c:g}", list(conv.epsilons), ks))
-        logy = all(_maybe_log(ys) for _, _, ys in series)
-        stats.svg_line_plot(os.path.join(out, "convergence.svg"), series,
-                            title="distance to the limit law",
-                            xlabel="eps", ylabel="KS",
-                            logx=True, logy=logy)
-        outputs.append("convergence.svg")
+        outputs.append(_convergence_svg(out, conv))
     text = "\n".join(lines) + "\n"
     with open(os.path.join(out, "report.txt"), "w",
               encoding="utf-8") as handle:
@@ -471,7 +472,7 @@ def main(argv=None):
         print(f"error: CONFIG: {exc}", file=sys.stderr)
         return 1
     cfg = _apply_overrides(cfg, args)
-    errors = _range_errors(cfg)
+    errors = _range_errors(cfg, args.command)
     if errors:
         for line in errors:
             print(f"error: CONFIG: {line}", file=sys.stderr)

@@ -23,6 +23,9 @@ that shape:
     radius has the limit law; the polar drift's ``1/eta`` singularity never
     appears.
 
+``run_ensemble`` integrates any task (one path is an ensemble of one) and
+``polar_ensemble`` reads the radius of its critical plane.
+
 Noise is counter-based: each path owns a keyed generator, so increments
 are a pure function of (master seed, path index, step) and ensembles are
 bit-identical for every worker count.  Each coarse step draws two
@@ -35,7 +38,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -91,11 +94,6 @@ class NoiseStream:
         half-step run, so both runs ride the same Brownian path.
         """
         return self._gen.standard_normal((int(n_blocks), 2, int(channels)))
-
-    def increments(self, n_steps, channels, dt):
-        """Brownian increments N(0, dt) per channel for n_steps steps."""
-        xi = self.standard_blocks(n_steps, channels)
-        return (xi[:, 0, :] + xi[:, 1, :]) * math.sqrt(dt / 2.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,17 +159,6 @@ class SimTask:
 
 
 @dataclass(frozen=True)
-class PathResult:
-    """One simulated path on a uniform grid with freeze-after-stop states."""
-
-    grid: np.ndarray
-    states: np.ndarray
-    stop_index: int
-    stop_time: float
-    stop_reason: str
-
-
-@dataclass(frozen=True)
 class PathEnsemble:
     """Rectangular bundle of paths sharing a grid and a master seed.
 
@@ -197,26 +184,11 @@ class PathEnsemble:
 
 
 @dataclass(frozen=True)
-class PolarPath:
-    """Radius and unwrapped angle of a planar path, stopped at an annulus."""
-
-    grid: np.ndarray
-    rho: np.ndarray
-    theta: np.ndarray
-    stop_index: int
-    stop_time: float
-    stop_reason: str
-    delta: float
-    nmax: float
-
-
-@dataclass(frozen=True)
 class PolarEnsemble:
-    """Vectorized polar conversion of a planar ensemble."""
+    """Radii of a planar ensemble, stopped at an annulus."""
 
     grid: np.ndarray
     rho: np.ndarray
-    theta: np.ndarray
     stop_index: np.ndarray
     stop_time: np.ndarray
     stop_reason: tuple
@@ -230,39 +202,31 @@ class LimitParams:
 
     ``sigma_bar`` is the constant critical-plane diffusion block at the
     origin; the row sums of squares and the cross term determine the
-    averaged drift constant and the diffusion ``s``.
+    averaged drift constant and the diffusion ``s``.  They are derived
+    once, on construction, from a copy of ``sigma_bar``.
     """
 
     sigma_bar: np.ndarray
-    sigma1_sq: float
-    sigma2_sq: float
-    sigma12: float
-    s: float
+    sigma1_sq: float = field(init=False)
+    sigma2_sq: float = field(init=False)
+    sigma12: float = field(init=False)
+    s: float = field(init=False)
 
     def __post_init__(self):
-        bar = np.asarray(self.sigma_bar, dtype=float)
+        bar = np.array(self.sigma_bar, dtype=float)
         if bar.ndim != 2 or bar.shape[0] != 2:
             raise SdeError("sigma_bar must be a 2 x m matrix")
         s1 = float(np.sum(bar[0] * bar[0]))
         s2 = float(np.sum(bar[1] * bar[1]))
         s12 = float(np.sum(bar[0] * bar[1]))
-        scale = max(1.0, abs(s1), abs(s2), abs(s12))
-        if max(abs(s1 - self.sigma1_sq), abs(s2 - self.sigma2_sq),
-               abs(s12 - self.sigma12)) > 1e-14 * scale:
-            raise SdeError("row statistics disagree with sigma_bar")
-        if abs(self.s * self.s - (s1 + s2) / 2.0) > 1e-14 * scale:
-            raise SdeError("diffusion s disagrees with sigma_bar")
+        derived = {"sigma_bar": bar, "sigma1_sq": s1, "sigma2_sq": s2,
+                   "sigma12": s12, "s": math.sqrt((s1 + s2) / 2.0)}
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_sigma_bar(cls, sigma_bar):
-        bar = np.asarray(sigma_bar, dtype=float)
-        if bar.ndim != 2 or bar.shape[0] != 2:
-            raise SdeError("sigma_bar must be a 2 x m matrix")
-        s1 = float(np.sum(bar[0] * bar[0]))
-        s2 = float(np.sum(bar[1] * bar[1]))
-        s12 = float(np.sum(bar[0] * bar[1]))
-        return cls(sigma_bar=bar.copy(), sigma1_sq=s1, sigma2_sq=s2,
-                   sigma12=s12, s=math.sqrt((s1 + s2) / 2.0))
+        return cls(sigma_bar)
 
 
 def _step_count(T, dt):
@@ -417,56 +381,22 @@ def limit_task(params, rho0, dt, T, refined=False,
                    stream_class=stream_class, guard=guard)
 
 
-def run_path(task, noise):
-    """Integrate a single path of a task with the given noise stream."""
-    dW = task.increments_from(noise)[None, :, :]
-    states, stop_index, stop_code = run_chunk(
-        task.x0[None, :], task.lin,
-        pack_poly(task.drift, task.dim),
-        pack_poly(task.diffusion, task.dim),
-        dW, task.dt, task.guard)
-    grid = task.grid()
-    idx = int(stop_index[0])
-    return PathResult(grid=grid, states=states[0],
-                      stop_index=idx, stop_time=float(grid[idx]),
-                      stop_reason=STOP_REASONS[int(stop_code[0])])
-
-
-def euler_maruyama(drift, diffusion, x0, dt, T, noise):
-    """One Euler-Maruyama path of dX = drift(X) dt + diffusion(X) dB."""
-    return run_path(em_task(drift, diffusion, x0, dt, T), noise)
-
-
-def simulate_rescaled(f, g, sigma_q, sigma_p, Q, P, eps, z0, y0, dt, T,
-                      noise):
-    """One path of the amplified slow-time critical system."""
-    return run_path(rescaled_task(f, g, sigma_q, sigma_p, Q, P, eps,
-                                  z0, y0, dt, T), noise)
-
-
-def simulate_reduced(reduced, sigma_q, h2, eps, z0, dt, T, noise):
-    """One path of the center-manifold 2D process (couple via equal keys)."""
-    return run_path(reduced_task(reduced, sigma_q, h2, eps, z0, dt, T),
-                    noise)
-
-
-def simulate_limit(params, rho0, dt, T, noise):
-    """One path of the limiting radial diffusion (radius only)."""
-    planar = run_path(limit_task(params, rho0, dt, T), noise)
-    rho = np.sqrt((planar.states * planar.states).sum(axis=1))
-    return PathResult(grid=planar.grid, states=rho[:, None],
-                      stop_index=planar.stop_index,
-                      stop_time=planar.stop_time,
-                      stop_reason=planar.stop_reason)
-
-
 def _resolve_workers(workers):
+    """Worker threads: the argument, else HOPF_CRITIC_WORKERS, else 1."""
+    source = "workers"
     if workers is None:
         env = os.environ.get("HOPF_CRITIC_WORKERS", "").strip()
-        workers = int(env) if env else 1
+        if not env:
+            return 1
+        source = "HOPF_CRITIC_WORKERS"
+        try:
+            workers = int(env)
+        except ValueError:
+            raise SdeError(
+                f"HOPF_CRITIC_WORKERS={env!r} is not an integer") from None
     workers = int(workers)
     if workers < 1:
-        raise SdeError("workers must be >= 1")
+        raise SdeError(f"{source} must be at least 1")
     return workers
 
 
@@ -516,55 +446,21 @@ def run_ensemble(task, count, master_seed, workers=None):
         master_seed=int(master_seed))
 
 
-def to_polar(path2d, delta, nmax):
-    """Polar conversion of a planar path with annulus stopping.
+def polar_ensemble(ens, delta, nmax):
+    """Radius of an ensemble's critical plane with annulus stopping.
 
-    The radius must start strictly inside (delta, nmax).  The angle is
-    unwrapped by shortest continuation; after the first grid point whose
-    radius leaves the open annulus, radius and angle freeze at that
-    point's values.
-    """
-    states = path2d.states
-    if states.ndim != 2 or states.shape[1] != 2:
-        raise SdeError("polar conversion needs a planar path")
-    if not 0.0 < delta < nmax:
-        raise SdeError("barriers must satisfy 0 < delta < nmax")
-    rho = np.sqrt((states * states).sum(axis=1))
-    if not delta < rho[0] < nmax:
-        raise SdeError("initial radius must lie strictly inside the annulus")
-    theta = np.unwrap(np.arctan2(states[:, 1], states[:, 0]))
-    outside = (rho <= delta) | (rho >= nmax)
-    if outside.any():
-        s = int(np.argmax(outside))
-        reason = "hit_inner" if rho[s] <= delta else "hit_outer"
-        rho = rho.copy()
-        theta = theta.copy()
-        rho[s:] = rho[s]
-        theta[s:] = theta[s]
-    elif path2d.stop_reason != "none":
-        s = path2d.stop_index
-        reason = path2d.stop_reason
-    else:
-        s = len(rho) - 1
-        reason = "none"
-    return PolarPath(grid=path2d.grid, rho=rho, theta=theta, stop_index=s,
-                     stop_time=float(path2d.grid[s]), stop_reason=reason,
-                     delta=float(delta), nmax=float(nmax))
-
-
-def polar_ensemble(ens, delta, nmax, components=(0, 1)):
-    """Vectorized polar conversion of an ensemble's planar components.
-
-    ``components`` selects the two state columns forming the plane (the
-    critical coordinates sit first by construction).
+    The critical coordinates are the first two state columns by
+    construction.  Every radius must start strictly inside
+    ``(delta, nmax)``; after the first grid point whose radius leaves the
+    open annulus, or after an earlier stop inherited from the ensemble,
+    the radius freezes at that point's value.
     """
     if not 0.0 < delta < nmax:
         raise SdeError("barriers must satisfy 0 < delta < nmax")
-    z = ens.states[:, :, list(components)]
+    z = ens.states[:, :, :2]
     rho = np.sqrt((z * z).sum(axis=2))
     if not (np.all(rho[:, 0] > delta) and np.all(rho[:, 0] < nmax)):
         raise SdeError("initial radius must lie strictly inside the annulus")
-    theta = np.unwrap(np.arctan2(z[:, :, 1], z[:, :, 0]), axis=1)
     n_paths, n_times = rho.shape
     outside = (rho <= delta) | (rho >= nmax)
     has = outside.any(axis=1)
@@ -577,7 +473,6 @@ def polar_ensemble(ens, delta, nmax, components=(0, 1)):
     frozen = np.minimum(cols, stop[:, None])
     rows = np.arange(n_paths)[:, None]
     rho = rho[rows, frozen]
-    theta = theta[rows, frozen]
     reasons = []
     for i in range(n_paths):
         if has[i] and first[i] <= eff_inherited[i]:
@@ -587,7 +482,6 @@ def polar_ensemble(ens, delta, nmax, components=(0, 1)):
             reasons.append(ens.stop_reason[i])
         else:
             reasons.append("none")
-    return PolarEnsemble(grid=ens.grid, rho=rho, theta=theta,
-                         stop_index=stop, stop_time=ens.grid[stop],
-                         stop_reason=tuple(reasons), delta=float(delta),
-                         nmax=float(nmax))
+    return PolarEnsemble(grid=ens.grid, rho=rho, stop_index=stop,
+                         stop_time=ens.grid[stop], stop_reason=tuple(reasons),
+                         delta=float(delta), nmax=float(nmax))

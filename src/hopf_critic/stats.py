@@ -289,9 +289,10 @@ def _checkpoint_indices(checkpoints, dt, n_steps):
     return indices
 
 
-def _surviving_radii(polar, index):
+def _surviving_radii(polar, indices):
+    """Radii of the never-stopped paths at each grid index."""
     alive = np.array([r == "none" for r in polar.stop_reason])
-    return polar.rho[alive, index], alive
+    return [polar.rho[alive, idx] for idx in indices]
 
 
 def convergence_study(system, epsilons, checkpoints, paths, dt,
@@ -306,7 +307,10 @@ def convergence_study(system, epsilons, checkpoints, paths, dt,
     checkpoint between never-stopped paths of both ensembles; stopped
     fractions are reported separately.  With ``refine=True`` the whole
     comparison is repeated at half the step on the same Brownian paths,
-    reporting the shift of each distance.
+    reporting the shift of each distance.  The verdict
+    ``ks_strictly_decreasing`` maps each checkpoint to whether KS falls
+    strictly as eps falls; with a single eps there is no order to test
+    and every checkpoint maps to None.
     """
     epsilons = tuple(float(e) for e in epsilons)
     checkpoints = tuple(float(c) for c in checkpoints)
@@ -335,26 +339,29 @@ def convergence_study(system, epsilons, checkpoints, paths, dt,
         ens = sde.run_ensemble(task, paths, master_seed, workers)
         return sde.polar_ensemble(ens, delta, nmax)
 
-    base_limit = run_polar(sde.limit_task(system.limit, rho0, dt, T))
-    refined_limit = run_polar(sde.limit_task(
-        system.limit, rho0, dt / 2.0, T, refined=True)) if refine else None
-    limit_quantiles = tuple(
-        _quantiles(_surviving_radii(base_limit, idx)[0]) for idx in indices)
+    limit_radii = _surviving_radii(run_polar(sde.limit_task(
+        system.limit, rho0, dt, T)), indices)
+    limit_quantiles = tuple(_quantiles(radii) for radii in limit_radii)
+    fine_indices = [2 * idx for idx in indices]
+    if refine:
+        fine_limit_radii = _surviving_radii(run_polar(sde.limit_task(
+            system.limit, rho0, dt / 2.0, T, refined=True)), fine_indices)
 
     rows = []
     for eps in epsilons:
         base = run_polar(sde.rescaled_task(
             system.f, system.g, system.sigma_q, system.sigma_p,
             split.Q, split.P, eps, z0, y0, dt, T))
-        refined = run_polar(sde.rescaled_task(
-            system.f, system.g, system.sigma_q, system.sigma_p,
-            split.Q, split.P, eps, z0, y0, dt / 2.0, T,
-            refined=True)) if refine else None
+        if refine:
+            fine_radii = _surviving_radii(run_polar(sde.rescaled_task(
+                system.f, system.g, system.sigma_q, system.sigma_p,
+                split.Q, split.P, eps, z0, y0, dt / 2.0, T,
+                refined=True)), fine_indices)
         alive = np.array([r == "none" for r in base.stop_reason])
         cells = []
-        for c, idx in zip(checkpoints, indices):
+        for j, (c, idx) in enumerate(zip(checkpoints, indices)):
             samples = base.rho[alive, idx]
-            limit_samples, _ = _surviving_radii(base_limit, idx)
+            limit_samples = limit_radii[j]
             if samples.size == 0 or limit_samples.size == 0:
                 raise StatsError(
                     f"no surviving paths at eps={eps}, checkpoint={c}")
@@ -362,8 +369,7 @@ def convergence_study(system, epsilons, checkpoints, paths, dt,
             w1 = wasserstein1(samples, limit_samples, seed=master_seed)
             ks_ref = w1_ref = None
             if refine:
-                fine, _ = _surviving_radii(refined, 2 * idx)
-                fine_limit, _ = _surviving_radii(refined_limit, 2 * idx)
+                fine, fine_limit = fine_radii[j], fine_limit_radii[j]
                 ks_ref = ks_distance(fine, fine_limit)
                 w1_ref = wasserstein1(fine, fine_limit, seed=master_seed)
             cells.append(CheckpointStats(
@@ -377,7 +383,7 @@ def convergence_study(system, epsilons, checkpoints, paths, dt,
     monotone = {}
     for j, c in enumerate(checkpoints):
         seq = [rows[i].cells[j].ks for i in order]
-        monotone[str(c)] = bool(
+        monotone[str(c)] = None if len(seq) < 2 else bool(
             all(seq[i] > seq[i + 1] for i in range(len(seq) - 1)))
     verdicts = {
         "reliable": bool(all(r.stopped_fraction <= 0.5 for r in rows)),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hopf_critic import cli
+from hopf_critic import _kernels, cli
 from hopf_critic.config import ConfigError, load_config, parse_config
 
 GOLDEN = """\
@@ -262,6 +262,9 @@ def test_converge_summary_and_manifest_contents(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "eps=0.1" in text
     assert "verdicts:" in text
+    # one eps has no order to test: the verdict is null, not true
+    record = json.loads((out / "convergence.json").read_text())
+    assert record["verdicts"]["ks_strictly_decreasing"] == {"0.25": None}
     rows = (out / "convergence.csv").read_text().strip().split("\n")
     assert rows[0].split(",")[5] == "n_paths"
     assert rows[1].split(",")[5] == "24"
@@ -375,6 +378,35 @@ def test_epsilons_equal_at_g_precision_exit_one(tmp_path, capsys, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, env, flags, message", [
+    ("check", {"HOPF_CRITIC_WORKERS": "abc"}, [],
+     "HOPF_CRITIC_WORKERS='abc' is not an integer"),
+    ("converge", {"HOPF_CRITIC_WORKERS": "0"}, [],
+     "HOPF_CRITIC_WORKERS must be at least 1"),
+    ("check", {"HOPF_CRITIC_BACKEND": "fortran"}, [], "unknown backend"),
+    ("simulate", {"HOPF_CRITIC_BACKEND": "numba"}, [],
+     "numba is not installed"),
+    ("converge", {}, ["--paths", "1"], "converge needs at least 2 paths"),
+    ("report", {}, ["--paths", "1"], "report needs at least 2 paths"),
+], ids=["workers-abc", "workers-0", "backend-unknown", "backend-numba-absent",
+        "converge-one-path", "report-one-path"])
+def test_configuration_mistakes_exit_one(tmp_path, capsys, monkeypatch,
+                                         command, env, flags, message):
+    monkeypatch.setattr(_kernels, "_HAVE_NUMBA", False)
+    monkeypatch.delenv("HOPF_CRITIC_WORKERS", raising=False)
+    monkeypatch.delenv("HOPF_CRITIC_BACKEND", raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    out = tmp_path / "out"
+    code = cli.main([command, "--config", write_config(tmp_path), "--out",
+                     str(out), *flags])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: CONFIG: ")
+    assert message in err
+    assert not out.exists()
+
+
 def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main([])
@@ -426,3 +458,30 @@ def test_report_notes_skipped_reduction_for_mixed_quadratic(tmp_path):
     text = (out / "report.txt").read_text()
     assert "skipped" in text
     assert "reduction errors" not in text
+
+
+def test_report_agrees_with_converge_and_reduce(tmp_path):
+    cfg = str(REPO_CONFIGS / "coupled3d.cfg")
+    flags = ["--paths", "16", "--T", "0.5", "--checkpoints", "0.25", "0.5"]
+    for command, extra in (("report", ["--refine"]),
+                           ("converge", ["--refine"]), ("reduce", [])):
+        assert cli.main([command, "--config", cfg, "--out",
+                         str(tmp_path / command), *flags, *extra]) == 0
+    text = (tmp_path / "report" / "report.txt").read_text()
+    conv = json.loads((tmp_path / "converge" / "convergence.json")
+                      .read_text())
+    red = json.loads((tmp_path / "reduce" / "reduction.json").read_text())
+    expected = []
+    for row in conv["rows"]:
+        for cell in row["cells"]:
+            expected.append(f"t={cell['checkpoint']:<6g} "
+                            f"ks={cell['ks']:.5f} w1={cell['w1']:.5f} ")
+    for row in red["rows"]:
+        expected.append(f"u_median={row['u_median']:.6g} "
+                        f"phi_median={row['phi_median']:.6g} ")
+    lines = [line for line in text.splitlines() if line.startswith("eps=")]
+    assert len(lines) == len(expected) == 6
+    for line, want in zip(lines, expected):
+        assert want in line
+    for name, value in conv["verdicts"].items():
+        assert f"verdict {name}: {value}\n" in text

@@ -100,6 +100,39 @@ def term_loop_chunk(x0, lin, dcomps, dexps, dcoefs, scomps, sexps, scoefs,
     return states, stop_index, stop_code
 
 
+def to_polar(states, stop_index, stop_reason, delta, nmax):
+    """Reference polar conversion of one planar path, one point at a time.
+
+    Returns the radius, frozen from the first grid point outside the open
+    annulus ``(delta, nmax)`` or from an inherited stop, with the stop
+    index and reason.
+    """
+    rho = np.sqrt((states * states).sum(axis=1))
+    assert delta < rho[0] < nmax
+    outside = (rho <= delta) | (rho >= nmax)
+    if outside.any():
+        s = int(np.argmax(outside))
+        reason = "hit_inner" if rho[s] <= delta else "hit_outer"
+        rho = rho.copy()
+        rho[s:] = rho[s]
+    elif stop_reason != "none":
+        s = stop_index
+        reason = stop_reason
+    else:
+        s = len(rho) - 1
+        reason = "none"
+    return rho, s, reason
+
+
+def one_path_ensemble(states):
+    """A never-stopped one-path ensemble holding the given planar states."""
+    n = states.shape[0] - 1
+    grid = np.linspace(0.0, 1.0, n + 1)
+    return sde.PathEnsemble(grid=grid, states=states[None],
+                            stop_index=np.array([n]), stop_time=grid[[n]],
+                            stop_reason=("none",), master_seed=0)
+
+
 def chunk_inputs(task, count, seed):
     """run_chunk arguments for ``count`` keyed paths of a task."""
     dW = np.stack([task.increments_from(
@@ -201,7 +234,10 @@ def test_noise_stream_stream_classes_are_independent():
 def test_increments_have_brownian_moments():
     dt = 0.01
     n = 200_000
-    xi = sde.NoiseStream(123, 0).increments(n, 1, dt)[:, 0]
+    # a Brownian motion task: the increments run_ensemble draws for it
+    task = sde.em_task(PolyMap.zero(1, 1), PolyMap(1, 1, [(0, (0,), 1.0)]),
+                       np.zeros(1), dt, n * dt)
+    xi = task.increments_from(sde.NoiseStream(123, 0))[:, 0]
     se_mean = math.sqrt(dt / n)
     assert abs(xi.mean()) < 4 * se_mean
     se_var = dt * math.sqrt(2.0 / n)
@@ -241,17 +277,16 @@ def test_ou_terminal_variance_matches_exact_solution():
 def test_exponential_decay_matches_ode_limit():
     drift = PolyMap(1, 1, [(0, (1,), -2.0)])
     diffusion = PolyMap.zero(1, 1)
-    path = sde.euler_maruyama(drift, diffusion, np.array([1.0]), 1e-4, 1.0,
-                              sde.NoiseStream(0, 0))
-    assert_allclose(path.states[-1, 0], math.exp(-2.0), rtol=1e-3)
+    task = sde.em_task(drift, diffusion, np.array([1.0]), 1e-4, 1.0)
+    path = sde.run_ensemble(task, 1, 0)
+    assert_allclose(path.states[0, -1, 0], math.exp(-2.0), rtol=1e-3)
 
 
 def test_noiseless_limit_follows_deterministic_radius():
     # s = 0: rho(t) = (1 + 2 t)^(-1/2) from rho0 = 1
     params = sde.LimitParams.from_sigma_bar(np.zeros((2, 2)))
-    path = sde.simulate_limit(params, 1.0, 1e-4, 1.0,
-                              sde.NoiseStream(0, 0, sde.STREAM_LIMIT))
-    assert_allclose(path.states[-1, 0], 3.0 ** -0.5, rtol=1e-3)
+    path = sde.run_ensemble(sde.limit_task(params, 1.0, 1e-4, 1.0), 1, 0)
+    assert_allclose(path.norms()[0, -1], 3.0 ** -0.5, rtol=1e-3)
 
 
 def test_limit_task_rejects_nonpositive_initial_radius():
@@ -274,10 +309,10 @@ def test_rotation_linear_step_preserves_radius_without_forcing():
     sigma_p = PolyMap.zero(2, 0)
     Q = np.array([[0.0, -1.0], [1.0, 0.0]])
     P = np.zeros((0, 0))
-    path = sde.simulate_rescaled(f, g, sigma_q, sigma_p, Q, P, 1e-2,
-                                 (1.0, 0.0), np.zeros(0), 1e-3, 1.0,
-                                 sde.NoiseStream(0, 0, sde.STREAM_CRITICAL))
-    radii = np.hypot(path.states[:, 0], path.states[:, 1])
+    task = sde.rescaled_task(f, g, sigma_q, sigma_p, Q, P, 1e-2,
+                             (1.0, 0.0), np.zeros(0), 1e-3, 1.0)
+    path = sde.run_ensemble(task, 1, 0)
+    radii = np.hypot(path.states[0, :, 0], path.states[0, :, 1])
     assert_allclose(radii, 1.0, atol=1e-12)
 
 
@@ -286,14 +321,13 @@ def test_reduced_equals_rescaled_for_planar_system():
     # coupled bitwise through the shared stream
     f, g, sigma_q, sigma_p, Q, P = planar_fields()
     eps = 1e-2
-    full = sde.simulate_rescaled(f, g, sigma_q, sigma_p, Q, P, eps,
-                                 (1.0, 0.0), np.zeros(0), 1e-3, 0.5,
-                                 sde.NoiseStream(31, 0, sde.STREAM_CRITICAL))
+    full = sde.run_ensemble(sde.rescaled_task(
+        f, g, sigma_q, sigma_p, Q, P, eps, (1.0, 0.0), np.zeros(0), 1e-3,
+        0.5), 1, 31)
     reduced_field = cubic_rotation()
     h2 = PolyMap.zero(2, 0)
-    red = sde.simulate_reduced(reduced_field, sigma_q, h2, eps,
-                               (1.0, 0.0), 1e-3, 0.5,
-                               sde.NoiseStream(31, 0, sde.STREAM_CRITICAL))
+    red = sde.run_ensemble(sde.reduced_task(
+        reduced_field, sigma_q, h2, eps, (1.0, 0.0), 1e-3, 0.5), 1, 31)
     assert np.array_equal(full.states, red.states)
 
 
@@ -348,31 +382,24 @@ def test_guard_radius_marks_divergent_paths():
     assert np.all(ens.states[0, stop:] == ens.states[0, stop])
 
 
-def test_to_polar_unwraps_multiple_turns():
+def test_polar_ensemble_keeps_radius_over_multiple_turns():
     n = 400
     theta = np.linspace(0.0, 4.0 * np.pi, n + 1)
     states = 2.0 * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    path = sde.PathResult(grid=np.linspace(0.0, 1.0, n + 1), states=states,
-                          stop_index=n, stop_time=1.0, stop_reason="none")
-    polar = sde.to_polar(path, 0.1, 10.0)
-    assert_allclose(polar.rho, 2.0, rtol=1e-12)
-    assert_allclose(polar.theta[-1] - polar.theta[0], 4.0 * np.pi,
-                    rtol=1e-12)
-    assert np.all(np.abs(np.diff(polar.theta)) < np.pi)
-    assert polar.stop_reason == "none"
+    polar = sde.polar_ensemble(one_path_ensemble(states), 0.1, 10.0)
+    assert_allclose(polar.rho[0], 2.0, rtol=1e-12)
+    assert polar.stop_reason[0] == "none"
 
 
-def test_to_polar_freezes_at_outer_barrier():
+def test_polar_ensemble_freezes_at_outer_barrier():
     n = 100
     radius = np.linspace(1.0, 3.0, n + 1)
     states = np.stack([radius, np.zeros(n + 1)], axis=1)
-    path = sde.PathResult(grid=np.linspace(0.0, 1.0, n + 1), states=states,
-                          stop_index=n, stop_time=1.0, stop_reason="none")
-    polar = sde.to_polar(path, 0.5, 2.0)
-    assert polar.stop_reason == "hit_outer"
-    stop = polar.stop_index
-    assert polar.rho[stop] >= 2.0
-    assert_allclose(polar.rho[stop:], polar.rho[stop])
+    polar = sde.polar_ensemble(one_path_ensemble(states), 0.5, 2.0)
+    assert polar.stop_reason[0] == "hit_outer"
+    stop = polar.stop_index[0]
+    assert polar.rho[0, stop] >= 2.0
+    assert_allclose(polar.rho[0, stop:], polar.rho[0, stop])
 
 
 def test_polar_ensemble_matches_per_path_conversion():
@@ -382,20 +409,16 @@ def test_polar_ensemble_matches_per_path_conversion():
     ens = sde.run_ensemble(task, 50, 3)
     polar = sde.polar_ensemble(ens, 0.4, 2.5)
     for i in range(ens.n_paths):
-        single = sde.to_polar(sde.PathResult(
-            grid=ens.grid, states=ens.states[i],
-            stop_index=int(ens.stop_index[i]),
-            stop_time=float(ens.stop_time[i]),
-            stop_reason=ens.stop_reason[i]), 0.4, 2.5)
-        assert_allclose(polar.rho[i], single.rho, rtol=1e-14, atol=1e-14)
-        assert polar.stop_reason[i] == single.stop_reason
-        assert polar.stop_index[i] == single.stop_index
+        rho, stop, reason = to_polar(ens.states[i], int(ens.stop_index[i]),
+                                     ens.stop_reason[i], 0.4, 2.5)
+        assert_allclose(polar.rho[i], rho, rtol=1e-14, atol=1e-14)
+        assert polar.stop_reason[i] == reason
+        assert polar.stop_index[i] == stop
 
 
 def test_limit_params_recompute_validation():
     with pytest.raises(sde.SdeError):
-        sde.LimitParams(sigma_bar=np.eye(2), sigma1_sq=1.0, sigma2_sq=1.0,
-                        sigma12=0.5, s=1.0)
+        sde.LimitParams.from_sigma_bar(np.eye(3))
     params = sde.LimitParams.from_sigma_bar(np.array([[1.0, 0.5],
                                                       [0.0, 2.0]]))
     assert_allclose(params.sigma1_sq, 1.25)

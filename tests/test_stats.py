@@ -244,11 +244,11 @@ def test_convergence_study_report_structure(tmp_path):
     assert record["verdicts"]["reliable"] in (True, False)
 
 
-def test_convergence_study_single_epsilon_is_trivially_monotone():
+def test_convergence_study_single_epsilon_verdict_is_undecided():
     drift, sigma = golden_planar()
     system = stats.prepare_system(drift, sigma)
     report = stats.convergence_study(system, (1e-2,), (0.5,), 16, 1e-2)
-    assert report.verdicts["ks_strictly_decreasing"]["0.5"] is True
+    assert report.verdicts["ks_strictly_decreasing"]["0.5"] is None
 
 
 def test_convergence_refinement_reuses_the_brownian_path():

@@ -7,12 +7,16 @@ drift and a polynomial diffusion,
     u   = lin @ x_k
     x_{k+1} = u + drift(u) dt + diffusion(u) @ dW_k.
 
-The kernel advances a whole chunk of paths through all steps, records every
-state, and freezes a path as diverged when it leaves the overflow guard or
-turns non-finite.  Polynomials arrive packed as flat arrays (component
+The kernel advances a whole chunk of paths through all steps and freezes a
+path as diverged when it leaves the overflow guard or turns non-finite.  By
+default it records every state.  A study that reads only a few grid points
+passes ``keep``, the grid indices it wants: the kernel then stores the
+states at those indices only, plus the running per-path minimum and
+maximum of the planar squared radius ``x0*x0 + x1*x1`` over every grid
+point from 0 on.  Polynomials arrive packed as flat arrays (component
 index, exponent rows, coefficients).
 
-The numpy backend does not interpret the packed terms.  For each
+The kernel does not interpret the packed terms.  For each
 (drift, diffusion) pair it generates the source of one straight-line step
 function, with one numpy expression per term over state columns of shape
 (paths,), compiles it once and memoises it on the packed terms.  The chunk
@@ -30,28 +34,14 @@ term-by-term evaluation, so equal inputs give bitwise equal states:
 
 Tasks with equal packed terms share one generated step, so the coupled
 rescaled and reduced runs of a planar system stay bitwise equal.
-
-A compiled per-path loop (numba) over the same packed layout is the other
-backend.  Select with the environment variable ``HOPF_CRITIC_BACKEND``
-(``numba`` or ``numpy``); the default is the compiled backend when numba
-imports cleanly.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 import sys
 
 import numpy as np
-
-try:
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    numba = None
-    _HAVE_NUMBA = False
 
 STOP_NONE = 0
 STOP_HIT_INNER = 1
@@ -60,10 +50,6 @@ STOP_LEFT_BALL = 3
 STOP_DIVERGED = 4
 
 STOP_REASONS = ("none", "hit_inner", "hit_outer", "left_ball", "diverged")
-
-
-class BackendError(Exception):
-    """Unknown or unavailable kernel backend selection."""
 
 
 def pack_poly(p, dim):
@@ -84,24 +70,6 @@ def pack_poly(p, dim):
         exps[t, :] = exponents
         coefs[t] = coef
     return comps, exps, coefs
-
-
-def active_backend():
-    """Resolve the kernel backend from the environment.
-
-    Returns ``"numba"`` or ``"numpy"``.  Raises BackendError for an
-    unrecognized value or when numba is requested but not importable.
-    """
-    choice = os.environ.get("HOPF_CRITIC_BACKEND", "").strip().lower()
-    if choice == "":
-        return "numba" if _HAVE_NUMBA else "numpy"
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        if not _HAVE_NUMBA:
-            raise BackendError("backend 'numba' requested but numba is not installed")
-        return "numba"
-    raise BackendError(f"unknown backend {choice!r} (use 'numba' or 'numpy')")
 
 
 def _terms(packed):
@@ -165,8 +133,12 @@ def _generate_step(dim, m, drift_terms, sigma_terms):
     return namespace["step"], tuple(float.fromhex(h) for h in names)
 
 
-def _chunk_numpy(x0, lin, step, coefs, dW, dt, guard, states, stop_index,
-                 stop_code):
+
+
+def _chunk(x0, lin, step, coefs, dW, dt, guard, states, stop_index,
+           stop_code, rows):
+    """Step one chunk.  ``rows`` is None to store every state, else maps
+    kept grid indices to rows of ``states``; then return ``(lo, hi)``."""
     n_paths = x0.shape[0]
     n_steps = dW.shape[1]
     guard_sq = guard * guard
@@ -175,7 +147,14 @@ def _chunk_numpy(x0, lin, step, coefs, dW, dt, guard, states, stop_index,
     fast_sq = min(guard_sq, sys.float_info.max)
     lin_t = lin.T
     x = np.array(x0, dtype=np.float64)
-    states[:, 0, :] = x
+    observe = rows is not None
+    if observe:
+        lo = x[:, 0] * x[:, 0] + x[:, 1] * x[:, 1]
+        hi = lo.copy()
+        if 0 in rows:
+            states[:, rows[0], :] = x
+    else:
+        states[:, 0, :] = x
     active = np.arange(n_paths)
     all_live = True
 
@@ -198,7 +177,17 @@ def _chunk_numpy(x0, lin, step, coefs, dW, dt, guard, states, stop_index,
             x = x_new
         else:
             x[active] = x_new
-        states[:, k + 1, :] = x
+        if observe:
+            # Frozen rows repeat their last state, which leaves the range
+            # as it was.
+            r2 = x[:, 0] * x[:, 0] + x[:, 1] * x[:, 1]
+            np.minimum(lo, r2, out=lo)
+            np.maximum(hi, r2, out=hi)
+            row = rows.get(k + 1)
+            if row is not None:
+                states[:, row, :] = x
+        else:
+            states[:, k + 1, :] = x
         if bad is not None and bad.any():
             hit = active[bad]
             stop_index[hit] = k + 1
@@ -206,80 +195,16 @@ def _chunk_numpy(x0, lin, step, coefs, dW, dt, guard, states, stop_index,
             active = active[~bad]
             all_live = False
             if active.size == 0:
-                states[:, k + 2:, :] = x[:, None, :]
+                tail = [r for i, r in rows.items() if i > k + 1] \
+                    if observe else slice(k + 2, None)
+                states[:, tail, :] = x[:, None, :]
                 break
             zero, dtv, c = constants(active.size)
-    return states, stop_index, stop_code
+    return (lo, hi) if observe else None
 
 
-if _HAVE_NUMBA:
-
-    @numba.njit(cache=True, nogil=True)
-    def _chunk_njit(x0, lin, dcomps, dexps, dcoefs, scomps, sexps, scoefs,
-                    dW, dt, guard, states, stop_index, stop_code):
-        n_paths, dim = x0.shape
-        n_steps = dW.shape[1]
-        m = dW.shape[2]
-        guard_sq = guard * guard
-        u = np.empty(dim)
-        drift = np.empty(dim)
-        noise = np.empty(dim)
-        x = np.empty(dim)
-        for b in range(n_paths):
-            for i in range(dim):
-                x[i] = x0[b, i]
-                states[b, 0, i] = x[i]
-            for k in range(n_steps):
-                for i in range(dim):
-                    acc = 0.0
-                    for j in range(dim):
-                        acc += lin[i, j] * x[j]
-                    u[i] = acc
-                for i in range(dim):
-                    drift[i] = 0.0
-                    noise[i] = 0.0
-                for t in range(dcomps.shape[0]):
-                    val = dcoefs[t]
-                    for j in range(dim):
-                        for _ in range(dexps[t, j]):
-                            val *= u[j]
-                    drift[dcomps[t]] += val
-                for t in range(scomps.shape[0]):
-                    val = scoefs[t]
-                    for j in range(dim):
-                        for _ in range(sexps[t, j]):
-                            val *= u[j]
-                    row = scomps[t] // m
-                    col = scomps[t] - row * m
-                    noise[row] += val * dW[b, k, col]
-                norm_sq = 0.0
-                ok = True
-                for i in range(dim):
-                    xi = u[i] + drift[i] * dt + noise[i]
-                    if not np.isfinite(xi):
-                        ok = False
-                        break
-                    u[i] = xi
-                    norm_sq += xi * xi
-                if ok and norm_sq <= guard_sq:
-                    for i in range(dim):
-                        x[i] = u[i]
-                        states[b, k + 1, i] = x[i]
-                else:
-                    if ok:
-                        for i in range(dim):
-                            x[i] = u[i]
-                    stop_index[b] = k + 1
-                    stop_code[b] = STOP_DIVERGED
-                    for kk in range(k + 1, n_steps + 1):
-                        for i in range(dim):
-                            states[b, kk, i] = x[i]
-                    break
-        return states, stop_index, stop_code
-
-
-def run_chunk(x0, lin, drift_packed, sigma_packed, dW, dt, guard,
-              backend=None):
+def run_chunk(x0, lin, drift_packed, sigma_packed, dW, dt, guard, out=None,
+              keep=None):
     """Advance one chunk of paths through every step.
 
     Parameters
@@ -295,31 +220,40 @@ def run_chunk(x0, lin, drift_packed, sigma_packed, dW, dt, guard,
     dt : float
     guard : float
         Overflow radius; paths beyond it freeze as diverged.
+    out : ndarray, optional
+        Array to write ``states`` into, such as the caller's slice.
+    keep : sequence of int, optional
+        Grid indices to keep in place of every state; needs dim >= 2.
 
     Returns
     -------
-    (states, stop_index, stop_code)
-        ``states``: (paths, steps+1, dim) with frozen tails after stops;
+    (states, stop_index, stop_code), with ``keep`` also (r2_min, r2_max)
+        ``states``: (paths, steps+1, dim) with frozen tails after stops,
+        or (paths, len(keep), dim) at the kept indices;
         ``stop_index``: steps for surviving paths, else the freeze index;
-        ``stop_code``: STOP_NONE or STOP_DIVERGED.
+        ``stop_code``: STOP_NONE or STOP_DIVERGED;
+        ``r2_min``, ``r2_max``: per path, the least and greatest
+        ``x0*x0 + x1*x1`` over grid points 0 to steps.
     """
     x0 = np.ascontiguousarray(x0, dtype=np.float64)
     lin = np.ascontiguousarray(lin, dtype=np.float64)
     dW = np.ascontiguousarray(dW, dtype=np.float64)
     n_paths, dim = x0.shape
     n_steps = dW.shape[1]
-    states = np.empty((n_paths, n_steps + 1, dim), dtype=np.float64)
+    rows = None if keep is None else {int(i): r for r, i in enumerate(keep)}
+    if rows is not None and (dim < 2 or len(rows) != len(keep) or not all(
+            0 <= i <= n_steps for i in rows)):
+        raise ValueError("keep needs dim >= 2 and distinct grid indices")
+    shape = (n_paths, n_steps + 1 if rows is None else len(rows), dim)
+    states = np.empty(shape) if out is None else out
+    if states.shape != shape:
+        raise ValueError(f"out has shape {states.shape}, expected {shape}")
     stop_index = np.full(n_paths, n_steps, dtype=np.int64)
     stop_code = np.zeros(n_paths, dtype=np.int64)
-    if (backend or active_backend()) == "numba":
-        dcomps, dexps, dcoefs = drift_packed
-        scomps, sexps, scoefs = sigma_packed
-        _chunk_njit(x0, lin, dcomps, dexps, dcoefs, scomps, sexps, scoefs,
-                    dW, float(dt), float(guard), states, stop_index,
-                    stop_code)
-    else:
-        step, coefs = _generate_step(dim, dW.shape[2], _terms(drift_packed),
-                                     _terms(sigma_packed))
-        _chunk_numpy(x0, lin, step, coefs, dW, float(dt), float(guard),
-                     states, stop_index, stop_code)
-    return states, stop_index, stop_code
+    step, coefs = _generate_step(dim, dW.shape[2], _terms(drift_packed),
+                                 _terms(sigma_packed))
+    r2 = _chunk(x0, lin, step, coefs, dW, float(dt), float(guard), states,
+                stop_index, stop_code, rows)
+    if r2 is None:
+        return states, stop_index, stop_code
+    return (states, stop_index, stop_code) + r2

@@ -10,8 +10,8 @@ reduce       coupled center-manifold and planar error diagnostics
 report       human-readable summary of both studies
 
 Every run writes a ``manifest.json`` recording the config hash, every
-resolved run parameter with a hash over them, the resolved worker count,
-backend, and package versions; with a fixed config and seed all data
+resolved run parameter with a hash over them, the resolved worker count
+and package versions; with a fixed config and seed all data
 artifacts are byte-identical across reruns and worker counts.  Exit status
 is 0 on success (``check`` reports failed verdicts in its output, not its
 status), 1 on configuration or flag validation errors, and 2 on runtime
@@ -32,7 +32,6 @@ import sys
 
 import numpy as np
 
-from ._kernels import BackendError, active_backend
 from .config import ConfigError, load_config
 from .spectral import check_hypotheses, freeze_parameter
 from . import sde, stats
@@ -127,14 +126,15 @@ def _range_errors(cfg, command):
     if repeated:
         errors.append("epsilons must be distinct at :g precision, "
                       f"repeated: {' '.join(repeated)}")
-    for c in cfg.checkpoints:
-        if not 0.0 < c <= cfg.T * (1.0 + 1e-12):
-            errors.append(f"checkpoint {c} outside (0, T]")
-            break
+    inside = [c for c in cfg.checkpoints
+              if 0.0 < c <= cfg.T * (1.0 + 1e-12)]
+    if len(inside) < len(cfg.checkpoints):
+        outside = next(c for c in cfg.checkpoints if c not in inside)
+        errors.append(f"checkpoint {outside} outside (0, T]")
     if 0.0 < cfg.dt <= cfg.T:
         try:
             n_steps = sde._step_count(cfg.T, cfg.dt)
-            stats._checkpoint_indices(cfg.checkpoints, cfg.dt, n_steps)
+            stats._checkpoint_indices(inside, cfg.dt, n_steps)
         except (sde.SdeError, stats.StatsError) as exc:
             errors.append(str(exc))
     if not 0.0 < cfg.beta < 0.5:
@@ -143,13 +143,12 @@ def _range_errors(cfg, command):
         errors.append("Delta must be positive")
     if not 0.0 < cfg.delta < cfg.rho0 < cfg.nmax:
         errors.append("need 0 < delta < rho0 < N")
+    if command in ("reduce", "report") and cfg.rho0 >= cfg.big_delta:
+        errors.append(f"{command} needs rho0 < Delta: the coupled runs "
+                      "start inside the Delta-ball")
     try:
         sde._resolve_workers(cfg.workers)
     except sde.SdeError as exc:
-        errors.append(str(exc))
-    try:
-        active_backend()
-    except BackendError as exc:
         errors.append(str(exc))
     return errors
 
@@ -172,14 +171,6 @@ def _write_json(path, record):
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(record, handle, indent=2, sort_keys=True)
         handle.write("\n")
-
-
-def _numba_version():
-    try:
-        import numba
-    except ImportError:
-        return None
-    return numba.__version__
 
 
 def _write_manifest(cfg, args, outputs):
@@ -211,13 +202,11 @@ def _write_manifest(cfg, args, outputs):
         "resolved_sha256": hashlib.sha256(resolved_text.encode()).hexdigest(),
         **resolved,
         "workers": sde._resolve_workers(cfg.workers),
-        "backend": active_backend(),
         "versions": {
             "package": __version__,
             "python": platform.python_version(),
             "numpy": np.__version__,
             "scipy": scipy.__version__,
-            "numba": _numba_version(),
         },
         "outputs": sorted(outputs),
     }

@@ -25,6 +25,8 @@ that shape:
 
 ``run_ensemble`` integrates any task (one path is an ensemble of one) and
 ``polar_ensemble`` reads the radius of its critical plane.
+``run_coupled`` runs tasks on one draw of noise and can keep only chosen
+grid points plus each path's planar radius range.
 
 Noise is counter-based: each path owns a keyed generator, so increments
 are a pure function of (master seed, path index, step) and ensembles are
@@ -150,12 +152,17 @@ class SimTask:
     def grid(self):
         return self.dt * np.arange(self.n_steps + 1)
 
-    def increments_from(self, noise):
-        """Scaled Brownian increments (n_steps, m) drawn from a stream."""
-        xi = noise.standard_blocks(self.noise_blocks, self.m)
+    def increments(self, xi):
+        """Scaled Brownian increments (n_steps, m) from one path's
+        ``standard_blocks(noise_blocks, m)``."""
         if self.refined:
             return xi.reshape(self.n_steps, self.m) * math.sqrt(self.dt)
         return (xi[:, 0, :] + xi[:, 1, :]) * math.sqrt(self.dt / 2.0)
+
+    def increments_from(self, noise):
+        """Scaled Brownian increments (n_steps, m) drawn from a stream."""
+        return self.increments(noise.standard_blocks(self.noise_blocks,
+                                                     self.m))
 
 
 @dataclass(frozen=True)
@@ -181,6 +188,32 @@ class PathEnsemble:
     def norms(self):
         """Euclidean state norm per path and grid point, shape (paths, K+1)."""
         return np.sqrt((self.states * self.states).sum(axis=2))
+
+
+@dataclass(frozen=True)
+class ObservedEnsemble:
+    """The states an observed run keeps, at its ``keep`` indices, and each
+    path's least and greatest planar squared radius over every grid point.
+    """
+
+    states: np.ndarray
+    stop_index: np.ndarray
+    stop_reason: tuple
+    r2_min: np.ndarray
+    r2_max: np.ndarray
+
+    def inside(self, delta, nmax):
+        """Mask of never-stopped paths whose planar radius stayed in the
+        open annulus ``(delta, nmax)``: ``polar_ensemble``'s per-point test
+        on the extremes, exact because ``sqrt`` is monotone."""
+        live = np.array([r == "none" for r in self.stop_reason], dtype=bool)
+        return live & (np.sqrt(self.r2_min) > delta) \
+            & (np.sqrt(self.r2_max) < nmax)
+
+    def radii(self):
+        """Planar radius at the kept indices, shape (paths, kept)."""
+        z = self.states[:, :, :2]
+        return np.sqrt((z * z).sum(axis=2))
 
 
 @dataclass(frozen=True)
@@ -400,37 +433,62 @@ def _resolve_workers(workers):
     return workers
 
 
-def run_ensemble(task, count, master_seed, workers=None):
-    """Simulate ``count`` independent paths of a task.
+def run_coupled(tasks, count, master_seed, workers=None, keep=None):
+    """Simulate ``count`` paths of several tasks on one draw of noise.
 
-    Paths are keyed by index, partitioned into fixed-size chunks, and
-    written into disjoint slices of preallocated arrays, so the result is
-    bit-identical for every worker count.
+    The tasks must share ``stream_class``, ``m`` and ``noise_blocks``, so
+    path ``p`` of every task rides the Brownian path of stream
+    ``(master_seed, p, stream_class)``, drawn once per chunk; each task's
+    increments are bitwise those ``increments_from`` gives.  Paths are
+    keyed by index, partitioned into fixed-size chunks, and written into
+    disjoint slices of preallocated arrays, so the result is bit-identical
+    for every worker count.
+
+    Returns one result per task: a ``PathEnsemble`` with every state, or,
+    where ``keep`` gives the task a sequence of grid indices, an
+    ``ObservedEnsemble`` with the states at those indices only.
     """
     count = int(count)
     if count < 1:
         raise SdeError("count must be >= 1")
+    if len({(t.stream_class, t.m, t.noise_blocks) for t in tasks}) != 1:
+        raise SdeError("coupled tasks must share stream_class, m and "
+                       "noise_blocks")
     workers = _resolve_workers(workers)
-    drift_packed = pack_poly(task.drift, task.dim)
-    sigma_packed = pack_poly(task.diffusion, task.dim)
-    grid = task.grid()
-    states = np.empty((count, task.n_steps + 1, task.dim))
-    stop_index = np.empty(count, dtype=np.int64)
-    stop_code = np.empty(count, dtype=np.int64)
+    keep = [None] * len(tasks) if keep is None else list(keep)
+    packed = [(pack_poly(t.drift, t.dim), pack_poly(t.diffusion, t.dim))
+              for t in tasks]
+    states = [np.empty((count, t.n_steps + 1 if rows is None else len(rows),
+                        t.dim)) for t, rows in zip(tasks, keep)]
+    stop_index = np.empty((len(tasks), count), dtype=np.int64)
+    stop_code = np.empty((len(tasks), count), dtype=np.int64)
+    r2 = np.empty((len(tasks), 2, count))
+    stream_class, m, blocks = (tasks[0].stream_class, tasks[0].m,
+                               tasks[0].noise_blocks)
 
     def work(start):
         end = min(start + CHUNK, count)
-        block = end - start
-        dW = np.empty((block, task.n_steps, task.m))
+        # One increment array per rule; tasks that differ only in eps
+        # share it.
+        dW = {}
+        for task in tasks:
+            dW.setdefault((task.refined, task.dt), (
+                task, np.empty((end - start, task.n_steps, m))))
         for p in range(start, end):
-            stream = NoiseStream(master_seed, p, task.stream_class)
-            dW[p - start] = task.increments_from(stream)
-        x0 = np.broadcast_to(task.x0, (block, task.dim))
-        st, si, sc = run_chunk(x0, task.lin, drift_packed, sigma_packed,
-                               dW, task.dt, task.guard)
-        states[start:end] = st
-        stop_index[start:end] = si
-        stop_code[start:end] = sc
+            xi = NoiseStream(master_seed, p, stream_class).standard_blocks(
+                blocks, m)
+            for task, increments in dW.values():
+                increments[p - start] = task.increments(xi)
+        for i, task in enumerate(tasks):
+            x0 = np.broadcast_to(task.x0, (end - start, task.dim))
+            result = run_chunk(x0, task.lin, *packed[i],
+                               dW[task.refined, task.dt][1], task.dt,
+                               task.guard, out=states[i][start:end],
+                               keep=keep[i])
+            stop_index[i, start:end] = result[1]
+            stop_code[i, start:end] = result[2]
+            if keep[i] is not None:
+                r2[i, :, start:end] = result[3:]
 
     starts = range(0, count, CHUNK)
     if workers == 1:
@@ -439,11 +497,28 @@ def run_ensemble(task, count, master_seed, workers=None):
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(work, starts))
-    return PathEnsemble(
-        grid=grid, states=states, stop_index=stop_index,
-        stop_time=grid[stop_index],
-        stop_reason=tuple(STOP_REASONS[int(c)] for c in stop_code),
-        master_seed=int(master_seed))
+    results = []
+    for i, task in enumerate(tasks):
+        reasons = tuple(STOP_REASONS[int(c)] for c in stop_code[i])
+        if keep[i] is None:
+            grid = task.grid()
+            results.append(PathEnsemble(
+                grid=grid, states=states[i], stop_index=stop_index[i],
+                stop_time=grid[stop_index[i]], stop_reason=reasons,
+                master_seed=int(master_seed)))
+        else:
+            results.append(ObservedEnsemble(
+                states=states[i], stop_index=stop_index[i],
+                stop_reason=reasons, r2_min=r2[i, 0], r2_max=r2[i, 1]))
+    return results
+
+
+def run_ensemble(task, count, master_seed, workers=None):
+    """Simulate ``count`` independent paths of one task, every state kept.
+
+    The one-task case of ``run_coupled``.
+    """
+    return run_coupled([task], count, master_seed, workers)[0]
 
 
 def polar_ensemble(ens, delta, nmax):

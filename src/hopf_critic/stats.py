@@ -289,12 +289,6 @@ def _checkpoint_indices(checkpoints, dt, n_steps):
     return indices
 
 
-def _surviving_radii(polar, indices):
-    """Radii of the never-stopped paths at each grid index."""
-    alive = np.array([r == "none" for r in polar.stop_reason])
-    return [polar.rho[alive, idx] for idx in indices]
-
-
 def convergence_study(system, epsilons, checkpoints, paths, dt,
                       delta=0.05, nmax=10.0, rho0=1.0, master_seed=0,
                       workers=None, refine=False):
@@ -335,32 +329,40 @@ def convergence_study(system, epsilons, checkpoints, paths, dt,
     z0 = (rho0, 0.0)
     y0 = np.zeros(k)
 
-    def run_polar(task):
-        ens = sde.run_ensemble(task, paths, master_seed, workers)
-        return sde.polar_ensemble(ens, delta, nmax)
+    def observe(tasks):
+        # One draw of noise per chunk serves every task of a stream class;
+        # only the checkpoint states and the planar radius range are kept.
+        # A refined task reaches each checkpoint in twice the steps.
+        keep = [[2 * i for i in indices] if t.refined else indices
+                for t in tasks]
+        # A survivor never stopped and kept its planar radius inside the
+        # open annulus at every grid point.
+        out = []
+        for seen in sde.run_coupled(tasks, paths, master_seed, workers,
+                                    keep=keep):
+            alive = seen.inside(delta, nmax)
+            out.append((alive, seen.radii()[alive].T))
+        return out
 
-    limit_radii = _surviving_radii(run_polar(sde.limit_task(
-        system.limit, rho0, dt, T)), indices)
+    steps = [(dt, False)] + ([(dt / 2.0, True)] if refine else [])
+    limit = observe([sde.limit_task(system.limit, rho0, h, T, refined=r)
+                     for h, r in steps])
+    limit_radii = limit[0][1]
     limit_quantiles = tuple(_quantiles(radii) for radii in limit_radii)
-    fine_indices = [2 * idx for idx in indices]
-    if refine:
-        fine_limit_radii = _surviving_radii(run_polar(sde.limit_task(
-            system.limit, rho0, dt / 2.0, T, refined=True)), fine_indices)
+    critical = observe([sde.rescaled_task(
+        system.f, system.g, system.sigma_q, system.sigma_p, split.Q,
+        split.P, eps, z0, y0, h, T, refined=r)
+        for eps in epsilons for h, r in steps])
 
     rows = []
-    for eps in epsilons:
-        base = run_polar(sde.rescaled_task(
-            system.f, system.g, system.sigma_q, system.sigma_p,
-            split.Q, split.P, eps, z0, y0, dt, T))
+    for e, eps in enumerate(epsilons):
+        alive, radii = critical[e * len(steps)]
         if refine:
-            fine_radii = _surviving_radii(run_polar(sde.rescaled_task(
-                system.f, system.g, system.sigma_q, system.sigma_p,
-                split.Q, split.P, eps, z0, y0, dt / 2.0, T,
-                refined=True)), fine_indices)
-        alive = np.array([r == "none" for r in base.stop_reason])
+            fine_radii = critical[e * len(steps) + 1][1]
+            fine_limit_radii = limit[1][1]
         cells = []
-        for j, (c, idx) in enumerate(zip(checkpoints, indices)):
-            samples = base.rho[alive, idx]
+        for j, c in enumerate(checkpoints):
+            samples = radii[j]
             limit_samples = limit_radii[j]
             if samples.size == 0 or limit_samples.size == 0:
                 raise StatsError(
@@ -489,13 +491,12 @@ def reduction_diagnostics(system, epsilons, big_delta, beta, paths, dt,
     n_steps = int(round(horizon / dt))
     rows = []
     for eps in epsilons:
-        full = sde.run_ensemble(sde.rescaled_task(
-            system.f, system.g, system.sigma_q, system.sigma_p,
-            split.Q, split.P, eps, z0, y0, dt, horizon), paths,
-            master_seed, workers)
-        reduced = sde.run_ensemble(sde.reduced_task(
-            system.reduced, system.sigma_q, h2, eps, z0, dt, horizon),
-            paths, master_seed, workers)
+        full, reduced = sde.run_coupled([
+            sde.rescaled_task(system.f, system.g, system.sigma_q,
+                              system.sigma_p, split.Q, split.P, eps, z0, y0,
+                              dt, horizon),
+            sde.reduced_task(system.reduced, system.sigma_q, h2, eps, z0,
+                             dt, horizon)], paths, master_seed, workers)
         Z = full.states[:, :, :2]
         Y = full.states[:, :, 2:]
         Zt = reduced.states

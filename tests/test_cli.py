@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hopf_critic import _kernels, cli
+from hopf_critic import cli, sde
 from hopf_critic.config import ConfigError, load_config, parse_config
 
 GOLDEN = """\
@@ -232,14 +232,19 @@ def test_simulate_writes_one_trajectory_file_per_epsilon(tmp_path):
                                    "trajectory_eps0.1.csv"]
 
 
-def test_converge_artifacts_do_not_depend_on_worker_count(tmp_path):
+def test_converge_artifacts_do_not_depend_on_worker_count(tmp_path,
+                                                         monkeypatch):
+    # 16-path chunks split the 40 paths three ways, so the threads share
+    # every coupled draw and every observed ensemble
+    monkeypatch.setattr(sde, "CHUNK", 16)
     cfg = write_config(tmp_path)
     runs = {}
     for workers in ("1", "3"):
         out = tmp_path / f"w{workers}"
         code = cli.main(["converge", "--config", cfg, "--out", str(out),
-                         "--paths", "40", "--epsilon", "0.1",
-                         "--checkpoints", "0.25", "--workers", workers])
+                         "--paths", "40", "--epsilon", "0.1", "0.05",
+                         "--checkpoints", "0.25", "0.5", "--refine",
+                         "--workers", workers])
         assert code == 0
         runs[workers] = out
     for name in ("convergence.csv", "convergence.json"):
@@ -271,11 +276,11 @@ def test_converge_summary_and_manifest_contents(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 7
     assert manifest["paths"] == 24
-    assert manifest["backend"] in ("numba", "numpy")
     assert manifest["config_sha256"] == hashlib.sha256(
         Path(cfg).read_bytes()).hexdigest()
+    assert "backend" not in manifest
     assert set(manifest["versions"]) == {"package", "python", "numpy",
-                                         "scipy", "numba"}
+                                         "scipy"}
     assert (manifest["rho0"], manifest["delta"], manifest["N"]) == \
         (1.0, 0.05, 10.0)
     assert (manifest["Delta"], manifest["beta"]) == (2.0, 0.4)
@@ -383,18 +388,17 @@ def test_epsilons_equal_at_g_precision_exit_one(tmp_path, capsys, command,
      "HOPF_CRITIC_WORKERS='abc' is not an integer"),
     ("converge", {"HOPF_CRITIC_WORKERS": "0"}, [],
      "HOPF_CRITIC_WORKERS must be at least 1"),
-    ("check", {"HOPF_CRITIC_BACKEND": "fortran"}, [], "unknown backend"),
-    ("simulate", {"HOPF_CRITIC_BACKEND": "numba"}, [],
-     "numba is not installed"),
     ("converge", {}, ["--paths", "1"], "converge needs at least 2 paths"),
     ("report", {}, ["--paths", "1"], "report needs at least 2 paths"),
-], ids=["workers-abc", "workers-0", "backend-unknown", "backend-numba-absent",
-        "converge-one-path", "report-one-path"])
+    ("reduce", {}, ["--Delta", "0.5"], "reduce needs rho0 < Delta"),
+    ("report", {}, ["--Delta", "0.5"], "report needs rho0 < Delta"),
+    ("converge", {}, ["--T", "0.1"], "checkpoint 0.25 outside (0, T]"),
+], ids=["workers-abc", "workers-0", "converge-one-path", "report-one-path",
+        "reduce-rho0-outside-Delta", "report-rho0-outside-Delta",
+        "checkpoint-beyond-T"])
 def test_configuration_mistakes_exit_one(tmp_path, capsys, monkeypatch,
                                          command, env, flags, message):
-    monkeypatch.setattr(_kernels, "_HAVE_NUMBA", False)
     monkeypatch.delenv("HOPF_CRITIC_WORKERS", raising=False)
-    monkeypatch.delenv("HOPF_CRITIC_BACKEND", raising=False)
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     out = tmp_path / "out"
@@ -404,6 +408,8 @@ def test_configuration_mistakes_exit_one(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert err.startswith("error: CONFIG: ")
     assert message in err
+    # one mistake, one error: no second, derived complaint
+    assert err.count("error: ") == 1
     assert not out.exists()
 
 

@@ -197,7 +197,7 @@ def test_generated_step_matches_term_loop_bitwise(name):
     args = chunk_inputs(task, 40, 3)
     with np.errstate(over="ignore", invalid="ignore"):
         expected = term_loop_run(*args)
-        got = run_chunk(*args, backend="numpy")
+        got = run_chunk(*args)
     for want, have in zip(expected, got):
         assert want.dtype == have.dtype and want.shape == have.shape
         assert want.tobytes() == have.tobytes()
@@ -351,26 +351,6 @@ def test_path_results_do_not_depend_on_ensemble_size():
     assert np.array_equal(large.states[:3], small.states)
 
 
-def test_backend_parity_within_tolerance(monkeypatch):
-    pytest.importorskip("numba")
-    f, g, sigma_q, sigma_p, Q, P = planar_fields()
-    task = sde.rescaled_task(f, g, sigma_q, sigma_p, Q, P, 1e-2,
-                             (1.0, 0.0), np.zeros(0), 1e-3, 0.5)
-    monkeypatch.setenv("HOPF_CRITIC_BACKEND", "numba")
-    a = sde.run_ensemble(task, 64, 9)
-    monkeypatch.setenv("HOPF_CRITIC_BACKEND", "numpy")
-    b = sde.run_ensemble(task, 64, 9)
-    assert np.max(np.abs(a.states - b.states)) < 1e-10
-    assert a.stop_reason == b.stop_reason
-
-
-def test_unknown_backend_is_rejected(monkeypatch):
-    from hopf_critic._kernels import BackendError, active_backend
-    monkeypatch.setenv("HOPF_CRITIC_BACKEND", "fortran")
-    with pytest.raises(BackendError):
-        active_backend()
-
-
 def test_guard_radius_marks_divergent_paths():
     # dX = +X^3 dt blows up quickly from 2
     drift = PolyMap(1, 1, [(0, (3,), 1.0)])
@@ -414,6 +394,105 @@ def test_polar_ensemble_matches_per_path_conversion():
         assert_allclose(polar.rho[i], rho, rtol=1e-14, atol=1e-14)
         assert polar.stop_reason[i] == reason
         assert polar.stop_index[i] == stop
+
+
+def observable_tasks():
+    """Tasks of dimension >= 2, whose planar radius the kernel can watch."""
+    tasks = {name: task for name, task in kernel_tasks().items()
+             if task.dim >= 2}
+    # every path leaves the guard long before the horizon, so the kept
+    # rows after the last stop are filled from the frozen states
+    cube = PolyMap(2, 2, [(0, (3, 0), 1.0), (1, (0, 3), 1.0)])
+    tasks["all_guard_2d"] = sde.em_task(
+        cube, PolyMap(2, 4, [(0, (0, 0), 0.1), (3, (0, 0), 0.1)]),
+        np.array([2.0, 0.5]), 1e-2, 2.0)
+    return tasks
+
+
+@pytest.mark.parametrize("name", sorted(observable_tasks()))
+def test_observed_chunk_keeps_the_full_run_columns_bitwise(name):
+    task = observable_tasks()[name]
+    args = chunk_inputs(task, 40, 3)
+    keep = [0, 1, task.n_steps // 3, task.n_steps - 1, task.n_steps]
+    with np.errstate(over="ignore", invalid="ignore"):
+        states, stop_index, stop_code = run_chunk(*args)
+        kept, kept_index, kept_code, lo, hi = run_chunk(*args, keep=keep)
+    assert kept.tobytes() == states[:, keep].tobytes()
+    assert kept_index.tobytes() == stop_index.tobytes()
+    assert kept_code.tobytes() == stop_code.tobytes()
+    z = states[:, :, :2]
+    r2 = (z * z).sum(axis=2)
+    assert lo.tobytes() == r2.min(axis=1).tobytes()
+    assert hi.tobytes() == r2.max(axis=1).tobytes()
+    if name == "all_guard_2d":
+        assert np.all(stop_code == STOP_DIVERGED)
+        assert stop_index.max() < task.n_steps - 1
+
+
+def test_run_chunk_writes_into_the_callers_array():
+    task = kernel_tasks()["planar"]
+    args = chunk_inputs(task, 8, 3)
+    target = np.zeros((16, task.n_steps + 1, task.dim))
+    states = run_chunk(*args, out=target[8:])[0]
+    assert np.shares_memory(states, target)
+    assert target[8:].tobytes() == run_chunk(*args)[0].tobytes()
+    assert not target[:8].any()
+    with pytest.raises(ValueError):
+        run_chunk(*args, out=target[:4])
+    with pytest.raises(ValueError):
+        run_chunk(*args, keep=[0, 0])
+
+
+def observer_task(name, guard):
+    fields, y0 = {"planar": (planar_fields(), np.zeros(0)),
+                  "coupled3d": (coupled3d_fields(), np.zeros(1))}[name]
+    return sde.rescaled_task(*fields, 1e-1, (1.0, 0.0), y0, 1e-3, 0.5,
+                             guard=guard)
+
+
+@pytest.mark.parametrize("name", ["planar", "coupled3d"])
+@pytest.mark.parametrize("nmax, guard, stops", [
+    # a near outer barrier: paths hit both barriers
+    (1.8, sde.GUARD_RADIUS, {"hit_inner", "hit_outer"}),
+    # a guard inside a far outer barrier: paths diverge instead
+    (10.0, 1.6, {"hit_inner", "diverged"}),
+], ids=["barriers", "guard"])
+def test_observed_survivors_match_polar_ensemble_bitwise(
+        monkeypatch, name, nmax, guard, stops):
+    monkeypatch.setattr(sde, "CHUNK", 16)
+    task = observer_task(name, guard)
+    delta, keep = 0.5, [125, 250, 500]
+    polar = sde.polar_ensemble(sde.run_ensemble(task, 60, 11), delta, nmax)
+    alive = np.array([r == "none" for r in polar.stop_reason])
+    assert stops <= set(polar.stop_reason) and alive.any()
+    observed = sde.run_coupled([task], 60, 11, keep=[keep])[0]
+    assert observed.inside(delta, nmax).tobytes() == alive.tobytes()
+    assert observed.radii()[alive].tobytes() == \
+        polar.rho[alive][:, keep].tobytes()
+
+
+def test_coupled_draw_matches_separate_ensembles_bitwise(monkeypatch):
+    monkeypatch.setattr(sde, "CHUNK", 16)
+    f, g, sigma_q, sigma_p, Q, P = coupled3d_fields()
+    tasks = [sde.rescaled_task(f, g, sigma_q, sigma_p, Q, P, eps,
+                               (1.0, 0.0), np.zeros(1), h, 0.2, refined=r)
+             for eps in (1e-1, 1e-2) for h, r in ((1e-3, False),
+                                                  (5e-4, True))]
+    separate = [sde.run_ensemble(task, 40, 5) for task in tasks]
+    keep = [[0, 100, 200] if not t.refined else [0, 200, 400]
+            for t in tasks]
+    for workers in (1, 3):
+        coupled = sde.run_coupled(tasks, 40, 5, workers)
+        observed = sde.run_coupled(tasks, 40, 5, workers, keep=keep)
+        for one, both, seen, rows in zip(separate, coupled, observed, keep):
+            assert both.states.tobytes() == one.states.tobytes()
+            assert both.stop_index.tobytes() == one.stop_index.tobytes()
+            assert both.stop_reason == one.stop_reason
+            assert seen.states.tobytes() == one.states[:, rows].tobytes()
+    limit = sde.limit_task(sde.LimitParams.from_sigma_bar(np.eye(2)), 1.0,
+                           1e-3, 0.2)
+    with pytest.raises(sde.SdeError):
+        sde.run_coupled([tasks[0], limit], 40, 5)
 
 
 def test_limit_params_recompute_validation():

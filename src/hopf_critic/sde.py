@@ -442,7 +442,10 @@ def run_coupled(tasks, count, master_seed, workers=None, keep=None):
     increments are bitwise those ``increments_from`` gives.  Paths are
     keyed by index, partitioned into fixed-size chunks, and written into
     disjoint slices of preallocated arrays, so the result is bit-identical
-    for every worker count.
+    for every worker count.  Tasks with equal dim, step count, step rule,
+    guard, ``keep`` and drift and diffusion terms (the eps of one sweep)
+    step together in one kernel loop per chunk, with results bitwise those
+    of separate runs; their states are views into one array.
 
     Returns one result per task: a ``PathEnsemble`` with every state, or,
     where ``keep`` gives the task a sequence of grid indices, an
@@ -455,11 +458,32 @@ def run_coupled(tasks, count, master_seed, workers=None, keep=None):
         raise SdeError("coupled tasks must share stream_class, m and "
                        "noise_blocks")
     workers = _resolve_workers(workers)
-    keep = [None] * len(tasks) if keep is None else list(keep)
+    keep = [None] * len(tasks) if keep is None else [
+        None if rows is None else tuple(int(i) for i in rows)
+        for rows in keep]
     packed = [(pack_poly(t.drift, t.dim), pack_poly(t.diffusion, t.dim))
               for t in tasks]
-    states = [np.empty((count, t.n_steps + 1 if rows is None else len(rows),
-                        t.dim)) for t, rows in zip(tasks, keep)]
+    # Tasks of one step shape on one increment array and grid step in one
+    # kernel loop per chunk; each group's states are one array with a
+    # leading task axis.
+    by_shape = {}
+    for i, (task, rows) in enumerate(zip(tasks, keep)):
+        # components and exponents of the drift and diffusion terms
+        terms = tuple(a.tobytes() for p in packed[i] for a in p[:2])
+        by_shape.setdefault((task.dim, task.n_steps, task.refined, task.dt,
+                             task.guard, rows, terms), []).append(i)
+    groups = []
+    states = [None] * len(tasks)
+    for members in by_shape.values():
+        first, rows = tasks[members[0]], keep[members[0]]
+        group_states = np.empty((
+            len(members), count,
+            first.n_steps + 1 if rows is None else len(rows), first.dim))
+        for g, i in enumerate(members):
+            states[i] = group_states[g]
+        groups.append((members, np.stack([tasks[i].x0 for i in members]),
+                       np.stack([tasks[i].lin for i in members]),
+                       group_states))
     stop_index = np.empty((len(tasks), count), dtype=np.int64)
     stop_code = np.empty((len(tasks), count), dtype=np.int64)
     r2 = np.empty((len(tasks), 2, count))
@@ -479,16 +503,19 @@ def run_coupled(tasks, count, master_seed, workers=None, keep=None):
                 blocks, m)
             for task, increments in dW.values():
                 increments[p - start] = task.increments(xi)
-        for i, task in enumerate(tasks):
-            x0 = np.broadcast_to(task.x0, (end - start, task.dim))
-            result = run_chunk(x0, task.lin, *packed[i],
-                               dW[task.refined, task.dt][1], task.dt,
-                               task.guard, out=states[i][start:end],
-                               keep=keep[i])
-            stop_index[i, start:end] = result[1]
-            stop_code[i, start:end] = result[2]
-            if keep[i] is not None:
-                r2[i, :, start:end] = result[3:]
+        for members, x0, lin, group_states in groups:
+            first = tasks[members[0]]
+            x0 = np.broadcast_to(x0[:, None, :],
+                                 (len(members), end - start, first.dim))
+            result = run_chunk(x0, lin, [packed[i][0] for i in members],
+                               [packed[i][1] for i in members],
+                               dW[first.refined, first.dt][1], first.dt,
+                               first.guard, out=group_states[:, start:end],
+                               keep=keep[members[0]])
+            stop_index[members, start:end] = result[1]
+            stop_code[members, start:end] = result[2]
+            if keep[members[0]] is not None:
+                r2[members, :, start:end] = np.stack(result[3:], axis=1)
 
     starts = range(0, count, CHUNK)
     if workers == 1:

@@ -451,6 +451,55 @@ def _fit_slope(epsilons, values):
     return float(np.polyfit(np.log(eps[keep]), np.log(vals[keep]), 1)[0])
 
 
+def _reduction_row(eps, full, reduced, h2, big_delta, beta, dt):
+    """One eps's row of ``reduction_diagnostics`` from its coupled pair.
+
+    The arrays derived from the states live only while the row is built.
+    """
+    paths, n_points, dim = full.states.shape
+    n_steps, k = n_points - 1, dim - 2
+    Z = full.states[:, :, :2]
+    Zt = reduced.states
+    if k:
+        hv = h2.evaluate_batch(Z.reshape(-1, 2)).reshape(paths, -1, k)
+        U = full.states[:, :, 2:] - (eps ** 0.25) * hv
+        norm_u = np.sqrt((U * U).sum(axis=2))
+    else:
+        norm_u = np.zeros((paths, n_steps + 1))
+    norm_phi = np.sqrt(((Z - Zt) ** 2).sum(axis=2))
+    full_norm = np.sqrt((full.states ** 2).sum(axis=2))
+    red_norm = np.sqrt((Zt * Zt).sum(axis=2))
+    outside = (full_norm >= big_delta) | (red_norm >= big_delta)
+    has_exit = outside.any(axis=1)
+    exit_idx = np.where(has_exit, outside.argmax(axis=1), n_steps + 1)
+    for ens in (full, reduced):
+        died = np.array([r != "none" for r in ens.stop_reason])
+        exit_idx = np.minimum(
+            exit_idx, np.where(died, ens.stop_index, n_steps + 1))
+    i_beta = int(math.ceil(eps ** beta / dt - 1e-12))
+    # Per path the sup over [0, max(stop, 1)) for Phi and over
+    # [i_beta, stop) for U; max is exact, so masks equal slices.
+    stop = exit_idx[:, None]
+    cols = np.arange(n_steps + 1)[None, :]
+    sup_phi = np.max(norm_phi, axis=1, initial=-np.inf,
+                     where=cols < np.maximum(stop, 1))
+    included = i_beta < stop[:, 0]
+    in_u = (cols >= i_beta) & (cols < stop)
+    sup_u = np.where(included, np.max(norm_u, axis=1, initial=-np.inf,
+                                      where=in_u), np.nan)
+    if included.any():
+        u_median = float(np.quantile(sup_u[included], 0.5))
+        u_p90 = float(np.quantile(sup_u[included], 0.9))
+    else:
+        u_median = u_p90 = float("nan")
+    return ReductionRow(
+        epsilon=eps, u_median=u_median, u_p90=u_p90,
+        phi_median=float(np.quantile(sup_phi, 0.5)),
+        phi_p90=float(np.quantile(sup_phi, 0.9)),
+        excluded_fraction=float(1.0 - included.mean()),
+        ball_exit_fraction=float((exit_idx <= n_steps).mean()))
+
+
 def reduction_diagnostics(system, epsilons, big_delta, beta, paths, dt,
                           horizon=1.0, z0=(1.0, 0.0), y0=None,
                           master_seed=0, workers=None):
@@ -488,55 +537,15 @@ def reduction_diagnostics(system, epsilons, big_delta, beta, paths, dt,
     if math.hypot(*z0) >= big_delta or np.linalg.norm(
             np.concatenate((z0, y0))) >= big_delta:
         raise StatsError("initial state must start inside the Delta-ball")
-    n_steps = int(round(horizon / dt))
-    rows = []
-    for eps in epsilons:
-        full, reduced = sde.run_coupled([
-            sde.rescaled_task(system.f, system.g, system.sigma_q,
-                              system.sigma_p, split.Q, split.P, eps, z0, y0,
-                              dt, horizon),
-            sde.reduced_task(system.reduced, system.sigma_q, h2, eps, z0,
-                             dt, horizon)], paths, master_seed, workers)
-        Z = full.states[:, :, :2]
-        Y = full.states[:, :, 2:]
-        Zt = reduced.states
-        if k:
-            hv = h2.evaluate_batch(Z.reshape(-1, 2)).reshape(paths, -1, k)
-            U = Y - (eps ** 0.25) * hv
-            norm_u = np.sqrt((U * U).sum(axis=2))
-        else:
-            norm_u = np.zeros((paths, n_steps + 1))
-        norm_phi = np.sqrt(((Z - Zt) ** 2).sum(axis=2))
-        full_norm = np.sqrt((full.states ** 2).sum(axis=2))
-        red_norm = np.sqrt((Zt * Zt).sum(axis=2))
-        outside = (full_norm >= big_delta) | (red_norm >= big_delta)
-        has_exit = outside.any(axis=1)
-        exit_idx = np.where(has_exit, outside.argmax(axis=1), n_steps + 1)
-        for ens in (full, reduced):
-            died = np.array([r != "none" for r in ens.stop_reason])
-            exit_idx = np.minimum(
-                exit_idx, np.where(died, ens.stop_index, n_steps + 1))
-        i_beta = int(math.ceil(eps ** beta / dt - 1e-12))
-        sup_u = np.full(paths, np.nan)
-        included = np.zeros(paths, dtype=bool)
-        sup_phi = np.empty(paths)
-        for p in range(paths):
-            stop = min(int(exit_idx[p]), n_steps + 1)
-            sup_phi[p] = norm_phi[p, :max(stop, 1)].max()
-            if i_beta < stop:
-                sup_u[p] = norm_u[p, i_beta:stop].max()
-                included[p] = True
-        if included.any():
-            u_median = float(np.quantile(sup_u[included], 0.5))
-            u_p90 = float(np.quantile(sup_u[included], 0.9))
-        else:
-            u_median = u_p90 = float("nan")
-        rows.append(ReductionRow(
-            epsilon=eps, u_median=u_median, u_p90=u_p90,
-            phi_median=float(np.quantile(sup_phi, 0.5)),
-            phi_p90=float(np.quantile(sup_phi, 0.9)),
-            excluded_fraction=float(1.0 - included.mean()),
-            ball_exit_fraction=float((exit_idx <= n_steps).mean())))
+    # Every eps in one call: the full runs of all eps share one kernel loop
+    # per chunk, and so do the reduced runs.
+    runs = sde.run_coupled([task for eps in epsilons for task in (
+        sde.rescaled_task(system.f, system.g, system.sigma_q, system.sigma_p,
+                          split.Q, split.P, eps, z0, y0, dt, horizon),
+        sde.reduced_task(system.reduced, system.sigma_q, h2, eps, z0, dt,
+                         horizon))], paths, master_seed, workers)
+    rows = [_reduction_row(eps, runs[2 * e], runs[2 * e + 1], h2, big_delta,
+                           beta, dt) for e, eps in enumerate(epsilons)]
     q_fit = _fit_slope(epsilons, [r.u_median for r in rows])
     gamma_fit = _fit_slope(epsilons, [r.phi_median for r in rows])
     return ReductionReport(

@@ -478,21 +478,100 @@ def test_coupled_draw_matches_separate_ensembles_bitwise(monkeypatch):
                                (1.0, 0.0), np.zeros(1), h, 0.2, refined=r)
              for eps in (1e-1, 1e-2) for h, r in ((1e-3, False),
                                                   (5e-4, True))]
-    separate = [sde.run_ensemble(task, 40, 5) for task in tasks]
+    tasks.append(sde.reduced_task(
+        PolyMap(2, 2, [(0, (0, 1), -1.0), (0, (3, 0), -1.0),
+                       (0, (1, 2), -1.0), (1, (1, 0), 1.0),
+                       (1, (2, 1), -1.0), (1, (0, 3), -1.0)]),
+        sigma_q, PolyMap(2, 1, [(0, (2, 0), 0.5)]), 1e-2, (1.0, 0.0),
+        1e-3, 0.2))
     keep = [[0, 100, 200] if not t.refined else [0, 200, 400]
             for t in tasks]
+    separate = [sde.run_ensemble(task, 40, 5) for task in tasks]
+    alone = [sde.run_coupled([task], 40, 5, keep=[rows])[0]
+             for task, rows in zip(tasks, keep)]
+    groups = []
+
+    def counted(*args, **kwargs):
+        groups.append(len(args[1]))
+        return run_chunk(*args, **kwargs)
+
+    monkeypatch.setattr(sde, "run_chunk", counted)
     for workers in (1, 3):
+        groups.clear()
         coupled = sde.run_coupled(tasks, 40, 5, workers)
+        # three chunks, each stepping both eps in one loop per step rule
+        # and the reduced task alone
+        assert sorted(groups) == [1] * 3 + [2] * 6
         observed = sde.run_coupled(tasks, 40, 5, workers, keep=keep)
-        for one, both, seen, rows in zip(separate, coupled, observed, keep):
+        for one, both, seen, kept, rows in zip(separate, coupled, observed,
+                                               alone, keep):
             assert both.states.tobytes() == one.states.tobytes()
             assert both.stop_index.tobytes() == one.stop_index.tobytes()
             assert both.stop_reason == one.stop_reason
             assert seen.states.tobytes() == one.states[:, rows].tobytes()
+            assert seen.r2_min.tobytes() == kept.r2_min.tobytes()
+            assert seen.r2_max.tobytes() == kept.r2_max.tobytes()
     limit = sde.limit_task(sde.LimitParams.from_sigma_bar(np.eye(2)), 1.0,
                            1e-3, 0.2)
     with pytest.raises(sde.SdeError):
         sde.run_coupled([tasks[0], limit], 40, 5)
+
+
+def group_inputs(tasks, count, seed):
+    """run_chunk arguments stepping tasks of one step shape as a group."""
+    args = [chunk_inputs(task, count, seed) for task in tasks]
+    for other in args[1:]:
+        assert other[4].tobytes() == args[0][4].tobytes()
+    return (np.stack([a[0] for a in args]), np.stack([a[1] for a in args]),
+            [a[2] for a in args], [a[3] for a in args], args[0][4],
+            tasks[0].dt, tasks[0].guard)
+
+
+def group_tasks():
+    f, g, sigma_q, sigma_p, Q, P = coupled3d_fields()
+    coupled = [sde.rescaled_task(f, g, sigma_q, sigma_p, Q, P, eps,
+                                 (1.0, 0.0), np.zeros(1), 1e-3, 0.2)
+               for eps in (1e-1, 1e-2)]
+    # a guard inside the typical radius: paths of both tasks stop at
+    # different steps, so the live rows of each task step with its own flow
+    fenced = [sde.rescaled_task(f, g, sigma_q, sigma_p, Q, P, eps,
+                                (1.0, 0.0), np.zeros(1), 1e-3, 0.5,
+                                guard=1.6)
+              for eps in (1e-1, 1e-2)]
+    # equal terms, but each coefficient is +1.0 in the first task and
+    # -0.5 or -1.0 in the second: the first task's paths blow up past the
+    # guard mid-chunk, some of them, while the second's never do
+    noise = PolyMap(2, 4, [(0, (0, 0), 1.0), (3, (0, 0), 1.0)])
+    one_side = [sde.em_task(PolyMap(2, 2, [(0, (3, 0), a), (1, (0, 3), b)]),
+                            noise, np.array([0.5, 0.5]), 1e-2, 2.0,
+                            guard=10.0)
+                for a, b in ((1.0, 1.0), (-0.5, -1.0))]
+    return {"coupled3d": coupled, "coupled3d_guard": fenced,
+            "guard_in_one_task": one_side}
+
+
+@pytest.mark.parametrize("observe", [False, True], ids=["all", "keep"])
+@pytest.mark.parametrize("name", sorted(group_tasks()))
+def test_grouped_chunk_matches_one_task_at_a_time_bitwise(name, observe):
+    tasks = group_tasks()[name]
+    n_steps = tasks[0].n_steps
+    keep = [0, 1, n_steps // 3, n_steps] if observe else None
+    with np.errstate(over="ignore", invalid="ignore"):
+        grouped = run_chunk(*group_inputs(tasks, 40, 3), keep=keep)
+        for g, task in enumerate(tasks):
+            alone = run_chunk(*chunk_inputs(task, 40, 3), keep=keep)
+            assert len(alone) == len(grouped) == (5 if observe else 3)
+            for want, have in zip(alone, grouped):
+                assert want.dtype == have.dtype
+                assert want.shape == have[g].shape
+                assert want.tobytes() == have[g].tobytes()
+    diverged = (grouped[2] == STOP_DIVERGED).sum(axis=1)
+    if name == "guard_in_one_task":
+        assert 1 <= diverged[0] <= 39 and diverged[1] == 0
+    elif name == "coupled3d_guard":
+        assert np.all((1 <= diverged) & (diverged <= 39))
+    else:
+        assert not diverged.any()
 
 
 def test_limit_params_recompute_validation():

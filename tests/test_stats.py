@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hopf_critic import sde, stats
+from hopf_critic import _kernels, sde, stats
 from hopf_critic.polyfield import PolyMap
 
 
@@ -356,6 +356,72 @@ def test_reduction_errors_shrink_with_epsilon():
     record = report.as_record()
     assert record["rows"][0]["u_median"] == report.rows[0].u_median
     assert record["Delta"] == 2.0
+
+
+def loop_reduction_row(system, eps, big_delta, beta, paths, dt, horizon,
+                       master_seed):
+    """One eps's reduction row from the per-path loop over the sups of
+    |U| and |Phi|, the study's reference."""
+    split, h2 = system.split, system.manifold.h2
+    z0, y0 = np.array([1.0, 0.0]), np.zeros(split.P.shape[0])
+    full, reduced = sde.run_coupled([
+        sde.rescaled_task(system.f, system.g, system.sigma_q, system.sigma_p,
+                          split.Q, split.P, eps, z0, y0, dt, horizon),
+        sde.reduced_task(system.reduced, system.sigma_q, h2, eps, z0, dt,
+                         horizon)], paths, master_seed)
+    n_steps = int(round(horizon / dt))
+    Z, Y, Zt = full.states[:, :, :2], full.states[:, :, 2:], reduced.states
+    hv = h2.evaluate_batch(Z.reshape(-1, 2)).reshape(paths, -1, Y.shape[2])
+    U = Y - (eps ** 0.25) * hv
+    norm_u = np.sqrt((U * U).sum(axis=2))
+    norm_phi = np.sqrt(((Z - Zt) ** 2).sum(axis=2))
+    outside = (np.sqrt((full.states ** 2).sum(axis=2)) >= big_delta) \
+        | (np.sqrt((Zt * Zt).sum(axis=2)) >= big_delta)
+    exit_idx = np.where(outside.any(axis=1), outside.argmax(axis=1),
+                        n_steps + 1)
+    for ens in (full, reduced):
+        died = np.array([r != "none" for r in ens.stop_reason])
+        exit_idx = np.minimum(
+            exit_idx, np.where(died, ens.stop_index, n_steps + 1))
+    i_beta = int(math.ceil(eps ** beta / dt - 1e-12))
+    sup_u = np.full(paths, np.nan)
+    included = np.zeros(paths, dtype=bool)
+    sup_phi = np.empty(paths)
+    for p in range(paths):
+        stop = min(int(exit_idx[p]), n_steps + 1)
+        sup_phi[p] = norm_phi[p, :max(stop, 1)].max()
+        if i_beta < stop:
+            sup_u[p] = norm_u[p, i_beta:stop].max()
+            included[p] = True
+    return stats.ReductionRow(
+        epsilon=eps, u_median=float(np.quantile(sup_u[included], 0.5)),
+        u_p90=float(np.quantile(sup_u[included], 0.9)),
+        phi_median=float(np.quantile(sup_phi, 0.5)),
+        phi_p90=float(np.quantile(sup_phi, 0.9)),
+        excluded_fraction=float(1.0 - included.mean()),
+        ball_exit_fraction=float((exit_idx <= n_steps).mean()))
+
+
+def test_reduction_over_two_eps_equals_one_eps_at_a_time():
+    drift, sigma = coupled_3d()
+    system = stats.prepare_system(drift, sigma)
+    # a small Delta-ball and a long cutoff: some paths leave the ball
+    # before eps^beta and are excluded, others leave it later
+    run = dict(big_delta=1.3, beta=0.45, paths=24, dt=1e-3, horizon=1.0,
+               master_seed=3)
+    _kernels._generate_step.cache_clear()
+    both = stats.reduction_diagnostics(system, (1e-1, 1e-2), **run)
+    # one step for the full runs of both eps, one for the reduced runs
+    assert _kernels._generate_step.cache_info().misses == 2
+    stats.reduction_diagnostics(system, (1e-3, 1e-4), **run)
+    assert _kernels._generate_step.cache_info().misses == 2
+    alone = [stats.reduction_diagnostics(system, (eps,), **run).rows[0]
+             for eps in (1e-1, 1e-2)]
+    assert both.rows == tuple(alone)
+    assert both.rows == tuple(loop_reduction_row(system, eps, **run)
+                              for eps in (1e-1, 1e-2))
+    assert 0.0 < both.rows[0].excluded_fraction < 1.0
+    assert 0.0 < both.rows[0].ball_exit_fraction < 1.0
 
 
 def test_reduction_csv_round_trips_values(tmp_path):

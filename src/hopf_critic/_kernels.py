@@ -16,14 +16,13 @@ maximum of the planar squared radius ``x0*x0 + x1*x1`` over every grid
 point from 0 on.  Polynomials arrive packed as flat arrays (component
 index, exponent rows, coefficients).
 
-One chunk loop can step a group of G tasks at once, such as the amplified
+One chunk loop steps a group of G tasks at once, such as the amplified
 system at every eps of a sweep: tasks whose drift and diffusion have the
-same terms (components and exponents) and that ride the same increments.
-Only their coefficients, linear flows and initial states differ.  The
-chunk's G x paths rows are stepped as one block, task-major; the linear
-flow is one batched matrix product of each task's rows with its own flow,
-and the increments of a path serve that path's row in every task.  A lone
-task is the group of one.
+same terms (components and exponents).  Only their coefficients, linear
+flows and initial states differ.  The chunk's G x paths rows are stepped
+as one block, task-major, each row on its own row of increments; the
+linear flow is one batched matrix product of each task's rows with its
+own flow.  A lone task is the group of one.
 
 The kernel does not interpret the packed terms.  For each step shape, the
 term structure plus the coefficients that are exactly 1.0 or -1.0 in every
@@ -164,10 +163,10 @@ def _chunk(x0, lin, step, cols, dW, dt, guard, states, stop_index,
            stop_code, rows):
     """Step one chunk of G tasks x n paths as G*n rows, task-major.
 
-    ``cols`` holds the coefficient columns, one row per column over the
-    G*n rows.  ``rows`` is None to store every state, else maps kept grid
-    indices to positions along axis 2 of ``states``; then return
-    ``(lo, hi)`` over the rows.
+    Row r steps on the increments ``dW[r]``.  ``cols`` holds the
+    coefficient columns, one row per column over the G*n rows.  ``rows`` is
+    None to store every state, else maps kept grid indices to positions
+    along axis 2 of ``states``; then return ``(lo, hi)`` over the rows.
     """
     n_tasks, n_paths, dim = x0.shape
     n_rows = n_tasks * n_paths
@@ -190,11 +189,6 @@ def _chunk(x0, lin, step, cols, dW, dt, guard, states, stop_index,
         states[:, :, 0, :] = x0
     active = np.arange(n_rows)
     all_live = True
-    # While every row is live, one batched product applies each task's
-    # flow, and a group copies each path's increments to its row in every
-    # task.
-    spread = np.empty((n_tasks, n_paths, dW.shape[2])) if n_tasks > 1 \
-        else None
     zero = np.zeros(n_rows)
     dtv = np.full(n_rows, dt)
     c = cols
@@ -202,12 +196,7 @@ def _chunk(x0, lin, step, cols, dW, dt, guard, states, stop_index,
         if all_live:
             xa = x
             u = np.matmul(x.reshape(n_tasks, n_paths, dim), lin_t)
-            if spread is None:
-                w = dW[:, k]
-            else:
-                spread[:] = dW[:, k]
-                w = spread.reshape(n_rows, -1)
-            x_new = step(u.reshape(n_rows, dim), w, zero, dtv, c)
+            x_new = step(u.reshape(n_rows, dim), dW[:, k], zero, dtv, c)
         else:
             xa = x[active]
             u = np.empty_like(xa)
@@ -215,7 +204,7 @@ def _chunk(x0, lin, step, cols, dW, dt, guard, states, stop_index,
                 s, e = bounds[g], bounds[g + 1]
                 if e > s:
                     np.matmul(xa[s:e], lin_t[g], out=u[s:e])
-            x_new = step(u, dW[paths, k], zero, dtv, c)
+            x_new = step(u, dW[active, k], zero, dtv, c)
         bad = None
         if not (x_new * x_new).max(initial=0.0) <= fast_sq:
             finite = np.isfinite(x_new).all(axis=1)
@@ -251,7 +240,6 @@ def _chunk(x0, lin, step, cols, dW, dt, guard, states, stop_index,
                 break
             # Live rows of task g are active[bounds[g]:bounds[g+1]].
             bounds = np.searchsorted(active, n_paths * np.arange(n_tasks + 1))
-            paths = active % n_paths
             zero = np.zeros(active.size)
             dtv = np.full(active.size, dt)
             c = cols[:, active]
@@ -260,23 +248,22 @@ def _chunk(x0, lin, step, cols, dW, dt, guard, states, stop_index,
 
 def run_chunk(x0, lin, drift_packed, sigma_packed, dW, dt, guard, out=None,
               keep=None):
-    """Advance one chunk of paths through every step.
+    """Advance one chunk of paths of a group of G tasks through every step.
 
-    A leading task axis on ``x0`` and ``lin`` steps a group of G tasks in
-    one loop; the group's drift and diffusion maps must have equal terms,
-    and every task reads the same increments.
+    The group's drift and diffusion maps must have equal terms; a lone
+    task is the group of one.
 
     Parameters
     ----------
-    x0 : ndarray, shape ([G,] paths, dim)
-    lin : ndarray, shape ([G,] dim, dim)
-        Exact linear flow applied at the start of every step.
-    drift_packed, sigma_packed : packed polynomial triples, G of each
-        for a group
+    x0 : ndarray, shape (G, paths, dim)
+    lin : ndarray, shape (G, dim, dim)
+        Each task's exact linear flow, applied at the start of every step.
+    drift_packed, sigma_packed : sequences of G packed polynomial triples
         Nonlinear drift (dim outputs) and diffusion (dim*m outputs,
         row-major over the dim x m matrix).
-    dW : ndarray, shape (paths, steps, m)
-        Brownian increments, already scaled to the step size.
+    dW : ndarray, shape (G*paths, steps, m)
+        Brownian increments of every row, task-major, already scaled to
+        the step size; tasks on one Brownian path repeat its increments.
     dt : float
     guard : float
         Overflow radius; paths beyond it freeze as diverged.
@@ -288,25 +275,21 @@ def run_chunk(x0, lin, drift_packed, sigma_packed, dW, dt, guard, out=None,
     Returns
     -------
     (states, stop_index, stop_code), with ``keep`` also (r2_min, r2_max),
-    each with the leading task axis of a group
-        ``states``: (paths, steps+1, dim) with frozen tails after stops,
-        or (paths, len(keep), dim) at the kept indices;
+    each with a leading task axis of length G
+        ``states``: (G, paths, steps+1, dim) with frozen tails after
+        stops, or (G, paths, len(keep), dim) at the kept indices;
         ``stop_index``: steps for surviving paths, else the freeze index;
         ``stop_code``: STOP_NONE or STOP_DIVERGED;
         ``r2_min``, ``r2_max``: per path, the least and greatest
         ``x0*x0 + x1*x1`` over grid points 0 to steps.
     """
     lin = np.ascontiguousarray(lin, dtype=np.float64)
-    grouped = lin.ndim == 3
-    if not grouped:
-        lin, x0 = lin[None], np.asarray(x0)[None]
-        drift_packed, sigma_packed = [drift_packed], [sigma_packed]
-        out = None if out is None else out[None]
     x0 = np.asarray(x0, dtype=np.float64)
     dW = np.ascontiguousarray(dW, dtype=np.float64)
     n_tasks, n_paths, dim = x0.shape
     n_steps, m = dW.shape[1:]
-    if lin.shape != (n_tasks, dim, dim) or dW.shape[0] != n_paths \
+    if lin.shape != (n_tasks, dim, dim) \
+            or dW.shape[0] != n_tasks * n_paths \
             or len(drift_packed) != n_tasks \
             or len(sigma_packed) != n_tasks:
         raise ValueError("x0, lin, dW and the packed maps disagree on "
@@ -319,9 +302,7 @@ def run_chunk(x0, lin, drift_packed, sigma_packed, dW, dt, guard, out=None,
              n_steps + 1 if rows is None else len(rows), dim)
     states = np.empty(shape) if out is None else out
     if states.shape != shape:
-        lead = 0 if grouped else 1
-        raise ValueError(f"out has shape {states.shape[lead:]}, "
-                         f"expected {shape[lead:]}")
+        raise ValueError(f"out has shape {states.shape}, expected {shape}")
     stop_index = np.full(n_tasks * n_paths, n_steps, dtype=np.int64)
     stop_code = np.zeros(n_tasks * n_paths, dtype=np.int64)
     drift_shape, drift_coefs = _step_shape(drift_packed)
@@ -335,4 +316,4 @@ def run_chunk(x0, lin, drift_packed, sigma_packed, dW, dt, guard, out=None,
               stop_code.reshape(n_tasks, n_paths))
     if r2 is not None:
         result += tuple(r.reshape(n_tasks, n_paths) for r in r2)
-    return result if grouped else tuple(a[0] for a in result)
+    return result

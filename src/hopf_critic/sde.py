@@ -490,34 +490,51 @@ def run_coupled(tasks, count, master_seed, workers=None, keep=None):
     stream_class, m, blocks = (tasks[0].stream_class, tasks[0].m,
                                tasks[0].noise_blocks)
 
+    # Per step rule, the most tasks of one group on it: a group of G reads
+    # the first G copies of the chunk's increments, one per task.  A kernel
+    # call steps at most CHUNK rows, so a chunk holds CHUNK // G paths for
+    # the largest group's G, and the increments held per chunk do not grow
+    # with the group.
+    copies = {}
+    for members, *_ in groups:
+        rule = tasks[members[0]].refined, tasks[members[0]].dt
+        copies[rule] = max(copies.get(rule, 1), len(members))
+    width = max(1, CHUNK // max(copies.values()))
+
     def work(start):
-        end = min(start + CHUNK, count)
-        # One increment array per rule; tasks that differ only in eps
-        # share it.
+        end = min(start + width, count)
+        # One draw per path; tasks that differ only in eps share it.
         dW = {}
         for task in tasks:
-            dW.setdefault((task.refined, task.dt), (
-                task, np.empty((end - start, task.n_steps, m))))
+            rule = task.refined, task.dt
+            if rule not in dW:
+                dW[rule] = task, np.empty(
+                    (copies[rule], end - start, task.n_steps, m))
         for p in range(start, end):
             xi = NoiseStream(master_seed, p, stream_class).standard_blocks(
                 blocks, m)
             for task, increments in dW.values():
-                increments[p - start] = task.increments(xi)
+                increments[0, p - start] = task.increments(xi)
+        for _, increments in dW.values():
+            increments[1:] = increments[0]
         for members, x0, lin, group_states in groups:
             first = tasks[members[0]]
+            n_tasks, n_paths = len(members), end - start
             x0 = np.broadcast_to(x0[:, None, :],
-                                 (len(members), end - start, first.dim))
+                                 (n_tasks, n_paths, first.dim))
+            increments = dW[first.refined, first.dt][1][:n_tasks].reshape(
+                n_tasks * n_paths, first.n_steps, m)
             result = run_chunk(x0, lin, [packed[i][0] for i in members],
-                               [packed[i][1] for i in members],
-                               dW[first.refined, first.dt][1], first.dt,
-                               first.guard, out=group_states[:, start:end],
+                               [packed[i][1] for i in members], increments,
+                               first.dt, first.guard,
+                               out=group_states[:, start:end],
                                keep=keep[members[0]])
             stop_index[members, start:end] = result[1]
             stop_code[members, start:end] = result[2]
             if keep[members[0]] is not None:
                 r2[members, :, start:end] = np.stack(result[3:], axis=1)
 
-    starts = range(0, count, CHUNK)
+    starts = range(0, count, width)
     if workers == 1:
         for start in starts:
             work(start)

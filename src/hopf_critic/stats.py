@@ -34,6 +34,11 @@ from .polyfield import PolyMap
 from .spectral import Tolerances, hopf_split, transform_system
 
 QUANTILE_LEVELS = (0.05, 0.25, 0.5, 0.75, 0.95)
+# Most eps per run in reduction_diagnostics.  The eps of one run step in
+# one kernel loop, but their full and reduced states stay alive together
+# until all their rows are built, so this bounds the study's memory at two
+# eps's states whatever the sweep's length.
+REDUCTION_EPS_PER_RUN = 2
 
 
 class StatsError(Exception):
@@ -537,15 +542,22 @@ def reduction_diagnostics(system, epsilons, big_delta, beta, paths, dt,
     if math.hypot(*z0) >= big_delta or np.linalg.norm(
             np.concatenate((z0, y0))) >= big_delta:
         raise StatsError("initial state must start inside the Delta-ball")
-    # Every eps in one call: the full runs of all eps share one kernel loop
-    # per chunk, and so do the reduced runs.
-    runs = sde.run_coupled([task for eps in epsilons for task in (
-        sde.rescaled_task(system.f, system.g, system.sigma_q, system.sigma_p,
-                          split.Q, split.P, eps, z0, y0, dt, horizon),
-        sde.reduced_task(system.reduced, system.sigma_q, h2, eps, z0, dt,
-                         horizon))], paths, master_seed, workers)
-    rows = [_reduction_row(eps, runs[2 * e], runs[2 * e + 1], h2, big_delta,
-                           beta, dt) for e, eps in enumerate(epsilons)]
+    # Up to REDUCTION_EPS_PER_RUN eps per call: the full runs of those eps
+    # share one kernel loop per chunk, and so do the reduced runs.
+    rows = []
+    for at in range(0, len(epsilons), REDUCTION_EPS_PER_RUN):
+        group = epsilons[at:at + REDUCTION_EPS_PER_RUN]
+        runs = sde.run_coupled([task for eps in group for task in (
+            sde.rescaled_task(system.f, system.g, system.sigma_q,
+                              system.sigma_p, split.Q, split.P, eps, z0, y0,
+                              dt, horizon),
+            sde.reduced_task(system.reduced, system.sigma_q, h2, eps, z0,
+                             dt, horizon))], paths, master_seed, workers)
+        rows += [_reduction_row(eps, runs[2 * e], runs[2 * e + 1], h2,
+                                big_delta, beta, dt)
+                 for e, eps in enumerate(group)]
+        # free these states before the next group is simulated
+        del runs
     q_fit = _fit_slope(epsilons, [r.u_median for r in rows])
     gamma_fit = _fit_slope(epsilons, [r.phi_median for r in rows])
     return ReductionReport(

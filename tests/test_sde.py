@@ -134,15 +134,18 @@ def one_path_ensemble(states):
 
 
 def chunk_inputs(task, count, seed):
-    """run_chunk arguments for ``count`` keyed paths of a task."""
+    """run_chunk arguments for ``count`` keyed paths of a task alone."""
     dW = np.stack([task.increments_from(
         sde.NoiseStream(seed, p, task.stream_class)) for p in range(count)])
-    x0 = np.broadcast_to(task.x0, (count, task.dim))
-    return (x0, task.lin, pack_poly(task.drift, task.dim),
-            pack_poly(task.diffusion, task.dim), dW, task.dt, task.guard)
+    x0 = np.broadcast_to(task.x0, (1, count, task.dim))
+    return (x0, task.lin[None], [pack_poly(task.drift, task.dim)],
+            [pack_poly(task.diffusion, task.dim)], dW, task.dt, task.guard)
 
 
 def term_loop_run(x0, lin, drift_packed, sigma_packed, dW, dt, guard):
+    """The term loop on ``chunk_inputs``' arguments for one task."""
+    x0, lin, (drift_packed,), (sigma_packed,) = x0[0], lin[0], \
+        drift_packed, sigma_packed
     n_paths, n_steps = dW.shape[:2]
     states = np.empty((n_paths, n_steps + 1, x0.shape[1]))
     stop_index = np.full(n_paths, n_steps, dtype=np.int64)
@@ -197,7 +200,7 @@ def test_generated_step_matches_term_loop_bitwise(name):
     args = chunk_inputs(task, 40, 3)
     with np.errstate(over="ignore", invalid="ignore"):
         expected = term_loop_run(*args)
-        got = run_chunk(*args)
+        got = [a[0] for a in run_chunk(*args)]
     for want, have in zip(expected, got):
         assert want.dtype == have.dtype and want.shape == have.shape
         assert want.tobytes() == have.tobytes()
@@ -415,8 +418,9 @@ def test_observed_chunk_keeps_the_full_run_columns_bitwise(name):
     args = chunk_inputs(task, 40, 3)
     keep = [0, 1, task.n_steps // 3, task.n_steps - 1, task.n_steps]
     with np.errstate(over="ignore", invalid="ignore"):
-        states, stop_index, stop_code = run_chunk(*args)
-        kept, kept_index, kept_code, lo, hi = run_chunk(*args, keep=keep)
+        states, stop_index, stop_code = (a[0] for a in run_chunk(*args))
+        kept, kept_index, kept_code, lo, hi = (
+            a[0] for a in run_chunk(*args, keep=keep))
     assert kept.tobytes() == states[:, keep].tobytes()
     assert kept_index.tobytes() == stop_index.tobytes()
     assert kept_code.tobytes() == stop_code.tobytes()
@@ -432,13 +436,16 @@ def test_observed_chunk_keeps_the_full_run_columns_bitwise(name):
 def test_run_chunk_writes_into_the_callers_array():
     task = kernel_tasks()["planar"]
     args = chunk_inputs(task, 8, 3)
-    target = np.zeros((16, task.n_steps + 1, task.dim))
-    states = run_chunk(*args, out=target[8:])[0]
+    target = np.zeros((1, 16, task.n_steps + 1, task.dim))
+    states = run_chunk(*args, out=target[:, 8:])[0]
     assert np.shares_memory(states, target)
-    assert target[8:].tobytes() == run_chunk(*args)[0].tobytes()
-    assert not target[:8].any()
+    assert target[:, 8:].tobytes() == run_chunk(*args)[0].tobytes()
+    assert not target[:, :8].any()
     with pytest.raises(ValueError):
-        run_chunk(*args, out=target[:4])
+        run_chunk(*args, out=target[:, :4])
+    with pytest.raises(ValueError):
+        # one increment row per task and path
+        run_chunk(*args[:4], args[4][:4], *args[5:])
     with pytest.raises(ValueError):
         run_chunk(*args, keep=[0, 0])
 
@@ -489,19 +496,23 @@ def test_coupled_draw_matches_separate_ensembles_bitwise(monkeypatch):
     separate = [sde.run_ensemble(task, 40, 5) for task in tasks]
     alone = [sde.run_coupled([task], 40, 5, keep=[rows])[0]
              for task, rows in zip(tasks, keep)]
-    groups = []
+    groups, widths = [], []
 
     def counted(*args, **kwargs):
         groups.append(len(args[1]))
+        widths.append(args[4].shape[0])
         return run_chunk(*args, **kwargs)
 
     monkeypatch.setattr(sde, "run_chunk", counted)
     for workers in (1, 3):
         groups.clear()
+        widths.clear()
         coupled = sde.run_coupled(tasks, 40, 5, workers)
-        # three chunks, each stepping both eps in one loop per step rule
-        # and the reduced task alone
-        assert sorted(groups) == [1] * 3 + [2] * 6
+        # groups of two take 16 // 2 paths a chunk: five chunks, each
+        # stepping both eps in one loop per step rule and the reduced task
+        # alone
+        assert sorted(groups) == [1] * 5 + [2] * 10
+        assert max(widths) == 16
         observed = sde.run_coupled(tasks, 40, 5, workers, keep=keep)
         for one, both, seen, kept, rows in zip(separate, coupled, observed,
                                                alone, keep):
@@ -522,9 +533,11 @@ def group_inputs(tasks, count, seed):
     args = [chunk_inputs(task, count, seed) for task in tasks]
     for other in args[1:]:
         assert other[4].tobytes() == args[0][4].tobytes()
-    return (np.stack([a[0] for a in args]), np.stack([a[1] for a in args]),
-            [a[2] for a in args], [a[3] for a in args], args[0][4],
-            tasks[0].dt, tasks[0].guard)
+    return (np.concatenate([a[0] for a in args]),
+            np.concatenate([a[1] for a in args]),
+            [p for a in args for p in a[2]], [p for a in args for p in a[3]],
+            np.concatenate([a[4] for a in args]), tasks[0].dt,
+            tasks[0].guard)
 
 
 def group_tasks():
@@ -563,8 +576,8 @@ def test_grouped_chunk_matches_one_task_at_a_time_bitwise(name, observe):
             assert len(alone) == len(grouped) == (5 if observe else 3)
             for want, have in zip(alone, grouped):
                 assert want.dtype == have.dtype
-                assert want.shape == have[g].shape
-                assert want.tobytes() == have[g].tobytes()
+                assert want[0].shape == have[g].shape
+                assert want[0].tobytes() == have[g].tobytes()
     diverged = (grouped[2] == STOP_DIVERGED).sum(axis=1)
     if name == "guard_in_one_task":
         assert 1 <= diverged[0] <= 39 and diverged[1] == 0

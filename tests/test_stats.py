@@ -424,6 +424,29 @@ def test_reduction_over_two_eps_equals_one_eps_at_a_time():
     assert 0.0 < both.rows[0].ball_exit_fraction < 1.0
 
 
+def test_reduction_runs_at_most_two_eps_at_once(monkeypatch):
+    drift, sigma = coupled_3d()
+    system = stats.prepare_system(drift, sigma)
+    # eps^beta before the horizon, so every row's U statistics are finite
+    run = dict(big_delta=2.0, beta=0.4, paths=8, dt=1e-3, horizon=0.5)
+    epsilons = (1e-2, 1e-3, 1e-4)
+    alone = [stats.reduction_diagnostics(system, (eps,), **run).rows[0]
+             for eps in epsilons]
+    sizes = []
+    run_coupled = sde.run_coupled
+
+    def counted(tasks, *args, **kwargs):
+        sizes.append(len(tasks))
+        return run_coupled(tasks, *args, **kwargs)
+
+    monkeypatch.setattr(sde, "run_coupled", counted)
+    rows = stats.reduction_diagnostics(system, epsilons, **run).rows
+    # a full and a reduced task per eps: two eps, then the third alone
+    assert sizes == [4, 2]
+    assert rows == tuple(alone)
+    assert all(math.isfinite(r.u_median) for r in rows)
+
+
 def test_reduction_csv_round_trips_values(tmp_path):
     drift, sigma = coupled_3d()
     system = stats.prepare_system(drift, sigma)

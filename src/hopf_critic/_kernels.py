@@ -7,14 +7,22 @@ drift and a polynomial diffusion,
     u   = lin @ x_k
     x_{k+1} = u + drift(u) dt + diffusion(u) @ dW_k.
 
-The kernel advances a whole chunk of paths through all steps and freezes a
-path as diverged when it leaves the overflow guard or turns non-finite.  By
-default it records every state.  A study that reads only a few grid points
-passes ``keep``, the grid indices it wants: the kernel then stores the
-states at those indices only, plus the running per-path minimum and
-maximum of the planar squared radius ``x0*x0 + x1*x1`` over every grid
-point from 0 on.  Polynomials arrive packed as flat arrays (component
-index, exponent rows, coefficients).
+The kernel advances a chunk of paths by one block of steps and freezes a
+path as diverged when it leaves the overflow guard or turns non-finite.
+A block resumes from a ``Carry``, the per-row state the block before left:
+the current states, stop indices and codes, the planar radius range and
+the grid index reached.  Stopped rows never step again, and once every
+row of a chunk has stopped a block only repeats the frozen states.  A call
+without a carry starts fresh at grid index 0, so one call with the whole
+horizon's increments is the unblocked run, and any split into blocks gives
+bitwise the same results.  By default it records every state, each step
+into a contiguous block buffer that reaches the caller's array in one copy
+per block.  A study that reads only a few grid points passes ``keep``, the
+grid indices it wants: the kernel then stores the states at those indices
+only, plus the running per-path minimum and maximum of the planar squared
+radius ``x0*x0 + x1*x1`` over every grid point from 0 on.  Polynomials
+arrive packed as flat arrays (component index, exponent rows,
+coefficients).
 
 One chunk loop steps a group of G tasks at once, such as the amplified
 system at every eps of a sweep: tasks whose drift and diffusion have the
@@ -49,6 +57,7 @@ rescaled and reduced runs of a planar system stay bitwise equal.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import sys
 
@@ -97,13 +106,12 @@ def _step_shape(packed):
                 and np.array_equal(other[1], exps)):
             raise ValueError("grouped tasks must share their terms")
     coefs = np.array([p[2] for p in packed], dtype=np.float64)
-    shape = []
-    for t, (comp, row) in enumerate(zip(comps, exps)):
-        first = float(coefs[0, t])
-        unit = first if first in (1.0, -1.0) and bool(
-            (coefs[:, t] == first).all()) else None
-        shape.append((int(comp), tuple(int(e) for e in row), unit))
-    return tuple(shape), coefs
+    first = coefs[0]
+    unit = ((first == 1.0) | (first == -1.0)) & (coefs == first).all(axis=0)
+    shape = tuple((comp, tuple(row), c if u else None) for comp, row, c, u
+                  in zip(comps.tolist(), exps.tolist(), first.tolist(),
+                         unit.tolist()))
+    return shape, coefs
 
 
 @functools.lru_cache(maxsize=128)
@@ -159,18 +167,51 @@ def _generate_step(dim, m, drift_shape, sigma_shape):
     return namespace["step"], tuple(needs)
 
 
-def _chunk(x0, lin, step, cols, dW, dt, guard, states, stop_index,
-           stop_code, rows):
-    """Step one chunk of G tasks x n paths as G*n rows, task-major.
+class Carry:
+    """Per-row state of one chunk between blocks of steps.
 
-    Row r steps on the increments ``dW[r]``.  ``cols`` holds the
-    coefficient columns, one row per column over the G*n rows.  ``rows`` is
-    None to store every state, else maps kept grid indices to positions
-    along axis 2 of ``states``; then return ``(lo, hi)`` over the rows.
+    ``run_chunk`` advances it in place, one block of increments per call.
+    ``x`` (rows, dim) holds every row's state at grid index ``offset``,
+    frozen for stopped rows; ``stop_index`` and ``stop_code`` are as
+    ``run_chunk`` returns them; ``r2_min`` and ``r2_max`` are the least
+    and greatest planar squared radius over grid points 0 to ``offset``
+    (None for dim 1).  A fresh carry starts at grid index 0 with no stops.
     """
-    n_tasks, n_paths, dim = x0.shape
+
+    def __init__(self, x0):
+        x0 = np.array(x0, dtype=np.float64)
+        self.shape = x0.shape
+        self.x = x0.reshape(-1, x0.shape[2])
+        self.offset = 0
+        self.stop_index = np.zeros(len(self.x), dtype=np.int64)
+        self.stop_code = np.zeros(len(self.x), dtype=np.int64)
+        self.r2_min = self.r2_max = None
+        if x0.shape[2] >= 2:
+            self.r2_min = self.x[:, 0] * self.x[:, 0] \
+                + self.x[:, 1] * self.x[:, 1]
+            self.r2_max = self.r2_min.copy()
+        # every state of a block, step-major, before it goes to ``states``
+        self.block = None
+
+
+def _chunk(lin, step, cols, dW, dt, guard, carry, states, rows):
+    """Step one block of G tasks x n paths as G*n rows, task-major.
+
+    Row r steps on the increments ``dW[r]`` from ``carry``, which the
+    block advances.  ``cols`` holds the coefficient columns, one row per
+    column over the G*n rows.  ``rows`` is None to store every state at
+    its grid index along axis 2 of ``states``, else maps kept grid
+    indices to positions along that axis.  Returns the first and last grid
+    index of the block's states.
+    """
+    n_tasks, n_paths, dim = carry.shape
     n_rows = n_tasks * n_paths
     n_steps = dW.shape[1]
+    start = carry.offset
+    end = start + n_steps
+    # The grid index a block begins at belongs to the block before, except
+    # index 0.
+    first = start + 1 if start else 0
     guard_sq = guard * guard
     # A finite bound on every squared coordinate: a step within it has only
     # finite states, and each row's sum of dim squares stays within the
@@ -178,21 +219,34 @@ def _chunk(x0, lin, step, cols, dW, dt, guard, states, stop_index,
     fast_sq = min(guard_sq, sys.float_info.max) / dim * (1.0 - 1e-9)
     # Per task the transposed view that ``x @ lin.T`` multiplies by.
     lin_t = lin.transpose(0, 2, 1)
-    x = np.array(x0, dtype=np.float64).reshape(n_rows, dim)
+    x = carry.x
+    stop_index, stop_code = carry.stop_index, carry.stop_code
     observe = rows is not None
     if observe:
-        lo = x[:, 0] * x[:, 0] + x[:, 1] * x[:, 1]
-        hi = lo.copy()
-        if 0 in rows:
-            states[:, :, rows[0], :] = x0
+        lo, hi = carry.r2_min, carry.r2_max
+        if start == 0 and 0 in rows:
+            states[:, :, rows[0], :] = x.reshape(n_tasks, n_paths, dim)
     else:
-        states[:, :, 0, :] = x0
-    active = np.arange(n_rows)
-    all_live = True
-    zero = np.zeros(n_rows)
-    dtv = np.full(n_rows, dt)
-    c = cols
-    for k in range(n_steps):
+        # Each step's states go to one contiguous row of the block; the
+        # block reaches ``states`` in one copy at the end.
+        if carry.block is None or len(carry.block) <= end - first:
+            carry.block = np.empty((end + 1 - first, n_rows, dim))
+        block = carry.block[:end + 1 - first]
+        if start == 0:
+            block[0] = x
+    def live(active):
+        """Task bounds, zero, dt and coefficient columns of live rows; the
+        live rows of task g are active[bounds[g]:bounds[g+1]]."""
+        return (np.searchsorted(active, n_paths * np.arange(n_tasks + 1)),
+                np.zeros(active.size), np.full(active.size, dt),
+                cols[:, active])
+
+    # The states the steps wrote reach grid index ``done``.
+    done = start
+    active = np.flatnonzero(stop_code == STOP_NONE)
+    all_live = active.size == n_rows
+    bounds, zero, dtv, c = live(active)
+    for k in range(n_steps if active.size else 0):
         if all_live:
             xa = x
             u = np.matmul(x.reshape(n_tasks, n_paths, dim), lin_t)
@@ -215,73 +269,93 @@ def _chunk(x0, lin, step, cols, dW, dt, guard, states, stop_index,
             x = x_new
         else:
             x[active] = x_new
+        done = start + k + 1
         if observe:
             # Frozen rows repeat their last state, which leaves the range
             # as it was.
             r2 = x[:, 0] * x[:, 0] + x[:, 1] * x[:, 1]
             np.minimum(lo, r2, out=lo)
             np.maximum(hi, r2, out=hi)
-            row = rows.get(k + 1)
+            row = rows.get(done)
             if row is not None:
                 states[:, :, row, :] = x.reshape(n_tasks, n_paths, dim)
         else:
-            states[:, :, k + 1, :] = x.reshape(n_tasks, n_paths, dim)
+            block[done - first] = x
         if bad is not None and bad.any():
             hit = active[bad]
-            stop_index[hit] = k + 1
+            stop_index[hit] = done
             stop_code[hit] = STOP_DIVERGED
             active = active[~bad]
             all_live = False
             if active.size == 0:
-                tail = [r for i, r in rows.items() if i > k + 1] \
-                    if observe else slice(k + 2, None)
-                states[:, :, tail, :] = x.reshape(
-                    n_tasks, n_paths, 1, dim)
                 break
-            # Live rows of task g are active[bounds[g]:bounds[g+1]].
-            bounds = np.searchsorted(active, n_paths * np.arange(n_tasks + 1))
-            zero = np.zeros(active.size)
-            dtv = np.full(active.size, dt)
-            c = cols[:, active]
-    return (lo, hi) if observe else None
+            bounds, zero, dtv, c = live(active)
+    # Once every row has stopped, the rest of the block repeats the frozen
+    # states.
+    if observe:
+        tail = [r for i, r in rows.items() if done < i <= end]
+        if tail:
+            states[:, :, tail, :] = x.reshape(n_tasks, n_paths, 1, dim)
+    else:
+        block[done + 1 - first:] = x
+        states[:, :, first:end + 1, :] = block.reshape(
+            end + 1 - first, n_tasks, n_paths, dim).transpose(1, 2, 0, 3)
+    stop_index[active] = end
+    carry.x = x
+    carry.offset = end
+    return first, end
 
 
 def run_chunk(x0, lin, drift_packed, sigma_packed, dW, dt, guard, out=None,
-              keep=None):
-    """Advance one chunk of paths of a group of G tasks through every step.
+              keep=None, carry=None):
+    """Advance one chunk of paths of a group of G tasks by one block of steps.
 
     The group's drift and diffusion maps must have equal terms; a lone
-    task is the group of one.
+    task is the group of one.  Without ``carry`` the block starts at grid
+    index 0 from ``x0``, so one call with every increment runs the whole
+    horizon.  A run split into blocks passes the same ``Carry(x0)`` to each
+    call in turn, with the next block's increments: the rows go on from
+    the carried states, stops and radius range, rows stopped earlier never
+    step, and the results are bitwise those of one call.
 
     Parameters
     ----------
     x0 : ndarray, shape (G, paths, dim)
+        Initial states; with ``carry`` only their shape is read.
     lin : ndarray, shape (G, dim, dim)
         Each task's exact linear flow, applied at the start of every step.
     drift_packed, sigma_packed : sequences of G packed polynomial triples
         Nonlinear drift (dim outputs) and diffusion (dim*m outputs,
         row-major over the dim x m matrix).
     dW : ndarray, shape (G*paths, steps, m)
-        Brownian increments of every row, task-major, already scaled to
-        the step size; tasks on one Brownian path repeat its increments.
+        Brownian increments of every row for this block's steps,
+        task-major, already scaled to the step size; tasks on one Brownian
+        path repeat its increments.
     dt : float
     guard : float
         Overflow radius; paths beyond it freeze as diverged.
     out : ndarray, optional
-        Array to write ``states`` into, such as the caller's slice.
-    keep : sequence of int, optional
+        Array to write states into, such as the caller's slice: (G, paths,
+        K, dim) with every grid index up to the block's end along axis 2,
+        or (G, paths, len(keep), dim).
+    keep : increasing sequence of int, optional
         Grid indices to keep in place of every state; needs dim >= 2.
+        Indices past this block are written by the calls that reach them.
+    carry : Carry, optional
+        State at the end of the previous block, advanced in place.
 
     Returns
     -------
     (states, stop_index, stop_code), with ``keep`` also (r2_min, r2_max),
     each with a leading task axis of length G
-        ``states``: (G, paths, steps+1, dim) with frozen tails after
-        stops, or (G, paths, len(keep), dim) at the kept indices;
-        ``stop_index``: steps for surviving paths, else the freeze index;
+        ``states``: the view of ``out`` this call wrote, grid indices from
+        the block's start (index 0 only at the first block) to its end,
+        or the kept indices among them, with frozen tails after stops;
+        ``stop_index``: the block's end for surviving paths, else the
+        freeze index;
         ``stop_code``: STOP_NONE or STOP_DIVERGED;
         ``r2_min``, ``r2_max``: per path, the least and greatest
-        ``x0*x0 + x1*x1`` over grid points 0 to steps.
+        ``x0*x0 + x1*x1`` over grid points 0 to the block's end.
     """
     lin = np.ascontiguousarray(lin, dtype=np.float64)
     x0 = np.asarray(x0, dtype=np.float64)
@@ -294,26 +368,41 @@ def run_chunk(x0, lin, drift_packed, sigma_packed, dW, dt, guard, out=None,
             or len(sigma_packed) != n_tasks:
         raise ValueError("x0, lin, dW and the packed maps disagree on "
                          "tasks, paths or dim")
-    rows = None if keep is None else {int(i): r for r, i in enumerate(keep)}
-    if rows is not None and (dim < 2 or len(rows) != len(keep) or not all(
-            0 <= i <= n_steps for i in rows)):
-        raise ValueError("keep needs dim >= 2 and distinct grid indices")
-    shape = (n_tasks, n_paths,
-             n_steps + 1 if rows is None else len(rows), dim)
-    states = np.empty(shape) if out is None else out
-    if states.shape != shape:
-        raise ValueError(f"out has shape {states.shape}, expected {shape}")
-    stop_index = np.full(n_tasks * n_paths, n_steps, dtype=np.int64)
-    stop_code = np.zeros(n_tasks * n_paths, dtype=np.int64)
+    if carry is None:
+        carry = Carry(x0)
+    elif carry.shape != x0.shape:
+        raise ValueError("carry and x0 disagree on tasks, paths or dim")
+    end = carry.offset + n_steps
+    rows = None
+    if keep is not None:
+        keep = [int(i) for i in keep]
+        if dim < 2 or (keep and keep[0] < 0) or any(
+                b <= a for a, b in zip(keep, keep[1:])):
+            raise ValueError("keep needs dim >= 2 and increasing grid "
+                             "indices")
+        rows = {i: r for r, i in enumerate(keep)}
+    size = end + 1 if rows is None else len(rows)
+    states = np.empty((n_tasks, n_paths, size, dim)) if out is None else out
+    if states.shape[:2] != (n_tasks, n_paths) or states.shape[3:] != (dim,) \
+            or not (states.shape[2] >= size if rows is None
+                    else states.shape[2] == size):
+        raise ValueError(f"out has shape {states.shape}, expected "
+                         f"{(n_tasks, n_paths, size, dim)}")
     drift_shape, drift_coefs = _step_shape(drift_packed)
     sigma_shape, sigma_coefs = _step_shape(sigma_packed)
     step, needs = _generate_step(dim, m, drift_shape, sigma_shape)
     coefs = np.concatenate((drift_coefs, sigma_coefs), axis=1)
     cols = np.repeat(coefs[:, list(needs)].T, n_paths, axis=1)
-    r2 = _chunk(x0, lin, step, cols, dW, float(dt), float(guard), states,
-                stop_index, stop_code, rows)
-    result = (states, stop_index.reshape(n_tasks, n_paths),
-              stop_code.reshape(n_tasks, n_paths))
-    if r2 is not None:
-        result += tuple(r.reshape(n_tasks, n_paths) for r in r2)
+    first, end = _chunk(lin, step, cols, dW, float(dt), float(guard), carry,
+                        states, rows)
+    if rows is None:
+        written = states[:, :, first:end + 1]
+    else:
+        written = states[:, :, bisect.bisect_left(keep, first):
+                         bisect.bisect_right(keep, end)]
+    result = (written, carry.stop_index.reshape(n_tasks, n_paths),
+              carry.stop_code.reshape(n_tasks, n_paths))
+    if rows is not None:
+        result += (carry.r2_min.reshape(n_tasks, n_paths),
+                   carry.r2_max.reshape(n_tasks, n_paths))
     return result

@@ -25,8 +25,9 @@ that shape:
 
 ``run_ensemble`` integrates any task (one path is an ensemble of one) and
 ``polar_ensemble`` reads the radius of its critical plane.
-``run_coupled`` runs tasks on one draw of noise and can keep only chosen
-grid points plus each path's planar radius range.
+``run_coupled`` runs tasks on one draw of noise, stepping each chunk of
+paths through the horizon one time block of noise at a time, and can keep
+only chosen grid points plus each path's planar radius range.
 
 Noise is counter-based: each path owns a keyed generator, so increments
 are a pure function of (master seed, path index, step) and ensembles are
@@ -37,6 +38,7 @@ reuse exactly the same Brownian path for discretization-error checks.
 
 from __future__ import annotations
 
+import collections
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -44,10 +46,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import STOP_REASONS, pack_poly, run_chunk
+from ._kernels import STOP_REASONS, Carry, pack_poly, run_chunk
 from .polyfield import PolyMap, stack
 
-CHUNK = 256
+CHUNK = 1024
+# Cells (doubles) of noise, increments and kept states one chunk holds for
+# a block of steps; a run goes through its horizon in blocks of as many
+# noise blocks as fit.
+BLOCK_CELLS = 3 << 17
 GUARD_RADIUS = 1e6
 
 STREAM_GENERIC = 0
@@ -88,14 +94,18 @@ class NoiseStream:
                         (stream_class << 48) | path_index], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
-    def standard_blocks(self, n_blocks, channels):
+    def standard_blocks(self, n_blocks, channels, out=None):
         """Standard-normal draws of shape (n_blocks, 2, channels).
 
         Block k holds the two half-step variates of coarse step k; they
         are consumed summed by a coarse run and individually by a
-        half-step run, so both runs ride the same Brownian path.
+        half-step run, so both runs ride the same Brownian path.  Draws
+        continue the stream, so drawing its blocks in pieces gives the
+        same numbers as one draw.  ``out``, a contiguous array of that
+        shape, receives the draws in place of a new array.
         """
-        return self._gen.standard_normal((int(n_blocks), 2, int(channels)))
+        return self._gen.standard_normal((int(n_blocks), 2, int(channels)),
+                                         out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,12 +162,17 @@ class SimTask:
     def grid(self):
         return self.dt * np.arange(self.n_steps + 1)
 
-    def increments(self, xi):
-        """Scaled Brownian increments (n_steps, m) from one path's
-        ``standard_blocks(noise_blocks, m)``."""
+    def increments(self, xi, out=None):
+        """Scaled Brownian increments (..., steps, m) from draws
+        (..., blocks, 2, m) of ``standard_blocks``, such as one path's
+        ``noise_blocks``: one step per block, or two when refined.  The
+        leading axes (paths, say) are elementwise, so every path's
+        increments are bitwise those drawn for it alone."""
         if self.refined:
-            return xi.reshape(self.n_steps, self.m) * math.sqrt(self.dt)
-        return (xi[:, 0, :] + xi[:, 1, :]) * math.sqrt(self.dt / 2.0)
+            return np.multiply(xi.reshape(*xi.shape[:-3], -1, self.m),
+                               math.sqrt(self.dt), out=out)
+        return np.multiply(np.add(xi[..., 0, :], xi[..., 1, :], out=out),
+                           math.sqrt(self.dt / 2.0), out=out)
 
     def increments_from(self, noise):
         """Scaled Brownian increments (n_steps, m) drawn from a stream."""
@@ -433,19 +448,36 @@ def _resolve_workers(workers):
     return workers
 
 
+# Tasks that step in one kernel loop: ``first`` of them gives the shared
+# dim, step rule and guard, ``members`` their indices among the run's
+# tasks, ``keep`` the kept grid indices in increasing order (or None) and
+# ``states`` their states with a leading task axis.
+_Group = collections.namedtuple(
+    "_Group", "first members x0 lin drifts sigmas keep states")
+
+
 def run_coupled(tasks, count, master_seed, workers=None, keep=None):
     """Simulate ``count`` paths of several tasks on one draw of noise.
 
     The tasks must share ``stream_class``, ``m`` and ``noise_blocks``, so
     path ``p`` of every task rides the Brownian path of stream
-    ``(master_seed, p, stream_class)``, drawn once per chunk; each task's
-    increments are bitwise those ``increments_from`` gives.  Paths are
-    keyed by index, partitioned into fixed-size chunks, and written into
-    disjoint slices of preallocated arrays, so the result is bit-identical
-    for every worker count.  Tasks with equal dim, step count, step rule,
+    ``(master_seed, p, stream_class)``, drawn once; each task's increments
+    are bitwise those ``increments_from`` gives.  Paths are keyed by
+    index, partitioned into fixed-size chunks, and written into disjoint
+    slices of preallocated arrays, so the result is bit-identical for
+    every worker count.  Tasks with equal dim, step count, step rule,
     guard, ``keep`` and drift and diffusion terms (the eps of one sweep)
     step together in one kernel loop per chunk, with results bitwise those
     of separate runs; their states are views into one array.
+
+    A chunk goes through the horizon in time blocks: each block draws the
+    next noise blocks of every path, forms every task's increments and
+    steps every group on from where the last block left it, coarse tasks
+    one step and refined tasks two per noise block.  Its buffers are made
+    once and refilled.  A block's noise, increments and, where every state
+    is kept, the kernel's block of states fill at most ``BLOCK_CELLS``
+    doubles (or one noise block), so a run that keeps only some grid
+    points needs memory independent of the horizon.
 
     Returns one result per task: a ``PathEnsemble`` with every state, or,
     where ``keep`` gives the task a sequence of grid indices, an
@@ -461,6 +493,10 @@ def run_coupled(tasks, count, master_seed, workers=None, keep=None):
     keep = [None] * len(tasks) if keep is None else [
         None if rows is None else tuple(int(i) for i in rows)
         for rows in keep]
+    for task, rows in zip(tasks, keep):
+        if rows is not None and not all(0 <= i <= task.n_steps
+                                        for i in rows):
+            raise SdeError("kept grid indices must lie in [0, n_steps]")
     packed = [(pack_poly(t.drift, t.dim), pack_poly(t.diffusion, t.dim))
               for t in tasks]
     # Tasks of one step shape on one increment array and grid step in one
@@ -481,9 +517,12 @@ def run_coupled(tasks, count, master_seed, workers=None, keep=None):
             first.n_steps + 1 if rows is None else len(rows), first.dim))
         for g, i in enumerate(members):
             states[i] = group_states[g]
-        groups.append((members, np.stack([tasks[i].x0 for i in members]),
-                       np.stack([tasks[i].lin for i in members]),
-                       group_states))
+        groups.append(_Group(
+            first, members, np.stack([tasks[i].x0 for i in members]),
+            np.stack([tasks[i].lin for i in members]),
+            [packed[i][0] for i in members], [packed[i][1] for i in members],
+            # the kernel keeps grid indices in increasing order
+            None if rows is None else sorted(rows), group_states))
     stop_index = np.empty((len(tasks), count), dtype=np.int64)
     stop_code = np.empty((len(tasks), count), dtype=np.int64)
     r2 = np.empty((len(tasks), 2, count))
@@ -493,46 +532,66 @@ def run_coupled(tasks, count, master_seed, workers=None, keep=None):
     # Per step rule, the most tasks of one group on it: a group of G reads
     # the first G copies of the chunk's increments, one per task.  A kernel
     # call steps at most CHUNK rows, so a chunk holds CHUNK // G paths for
-    # the largest group's G, and the increments held per chunk do not grow
-    # with the group.
-    copies = {}
-    for members, *_ in groups:
-        rule = tasks[members[0]].refined, tasks[members[0]].dt
-        copies[rule] = max(copies.get(rule, 1), len(members))
-    width = max(1, CHUNK // max(copies.values()))
+    # the largest group's G.
+    rules, copies = {}, {}
+    for group in groups:
+        rule = group.first.refined, group.first.dt
+        rules.setdefault(rule, group.first)
+        copies[rule] = max(copies.get(rule, 1), len(group.members))
+    width = min(count, max(1, CHUNK // max(copies.values())))
+    # Per path and noise block: the two half-step draws of each channel,
+    # each rule's copies of a step's increments, and the kernel's block of
+    # states of each group that keeps every state; refined tasks take two
+    # steps a block.
+    cells = 2 * m + sum(g * (2 if refined else 1) * m
+                        for (refined, _), g in copies.items()) + sum(
+        len(g.members) * (2 if g.first.refined else 1) * g.first.dim
+        for g in groups if g.keep is None)
+    span = max(1, BLOCK_CELLS // (width * cells))
 
     def work(start):
         end = min(start + width, count)
-        # One draw per path; tasks that differ only in eps share it.
-        dW = {}
-        for task in tasks:
-            rule = task.refined, task.dt
-            if rule not in dW:
-                dW[rule] = task, np.empty(
-                    (copies[rule], end - start, task.n_steps, m))
-        for p in range(start, end):
-            xi = NoiseStream(master_seed, p, stream_class).standard_blocks(
-                blocks, m)
-            for task, increments in dW.values():
-                increments[0, p - start] = task.increments(xi)
-        for _, increments in dW.values():
-            increments[1:] = increments[0]
-        for members, x0, lin, group_states in groups:
-            first = tasks[members[0]]
-            n_tasks, n_paths = len(members), end - start
-            x0 = np.broadcast_to(x0[:, None, :],
-                                 (n_tasks, n_paths, first.dim))
-            increments = dW[first.refined, first.dt][1][:n_tasks].reshape(
-                n_tasks * n_paths, first.n_steps, m)
-            result = run_chunk(x0, lin, [packed[i][0] for i in members],
-                               [packed[i][1] for i in members], increments,
-                               first.dt, first.guard,
-                               out=group_states[:, start:end],
-                               keep=keep[members[0]])
-            stop_index[members, start:end] = result[1]
-            stop_code[members, start:end] = result[2]
-            if keep[members[0]] is not None:
-                r2[members, :, start:end] = np.stack(result[3:], axis=1)
+        n_paths = end - start
+        streams = [NoiseStream(master_seed, p, stream_class)
+                   for p in range(start, end)]
+        # One set of buffers per chunk, refilled block by block.
+        draws = np.empty(n_paths * span * 2 * m)
+        buffers = {rule: np.empty(copies[rule] * n_paths * span
+                                  * (2 if rule[0] else 1) * m)
+                   for rule in rules}
+        x0s = [np.broadcast_to(g.x0[:, None, :], (len(g.members), n_paths,
+                                                   g.first.dim))
+               for g in groups]
+        carries = [Carry(x0) for x0 in x0s]
+        for at in range(0, blocks, span):
+            n_blocks = min(span, blocks - at)
+            xi = draws[:n_paths * n_blocks * 2 * m].reshape(
+                n_paths, n_blocks, 2, m)
+            for row, stream in zip(xi, streams):
+                stream.standard_blocks(n_blocks, m, out=row)
+            dW = {}
+            for rule, task in rules.items():
+                steps = 2 * n_blocks if task.refined else n_blocks
+                increments = buffers[rule][
+                    :copies[rule] * n_paths * steps * m].reshape(
+                        copies[rule], n_paths, steps, m)
+                task.increments(xi, out=increments[0])
+                increments[1:] = increments[0]
+                dW[rule] = increments
+            for g, x0, carry in zip(groups, x0s, carries):
+                increments = dW[g.first.refined, g.first.dt][:len(g.members)]
+                run_chunk(x0, g.lin, g.drifts, g.sigmas,
+                          increments.reshape(-1, increments.shape[2], m),
+                          g.first.dt, g.first.guard,
+                          out=g.states[:, start:end], keep=g.keep,
+                          carry=carry)
+        for g, carry in zip(groups, carries):
+            shape = len(g.members), n_paths
+            stop_index[g.members, start:end] = carry.stop_index.reshape(shape)
+            stop_code[g.members, start:end] = carry.stop_code.reshape(shape)
+            if g.keep is not None:
+                r2[g.members, 0, start:end] = carry.r2_min.reshape(shape)
+                r2[g.members, 1, start:end] = carry.r2_max.reshape(shape)
 
     starts = range(0, count, width)
     if workers == 1:
@@ -551,8 +610,12 @@ def run_coupled(tasks, count, master_seed, workers=None, keep=None):
                 stop_time=grid[stop_index[i]], stop_reason=reasons,
                 master_seed=int(master_seed)))
         else:
+            seen = states[i]
+            if list(keep[i]) != sorted(keep[i]):
+                # back from increasing grid indices to the task's order
+                seen = seen[:, np.argsort(np.argsort(keep[i]))]
             results.append(ObservedEnsemble(
-                states=states[i], stop_index=stop_index[i],
+                states=seen, stop_index=stop_index[i],
                 stop_reason=reasons, r2_min=r2[i, 0], r2_max=r2[i, 1]))
     return results
 

@@ -11,7 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hopf_critic import sde
-from hopf_critic._kernels import STOP_DIVERGED, pack_poly, run_chunk
+from hopf_critic._kernels import STOP_DIVERGED, Carry, pack_poly, run_chunk
 from hopf_critic.polyfield import PolyMap
 
 
@@ -480,6 +480,11 @@ def test_observed_survivors_match_polar_ensemble_bitwise(
 
 def test_coupled_draw_matches_separate_ensembles_bitwise(monkeypatch):
     monkeypatch.setattr(sde, "CHUNK", 16)
+    # Per path and noise block with every state kept: 6 draws, 2 x 3
+    # coarse and 2 x 6 refined increments, and the block states of the
+    # coarse and refined pairs (2 x 3, 2 x 6) and of the reduced task (2);
+    # 16 // 2 = 8 paths a chunk.  Time blocks of 50 noise blocks.
+    monkeypatch.setattr(sde, "BLOCK_CELLS", 50 * 8 * 44)
     f, g, sigma_q, sigma_p, Q, P = coupled3d_fields()
     tasks = [sde.rescaled_task(f, g, sigma_q, sigma_p, Q, P, eps,
                                (1.0, 0.0), np.zeros(1), h, 0.2, refined=r)
@@ -508,10 +513,10 @@ def test_coupled_draw_matches_separate_ensembles_bitwise(monkeypatch):
         groups.clear()
         widths.clear()
         coupled = sde.run_coupled(tasks, 40, 5, workers)
-        # groups of two take 16 // 2 paths a chunk: five chunks, each
-        # stepping both eps in one loop per step rule and the reduced task
-        # alone
-        assert sorted(groups) == [1] * 5 + [2] * 10
+        # groups of two take 16 // 2 paths a chunk: five chunks of four
+        # time blocks, each stepping both eps in one loop per step rule
+        # and the reduced task alone
+        assert sorted(groups) == [1] * 5 * 4 + [2] * 10 * 4
         assert max(widths) == 16
         observed = sde.run_coupled(tasks, 40, 5, workers, keep=keep)
         for one, both, seen, kept, rows in zip(separate, coupled, observed,
@@ -585,6 +590,185 @@ def test_grouped_chunk_matches_one_task_at_a_time_bitwise(name, observe):
         assert np.all((1 <= diverged) & (diverged <= 39))
     else:
         assert not diverged.any()
+
+
+def blocked_run(args, length, keep=None):
+    """``run_chunk`` on ``args``' increments in blocks of ``length`` steps,
+    one ``Carry`` throughout, into one array; also checks that each call
+    returns exactly the states it wrote."""
+    x0, lin, drifts, sigmas, dW, dt, guard = args
+    n_tasks, n_paths, dim = np.shape(x0)
+    n_steps = dW.shape[1]
+    states = np.full((n_tasks, n_paths,
+                      n_steps + 1 if keep is None else len(keep), dim),
+                     np.nan)
+    carry = Carry(x0)
+    written = 0
+    for at in range(0, n_steps, length):
+        end = min(at + length, n_steps)
+        result = run_chunk(x0, lin, drifts, sigmas, dW[:, at:end], dt,
+                           guard, out=states, keep=keep, carry=carry)
+        wrote = [i for i in (range(n_steps + 1) if keep is None else keep)
+                 if at < i <= end or i == at == 0]
+        assert result[0].shape[2] == len(wrote)
+        if wrote:
+            assert np.shares_memory(result[0], states)
+            assert result[0].tobytes() == states[:, :, [
+                i if keep is None else keep.index(i) for i in wrote]
+            ].tobytes()
+        written += result[0].nbytes
+        assert carry.offset == end
+    # every state is returned by exactly one call
+    assert written == states.nbytes
+    return (states,) + result[1:]
+
+
+def blocked_cases():
+    """run_chunk arguments of lone tasks and of groups, with guard stops
+    inside blocks, on blocks' last steps and of every row early."""
+    cases = {name: chunk_inputs(task, 40, 3)
+             for name, task in observable_tasks().items()}
+    cases["partial_guard"] = chunk_inputs(kernel_tasks()["partial_guard"],
+                                          40, 3)
+    cases["overflow"] = chunk_inputs(kernel_tasks()["overflow"], 40, 3)
+    for name, tasks in group_tasks().items():
+        cases[f"group_{name}"] = group_inputs(tasks, 40, 3)
+    return cases
+
+
+@pytest.mark.parametrize("length", [1, 7])
+@pytest.mark.parametrize("name, observe", [
+    # the planar radius needs dim >= 2
+    (name, observe) for name, args in sorted(blocked_cases().items())
+    for observe in (False, True) if not observe or args[0].shape[2] >= 2])
+def test_blocked_chunk_matches_one_call_bitwise(name, observe, length):
+    args = blocked_cases()[name]
+    n_steps = args[4].shape[1]
+    # grid index 0, block edges (7, 14) and the steps either side of one
+    keep = sorted({0, 1, 6, 7, 8, 14, n_steps // 3, n_steps - 1,
+                   n_steps}) if observe else None
+    with np.errstate(over="ignore", invalid="ignore"):
+        once = run_chunk(*args, keep=keep)
+        blocked = blocked_run(args, length, keep)
+    assert len(once) == len(blocked) == (5 if observe else 3)
+    for want, have in zip(once, blocked):
+        assert want.dtype == have.dtype and want.shape == have.shape
+        assert want.tobytes() == have.tobytes()
+
+
+@pytest.mark.parametrize("name", ["partial_guard", "group_coupled3d_guard"])
+def test_blocks_cover_guard_stops_inside_and_at_block_ends(name):
+    stop_index, stop_code = run_chunk(*blocked_cases()[name])[1:3]
+    stops = stop_index[stop_code == STOP_DIVERGED]
+    # blocks of 7 steps end at multiples of 7
+    assert (stops % 7 == 0).any() and (stops % 7 != 0).any()
+
+
+def test_rows_all_stopped_before_the_last_block_only_fill_it():
+    args = blocked_cases()["all_guard_2d"]
+    n_steps = args[4].shape[1]
+    once = run_chunk(*args)
+    assert once[1].max() < n_steps - 7
+    # no row reads the increments of the blocks after the last stop: NaN
+    # there changes nothing, and those blocks repeat the frozen states
+    dW = args[4].copy()
+    dW[:, (once[1].max() // 7 + 1) * 7:] = np.nan
+    blocked = blocked_run(args[:4] + (dW,) + args[5:], 7)
+    for want, have in zip(once, blocked):
+        assert want.tobytes() == have.tobytes()
+    for path, stop in zip(blocked[0][0], once[1][0]):
+        assert np.all(path[stop:] == path[stop])
+
+
+def test_noise_stream_draws_in_pieces_equal_one_draw():
+    whole = sde.NoiseStream(9, 4, sde.STREAM_CRITICAL).standard_blocks(1000,
+                                                                        3)
+    stream = sde.NoiseStream(9, 4, sde.STREAM_CRITICAL)
+    pieces = [stream.standard_blocks(n, 3) for n in (1, 127, 128, 300)]
+    into = np.empty((444, 2, 3))
+    assert stream.standard_blocks(444, 3, out=into) is into
+    assert np.concatenate(pieces + [into]).tobytes() == whole.tobytes()
+
+
+def coupled_rule_tasks(T, dt=1e-3, guard=sde.GUARD_RADIUS):
+    """Two eps, each coarse and refined, on one stream class."""
+    f, g, sigma_q, sigma_p, Q, P = coupled3d_fields()
+    return [sde.rescaled_task(f, g, sigma_q, sigma_p, Q, P, eps, (1.0, 0.0),
+                              np.zeros(1), h, T, refined=r, guard=guard)
+            for eps in (1e-1, 1e-2) for h, r in ((dt, False),
+                                                 (dt / 2.0, True))]
+
+
+@pytest.mark.parametrize("span", [1, 7])
+@pytest.mark.parametrize("observe", [False, True], ids=["all", "keep"])
+def test_blocked_coupled_run_matches_one_call_per_task_bitwise(
+        monkeypatch, span, observe):
+    monkeypatch.setattr(sde, "CHUNK", 16)
+    # per path and noise block: 6 draws, 2 x 3 coarse and 2 x 6 refined
+    # increments, and with every state kept 2 x 3 and 2 x 6 block states;
+    # 16 // 2 = 8 paths a chunk
+    cells = 6 + 6 + 12 + (0 if observe else 6 + 12)
+    monkeypatch.setattr(sde, "BLOCK_CELLS", span * 8 * cells)
+    # a guard near the start radius stops some paths of every task
+    tasks = coupled_rule_tasks(0.05, guard=1.2)
+    keep = [[0, 7, 14, 15, 50] if not t.refined else [0, 14, 28, 29, 100]
+            for t in tasks] if observe else None
+    lengths = []
+
+    def counted(*args, **kwargs):
+        lengths.append(args[4].shape[1])
+        return run_chunk(*args, **kwargs)
+
+    monkeypatch.setattr(sde, "run_chunk", counted)
+    with np.errstate(over="ignore", invalid="ignore"):
+        runs = {workers: sde.run_coupled(tasks, 40, 5, workers, keep=keep)
+                for workers in (1, 3)}
+        for i, task in enumerate(tasks):
+            once = run_chunk(*chunk_inputs(task, 40, 5),
+                             keep=keep and keep[i])
+            for seen in (runs[1][i], runs[3][i]):
+                assert seen.states.tobytes() == once[0][0].tobytes()
+                assert seen.stop_index.tobytes() == once[1][0].tobytes()
+                assert seen.stop_reason == tuple(
+                    "diverged" if c == STOP_DIVERGED else "none"
+                    for c in once[2][0])
+                if observe:
+                    assert seen.r2_min.tobytes() == once[3][0].tobytes()
+                    assert seen.r2_max.tobytes() == once[4][0].tobytes()
+    # coarse groups step span steps a block, refined ones 2 * span
+    assert set(lengths) <= {span, 2 * span, 50 % span, 2 * (50 % span)}
+    assert max(lengths) == 2 * span
+    assert all("diverged" in seen.stop_reason for seen in runs[1])
+
+
+def test_unsorted_keep_returns_states_in_the_callers_order():
+    task = coupled_rule_tasks(0.05)[0]
+    ordered = sde.run_coupled([task], 12, 2, keep=[[0, 20, 50]])[0]
+    shuffled = sde.run_coupled([task], 12, 2, keep=[[50, 0, 20]])[0]
+    assert shuffled.states.tobytes() == \
+        ordered.states[:, [2, 0, 1]].tobytes()
+    with pytest.raises(sde.SdeError):
+        sde.run_coupled([task], 12, 2, keep=[[0, 51]])
+
+
+def test_observed_run_memory_does_not_grow_with_the_horizon(monkeypatch):
+    import tracemalloc
+
+    # 64 paths of 24 noise and increment cells a noise block (see
+    # test_blocked_coupled_run_matches_one_call_per_task_bitwise): time
+    # blocks of 16 noise blocks, so both horizons take several
+    monkeypatch.setattr(sde, "BLOCK_CELLS", 16 * 64 * 24)
+    peaks = {}
+    for T in (0.5, 4.0):
+        tasks = coupled_rule_tasks(T, dt=1e-2)
+        keep = [[0, t.n_steps // 2, t.n_steps] for t in tasks]
+        tracemalloc.start()
+        try:
+            sde.run_coupled(tasks, 64, 1, keep=keep)
+            peaks[T] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[4.0] - peaks[0.5]) <= 0.1 * peaks[0.5], peaks
 
 
 def test_limit_params_recompute_validation():

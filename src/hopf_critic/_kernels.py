@@ -17,7 +17,9 @@ without a carry starts fresh at grid index 0, so one call with the whole
 horizon's increments is the unblocked run, and any split into blocks gives
 bitwise the same results.  By default it records every state, each step
 into a contiguous block buffer that reaches the caller's array in one copy
-per block.  A study that reads only a few grid points passes ``keep``, the
+per block, or, for a caller that folds each block as it comes
+(``store=False``), stays in the buffer until the next block.  A study that
+reads only a few grid points passes ``keep``, the
 grid indices it wants: the kernel then stores the states at those indices
 only, plus the running per-path minimum and maximum of the planar squared
 radius ``x0*x0 + x1*x1`` over every grid point from 0 on.  Polynomials
@@ -200,9 +202,10 @@ def _chunk(lin, step, cols, dW, dt, guard, carry, states, rows):
     Row r steps on the increments ``dW[r]`` from ``carry``, which the
     block advances.  ``cols`` holds the coefficient columns, one row per
     column over the G*n rows.  ``rows`` is None to store every state at
-    its grid index along axis 2 of ``states``, else maps kept grid
-    indices to positions along that axis.  Returns the first and last grid
-    index of the block's states.
+    its grid index along axis 2 of ``states`` (or, where ``states`` is
+    None, only in ``carry.block``), else maps kept grid indices to
+    positions along that axis.  Returns the first and last grid index of
+    the block's states.
     """
     n_tasks, n_paths, dim = carry.shape
     n_rows = n_tasks * n_paths
@@ -298,8 +301,9 @@ def _chunk(lin, step, cols, dW, dt, guard, carry, states, rows):
             states[:, :, tail, :] = x.reshape(n_tasks, n_paths, 1, dim)
     else:
         block[done + 1 - first:] = x
-        states[:, :, first:end + 1, :] = block.reshape(
-            end + 1 - first, n_tasks, n_paths, dim).transpose(1, 2, 0, 3)
+        if states is not None:
+            states[:, :, first:end + 1, :] = block.reshape(
+                end + 1 - first, n_tasks, n_paths, dim).transpose(1, 2, 0, 3)
     stop_index[active] = end
     carry.x = x
     carry.offset = end
@@ -307,7 +311,7 @@ def _chunk(lin, step, cols, dW, dt, guard, carry, states, rows):
 
 
 def run_chunk(x0, lin, drift_packed, sigma_packed, dW, dt, guard, out=None,
-              keep=None, carry=None):
+              keep=None, carry=None, store=True):
     """Advance one chunk of paths of a group of G tasks by one block of steps.
 
     The group's drift and diffusion maps must have equal terms; a lone
@@ -343,6 +347,9 @@ def run_chunk(x0, lin, drift_packed, sigma_packed, dW, dt, guard, out=None,
         Indices past this block are written by the calls that reach them.
     carry : Carry, optional
         State at the end of the previous block, advanced in place.
+    store : bool, optional
+        False, without ``keep``, leaves the block's states in the carry's
+        block buffer, which the next call refills, and writes no ``out``.
 
     Returns
     -------
@@ -351,6 +358,8 @@ def run_chunk(x0, lin, drift_packed, sigma_packed, dW, dt, guard, out=None,
         ``states``: the view of ``out`` this call wrote, grid indices from
         the block's start (index 0 only at the first block) to its end,
         or the kept indices among them, with frozen tails after stops;
+        with ``store`` False, a view of the carry's block buffer holding
+        those grid indices;
         ``stop_index``: the block's end for surviving paths, else the
         freeze index;
         ``stop_code``: STOP_NONE or STOP_DIVERGED;
@@ -382,12 +391,16 @@ def run_chunk(x0, lin, drift_packed, sigma_packed, dW, dt, guard, out=None,
                              "indices")
         rows = {i: r for r, i in enumerate(keep)}
     size = end + 1 if rows is None else len(rows)
-    states = np.empty((n_tasks, n_paths, size, dim)) if out is None else out
-    if states.shape[:2] != (n_tasks, n_paths) or states.shape[3:] != (dim,) \
-            or not (states.shape[2] >= size if rows is None
-                    else states.shape[2] == size):
-        raise ValueError(f"out has shape {states.shape}, expected "
-                         f"{(n_tasks, n_paths, size, dim)}")
+    states = None
+    if rows is not None or store:
+        states = np.empty((n_tasks, n_paths, size, dim)) if out is None \
+            else out
+        if states.shape[:2] != (n_tasks, n_paths) \
+                or states.shape[3:] != (dim,) \
+                or not (states.shape[2] >= size if rows is None
+                        else states.shape[2] == size):
+            raise ValueError(f"out has shape {states.shape}, expected "
+                             f"{(n_tasks, n_paths, size, dim)}")
     drift_shape, drift_coefs = _step_shape(drift_packed)
     sigma_shape, sigma_coefs = _step_shape(sigma_packed)
     step, needs = _generate_step(dim, m, drift_shape, sigma_shape)
@@ -395,7 +408,10 @@ def run_chunk(x0, lin, drift_packed, sigma_packed, dW, dt, guard, out=None,
     cols = np.repeat(coefs[:, list(needs)].T, n_paths, axis=1)
     first, end = _chunk(lin, step, cols, dW, float(dt), float(guard), carry,
                         states, rows)
-    if rows is None:
+    if states is None:
+        written = carry.block[:end + 1 - first].reshape(
+            end + 1 - first, n_tasks, n_paths, dim).transpose(1, 2, 0, 3)
+    elif rows is None:
         written = states[:, :, first:end + 1]
     else:
         written = states[:, :, bisect.bisect_left(keep, first):

@@ -13,7 +13,8 @@ that shape:
     at ``eps^{1/4} (z, y)``, and the diffusion is ``(sigma_Q, sigma_P)`` at
     the same shrunken point.  The stiff linear part is integrated exactly
     (closed-form rotation for Q, dense matrix exponential for P) so the
-    step size need not shrink with eps.
+    step size need not shrink with eps; a diagonal P needs only the
+    exponentials of its entries, so scipy is loaded only for another P.
 ``reduced_task``
     The two-dimensional process on the quadratic center manifold, driven
     by the same noise channels as the full system for pathwise coupling.
@@ -27,7 +28,8 @@ that shape:
 ``polar_ensemble`` reads the radius of its critical plane.
 ``run_coupled`` runs tasks on one draw of noise, stepping each chunk of
 paths through the horizon one time block of noise at a time, and can keep
-only chosen grid points plus each path's planar radius range.
+only chosen grid points plus each path's planar radius range, or hand each
+block of states to a fold in place of keeping them.
 
 Noise is counter-based: each path owns a keyed generator, so increments
 are a pure function of (master seed, path index, step) and ensembles are
@@ -350,8 +352,13 @@ def rescaled_task(f, g, sigma_q, sigma_p, Q, P, eps, z0, y0, dt, T,
     lin = np.zeros((dim, dim))
     lin[:2, :2] = _rotation(root * lam0 * float(dt))
     if k:
-        from scipy.linalg import expm
-        lin[2:, 2:] = expm(root * P * float(dt))
+        stiff = root * P * float(dt)
+        if np.array_equal(stiff, np.diag(np.diag(stiff))):
+            # what scipy.linalg.expm returns for a diagonal matrix
+            lin[2:, 2:] = np.diag(np.exp(np.diag(stiff)))
+        else:
+            from scipy.linalg import expm
+            lin[2:, 2:] = expm(stiff)
     parts = [f, g] if k else [f]
     drift = stack(parts).graded_scaled(lambda d: eps ** ((d - 3) / 4.0))
     sig_parts = [sigma_q, sigma_p] if k else [sigma_q]
@@ -451,12 +458,22 @@ def _resolve_workers(workers):
 # Tasks that step in one kernel loop: ``first`` of them gives the shared
 # dim, step rule and guard, ``members`` their indices among the run's
 # tasks, ``keep`` the kept grid indices in increasing order (or None) and
-# ``states`` their states with a leading task axis.
+# ``states`` their states with a leading task axis (None where a fold
+# takes every state).
 _Group = collections.namedtuple(
     "_Group", "first members x0 lin drifts sigmas keep states")
 
+# One task's freshly stepped block of states as ``run_coupled`` hands it to
+# a fold: ``first`` is the grid index of the first state, ``states`` the
+# states (paths, steps, dim) at grid indices ``first`` on, and
+# ``stop_index`` and ``stop_code`` (paths,) each path's stop index and
+# code (``STOP_NONE`` or ``STOP_DIVERGED``) at the block's end.
+FoldBlock = collections.namedtuple(
+    "FoldBlock", "first states stop_index stop_code")
 
-def run_coupled(tasks, count, master_seed, workers=None, keep=None):
+
+def run_coupled(tasks, count, master_seed, workers=None, keep=None,
+                fold=None):
     """Simulate ``count`` paths of several tasks on one draw of noise.
 
     The tasks must share ``stream_class``, ``m`` and ``noise_blocks``, so
@@ -482,6 +499,15 @@ def run_coupled(tasks, count, master_seed, workers=None, keep=None):
     Returns one result per task: a ``PathEnsemble`` with every state, or,
     where ``keep`` gives the task a sequence of grid indices, an
     ``ObservedEnsemble`` with the states at those indices only.
+
+    ``fold``, where given, takes every state in place of the
+    ``PathEnsemble``: after each time block of a chunk it is called as
+    ``fold(paths, blocks)``, where ``paths`` is the chunk's slice of path
+    indices and ``blocks`` holds, per task, None for a task with ``keep``
+    and else the ``FoldBlock`` the block stepped.  The blocks are views of
+    buffers the next block refills.  Calls for different chunks may run at
+    once on different workers, so a fold writes only its chunk's paths.
+    The result of a task the fold takes is None.
     """
     count = int(count)
     if count < 1:
@@ -512,11 +538,13 @@ def run_coupled(tasks, count, master_seed, workers=None, keep=None):
     states = [None] * len(tasks)
     for members in by_shape.values():
         first, rows = tasks[members[0]], keep[members[0]]
-        group_states = np.empty((
-            len(members), count,
-            first.n_steps + 1 if rows is None else len(rows), first.dim))
-        for g, i in enumerate(members):
-            states[i] = group_states[g]
+        group_states = None
+        if rows is not None or fold is None:
+            group_states = np.empty((
+                len(members), count,
+                first.n_steps + 1 if rows is None else len(rows), first.dim))
+            for g, i in enumerate(members):
+                states[i] = group_states[g]
         groups.append(_Group(
             first, members, np.stack([tasks[i].x0 for i in members]),
             np.stack([tasks[i].lin for i in members]),
@@ -578,13 +606,24 @@ def run_coupled(tasks, count, master_seed, workers=None, keep=None):
                 task.increments(xi, out=increments[0])
                 increments[1:] = increments[0]
                 dW[rule] = increments
+            folded = [None] * len(tasks)
             for g, x0, carry in zip(groups, x0s, carries):
                 increments = dW[g.first.refined, g.first.dt][:len(g.members)]
-                run_chunk(x0, g.lin, g.drifts, g.sigmas,
-                          increments.reshape(-1, increments.shape[2], m),
-                          g.first.dt, g.first.guard,
-                          out=g.states[:, start:end], keep=g.keep,
-                          carry=carry)
+                offset = carry.offset
+                written, index, code = run_chunk(
+                    x0, g.lin, g.drifts, g.sigmas,
+                    increments.reshape(-1, increments.shape[2], m),
+                    g.first.dt, g.first.guard,
+                    out=None if g.states is None else g.states[:, start:end],
+                    keep=g.keep, carry=carry, store=g.states is not None)[:3]
+                if g.states is None:
+                    for j, i in enumerate(g.members):
+                        # index 0 opens the first block, else the block
+                        # begins after the last one's end
+                        folded[i] = FoldBlock(offset + 1 if offset else 0,
+                                              written[j], index[j], code[j])
+            if fold is not None:
+                fold(slice(start, end), folded)
         for g, carry in zip(groups, carries):
             shape = len(g.members), n_paths
             stop_index[g.members, start:end] = carry.stop_index.reshape(shape)
@@ -602,6 +641,9 @@ def run_coupled(tasks, count, master_seed, workers=None, keep=None):
             list(pool.map(work, starts))
     results = []
     for i, task in enumerate(tasks):
+        if states[i] is None:
+            results.append(None)
+            continue
         reasons = tuple(STOP_REASONS[int(c)] for c in stop_code[i])
         if keep[i] is None:
             grid = task.grid()

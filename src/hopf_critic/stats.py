@@ -30,15 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import normalform, sde
+from ._kernels import STOP_NONE
 from .polyfield import PolyMap
 from .spectral import Tolerances, hopf_split, transform_system
 
 QUANTILE_LEVELS = (0.05, 0.25, 0.5, 0.75, 0.95)
-# Most eps per run in reduction_diagnostics.  The eps of one run step in
-# one kernel loop, but their full and reduced states stay alive together
-# until all their rows are built, so this bounds the study's memory at two
-# eps's states whatever the sweep's length.
-REDUCTION_EPS_PER_RUN = 2
 
 
 class StatsError(Exception):
@@ -456,55 +452,6 @@ def _fit_slope(epsilons, values):
     return float(np.polyfit(np.log(eps[keep]), np.log(vals[keep]), 1)[0])
 
 
-def _reduction_row(eps, full, reduced, h2, big_delta, beta, dt):
-    """One eps's row of ``reduction_diagnostics`` from its coupled pair.
-
-    The arrays derived from the states live only while the row is built.
-    """
-    paths, n_points, dim = full.states.shape
-    n_steps, k = n_points - 1, dim - 2
-    Z = full.states[:, :, :2]
-    Zt = reduced.states
-    if k:
-        hv = h2.evaluate_batch(Z.reshape(-1, 2)).reshape(paths, -1, k)
-        U = full.states[:, :, 2:] - (eps ** 0.25) * hv
-        norm_u = np.sqrt((U * U).sum(axis=2))
-    else:
-        norm_u = np.zeros((paths, n_steps + 1))
-    norm_phi = np.sqrt(((Z - Zt) ** 2).sum(axis=2))
-    full_norm = np.sqrt((full.states ** 2).sum(axis=2))
-    red_norm = np.sqrt((Zt * Zt).sum(axis=2))
-    outside = (full_norm >= big_delta) | (red_norm >= big_delta)
-    has_exit = outside.any(axis=1)
-    exit_idx = np.where(has_exit, outside.argmax(axis=1), n_steps + 1)
-    for ens in (full, reduced):
-        died = np.array([r != "none" for r in ens.stop_reason])
-        exit_idx = np.minimum(
-            exit_idx, np.where(died, ens.stop_index, n_steps + 1))
-    i_beta = int(math.ceil(eps ** beta / dt - 1e-12))
-    # Per path the sup over [0, max(stop, 1)) for Phi and over
-    # [i_beta, stop) for U; max is exact, so masks equal slices.
-    stop = exit_idx[:, None]
-    cols = np.arange(n_steps + 1)[None, :]
-    sup_phi = np.max(norm_phi, axis=1, initial=-np.inf,
-                     where=cols < np.maximum(stop, 1))
-    included = i_beta < stop[:, 0]
-    in_u = (cols >= i_beta) & (cols < stop)
-    sup_u = np.where(included, np.max(norm_u, axis=1, initial=-np.inf,
-                                      where=in_u), np.nan)
-    if included.any():
-        u_median = float(np.quantile(sup_u[included], 0.5))
-        u_p90 = float(np.quantile(sup_u[included], 0.9))
-    else:
-        u_median = u_p90 = float("nan")
-    return ReductionRow(
-        epsilon=eps, u_median=u_median, u_p90=u_p90,
-        phi_median=float(np.quantile(sup_phi, 0.5)),
-        phi_p90=float(np.quantile(sup_phi, 0.9)),
-        excluded_fraction=float(1.0 - included.mean()),
-        ball_exit_fraction=float((exit_idx <= n_steps).mean()))
-
-
 def reduction_diagnostics(system, epsilons, big_delta, beta, paths, dt,
                           horizon=1.0, z0=(1.0, 0.0), y0=None,
                           master_seed=0, workers=None):
@@ -517,7 +464,9 @@ def reduction_diagnostics(system, epsilons, big_delta, beta, paths, dt,
     ``[eps^beta, horizon]`` and the planar gap ``Phi = Z - Z_reduced``
     over ``[0, horizon]``, both truncated at the first exit of either
     process from the Delta-ball.  Paths whose exit precedes ``eps^beta``
-    are excluded from the U statistics and counted.
+    are excluded from the U statistics and counted.  Every eps runs in one
+    ``sde.run_coupled`` call that keeps no states: each time block is
+    folded into a few running numbers per path and eps as it is stepped.
     """
     epsilons = tuple(float(e) for e in epsilons)
     if not epsilons or any(not 0.0 < e < 1.0 for e in epsilons):
@@ -542,22 +491,69 @@ def reduction_diagnostics(system, epsilons, big_delta, beta, paths, dt,
     if math.hypot(*z0) >= big_delta or np.linalg.norm(
             np.concatenate((z0, y0))) >= big_delta:
         raise StatsError("initial state must start inside the Delta-ball")
-    # Up to REDUCTION_EPS_PER_RUN eps per call: the full runs of those eps
-    # share one kernel loop per chunk, and so do the reduced runs.
+    # The full runs of every eps share one kernel loop per chunk, and so do
+    # the reduced runs.
+    tasks = [task for eps in epsilons for task in (
+        sde.rescaled_task(system.f, system.g, system.sigma_q, system.sigma_p,
+                          split.Q, split.P, eps, z0, y0, dt, horizon),
+        sde.reduced_task(system.reduced, system.sigma_q, h2, eps, z0, dt,
+                         horizon))]
+    n_steps = tasks[0].n_steps
+    i_beta = [int(math.ceil(eps ** beta / dt - 1e-12)) for eps in epsilons]
+    # Per eps and path, over the grid points folded so far: the first exit
+    # of either run from the Delta-ball or its stop (n_steps + 1 for none),
+    # the sup of |Phi| over [0, max(exit, 1)) and of |U| over
+    # [i_beta, exit).  An exit is final once seen, and max is exact, so
+    # block by block these are the sups over the whole run.
+    exit_idx = np.full((len(epsilons), paths), n_steps + 1, dtype=np.int64)
+    sup_phi = np.full((len(epsilons), paths), -np.inf)
+    sup_u = np.full((len(epsilons), paths), -np.inf)
+
+    def fold(at, blocks):
+        for e, eps in enumerate(epsilons):
+            full, reduced = blocks[2 * e], blocks[2 * e + 1]
+            X, Zt = full.states, reduced.states
+            Z = X[:, :, :2]
+            cols = full.first + np.arange(X.shape[1])
+            if k:
+                hv = h2.evaluate_batch(Z.reshape(-1, 2)).reshape(
+                    len(X), -1, k)
+                U = X[:, :, 2:] - (eps ** 0.25) * hv
+                norm_u = np.sqrt((U * U).sum(axis=2))
+            else:
+                norm_u = np.zeros(X.shape[:2])
+            norm_phi = np.sqrt(((Z - Zt) ** 2).sum(axis=2))
+            outside = (np.sqrt((X ** 2).sum(axis=2)) >= big_delta) \
+                | (np.sqrt((Zt * Zt).sum(axis=2)) >= big_delta)
+            hit = np.where(outside.any(axis=1), cols[outside.argmax(axis=1)],
+                           n_steps + 1)
+            for run in (full, reduced):
+                hit = np.minimum(hit, np.where(run.stop_code != STOP_NONE,
+                                               run.stop_index, n_steps + 1))
+            np.minimum(exit_idx[e, at], hit, out=exit_idx[e, at])
+            stop = exit_idx[e, at][:, None]
+            np.maximum(sup_phi[e, at], np.max(
+                norm_phi, axis=1, initial=-np.inf,
+                where=cols < np.maximum(stop, 1)), out=sup_phi[e, at])
+            np.maximum(sup_u[e, at], np.max(
+                norm_u, axis=1, initial=-np.inf,
+                where=(cols >= i_beta[e]) & (cols < stop)), out=sup_u[e, at])
+
+    sde.run_coupled(tasks, paths, master_seed, workers, fold=fold)
     rows = []
-    for at in range(0, len(epsilons), REDUCTION_EPS_PER_RUN):
-        group = epsilons[at:at + REDUCTION_EPS_PER_RUN]
-        runs = sde.run_coupled([task for eps in group for task in (
-            sde.rescaled_task(system.f, system.g, system.sigma_q,
-                              system.sigma_p, split.Q, split.P, eps, z0, y0,
-                              dt, horizon),
-            sde.reduced_task(system.reduced, system.sigma_q, h2, eps, z0,
-                             dt, horizon))], paths, master_seed, workers)
-        rows += [_reduction_row(eps, runs[2 * e], runs[2 * e + 1], h2,
-                                big_delta, beta, dt)
-                 for e, eps in enumerate(group)]
-        # free these states before the next group is simulated
-        del runs
+    for e, eps in enumerate(epsilons):
+        included = i_beta[e] < exit_idx[e]
+        if included.any():
+            u_median = float(np.quantile(sup_u[e, included], 0.5))
+            u_p90 = float(np.quantile(sup_u[e, included], 0.9))
+        else:
+            u_median = u_p90 = float("nan")
+        rows.append(ReductionRow(
+            epsilon=eps, u_median=u_median, u_p90=u_p90,
+            phi_median=float(np.quantile(sup_phi[e], 0.5)),
+            phi_p90=float(np.quantile(sup_phi[e], 0.9)),
+            excluded_fraction=float(1.0 - included.mean()),
+            ball_exit_fraction=float((exit_idx[e] <= n_steps).mean())))
     q_fit = _fit_slope(epsilons, [r.u_median for r in rows])
     gamma_fit = _fit_slope(epsilons, [r.phi_median for r in rows])
     return ReductionReport(

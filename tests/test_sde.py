@@ -790,12 +790,16 @@ import numpy as np
 
 from hopf_critic import cli, sde, stats
 from hopf_critic.config import load_config
+from hopf_critic.polyfield import PolyMap
 
 code = cli.main(["normal-form", "--config", "configs/hopf2d.cfg",
                  "--out", sys.argv[1]])
 assert code == 0
 assert "scipy.linalg" not in sys.modules, "planar run loaded scipy.linalg"
 
+code = cli.main(["reduce", "--config", "configs/coupled3d.cfg", "--paths",
+                 "4", "--out", sys.argv[1]])
+assert code == 0
 cfg = load_config("configs/coupled3d.cfg")
 system = stats.prepare_system(cfg.drift, cfg.sigma)
 split = system.split
@@ -803,13 +807,27 @@ eps, dt = 1e-2, 1e-3
 task = sde.rescaled_task(system.f, system.g, system.sigma_q, system.sigma_p,
                          split.Q, split.P, eps, (1.0, 0.0), np.zeros(1),
                          dt, 0.1)
+sde.run_ensemble(task, 4, 0)
+assert "scipy.linalg" not in sys.modules, "diagonal P loaded scipy.linalg"
+
+# a stable block that is not diagonal needs the dense exponential
+P = np.array([[-1.0, 0.5], [-0.25, -2.0]])
+cubic = PolyMap(4, 2, [(0, (3, 0, 0, 0), -1.0), (1, (0, 3, 0, 0), -1.0)])
+dense = sde.rescaled_task(cubic, PolyMap.zero(4, 2),
+                          PolyMap(4, 2, [(0, (0, 0, 0, 0), 1.0)]),
+                          PolyMap(4, 2, [(1, (0, 0, 0, 0), 1.0)]),
+                          split.Q, P, eps, (1.0, 0.0), np.zeros(2), dt, 0.1)
+assert "scipy.linalg" in sys.modules, "dense P did not load scipy.linalg"
+
 from scipy.linalg import expm
 want = expm(1.0 / math.sqrt(eps) * split.P * dt)
-assert task.lin[2:, 2:].tobytes() == want.tobytes(), "expm block differs"
+assert task.lin[2:, 2:].tobytes() == want.tobytes(), "diagonal block differs"
+want = expm(1.0 / math.sqrt(eps) * P * dt)
+assert dense.lin[2:, 2:].tobytes() == want.tobytes(), "dense block differs"
 """
 
 
-def test_scipy_linalg_loads_only_for_a_stable_block(tmp_path):
+def test_scipy_linalg_loads_only_for_a_dense_stable_block(tmp_path):
     repo = Path(__file__).resolve().parent.parent
     src = Path(sde.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))

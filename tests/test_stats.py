@@ -1,5 +1,6 @@
 """Averaged coefficients, sample distances, studies, and writers."""
 
+import functools
 import itertools
 import math
 
@@ -361,7 +362,8 @@ def test_reduction_errors_shrink_with_epsilon():
 def loop_reduction_row(system, eps, big_delta, beta, paths, dt, horizon,
                        master_seed):
     """One eps's reduction row from the per-path loop over the sups of
-    |U| and |Phi|, the study's reference."""
+    |U| and |Phi| on every state, the study's reference, and each path's
+    exit index."""
     split, h2 = system.split, system.manifold.h2
     z0, y0 = np.array([1.0, 0.0]), np.zeros(split.P.shape[0])
     full, reduced = sde.run_coupled([
@@ -399,7 +401,7 @@ def loop_reduction_row(system, eps, big_delta, beta, paths, dt, horizon,
         phi_median=float(np.quantile(sup_phi, 0.5)),
         phi_p90=float(np.quantile(sup_phi, 0.9)),
         excluded_fraction=float(1.0 - included.mean()),
-        ball_exit_fraction=float((exit_idx <= n_steps).mean()))
+        ball_exit_fraction=float((exit_idx <= n_steps).mean())), exit_idx
 
 
 def test_reduction_over_two_eps_equals_one_eps_at_a_time():
@@ -418,13 +420,13 @@ def test_reduction_over_two_eps_equals_one_eps_at_a_time():
     alone = [stats.reduction_diagnostics(system, (eps,), **run).rows[0]
              for eps in (1e-1, 1e-2)]
     assert both.rows == tuple(alone)
-    assert both.rows == tuple(loop_reduction_row(system, eps, **run)
+    assert both.rows == tuple(loop_reduction_row(system, eps, **run)[0]
                               for eps in (1e-1, 1e-2))
     assert 0.0 < both.rows[0].excluded_fraction < 1.0
     assert 0.0 < both.rows[0].ball_exit_fraction < 1.0
 
 
-def test_reduction_runs_at_most_two_eps_at_once(monkeypatch):
+def test_reduction_runs_every_eps_in_one_call(monkeypatch):
     drift, sigma = coupled_3d()
     system = stats.prepare_system(drift, sigma)
     # eps^beta before the horizon, so every row's U statistics are finite
@@ -441,10 +443,71 @@ def test_reduction_runs_at_most_two_eps_at_once(monkeypatch):
 
     monkeypatch.setattr(sde, "run_coupled", counted)
     rows = stats.reduction_diagnostics(system, epsilons, **run).rows
-    # a full and a reduced task per eps: two eps, then the third alone
-    assert sizes == [4, 2]
+    # a full and a reduced task per eps, all in one call
+    assert sizes == [6]
     assert rows == tuple(alone)
     assert all(math.isfinite(r.u_median) for r in rows)
+
+
+@pytest.mark.parametrize("guard", [sde.GUARD_RADIUS, 1.25],
+                         ids=["ball", "guard"])
+def test_reduction_fold_matches_every_state_bitwise(monkeypatch, guard):
+    drift, sigma = coupled_3d()
+    system = stats.prepare_system(drift, sigma)
+    split = system.split
+    # a guard inside the Delta-ball stops most full runs as diverged
+    monkeypatch.setattr(sde, "rescaled_task",
+                        functools.partial(sde.rescaled_task, guard=guard))
+    run = dict(big_delta=1.3, beta=0.45, paths=24, dt=1e-3, horizon=1.0,
+               master_seed=3)
+    epsilons = (1e-1, 1e-2)
+    # A chunk's states depend on its width once a task is down to one live
+    # row there (see CHANGES.md), so each eps's reference runs in the
+    # chunks of 8 paths the pair of eps takes below.
+    monkeypatch.setattr(sde, "CHUNK", 8)
+    reference = [loop_reduction_row(system, eps, **run) for eps in epsilons]
+    # 16 // 2 = 8 paths a chunk; per path and step 6 draws, 2 x 3
+    # increments and the block states of both full (2 x 3) and reduced
+    # (2 x 2) runs: time blocks of 3 steps, the first from grid index 0
+    span = 3
+    monkeypatch.setattr(sde, "CHUNK", 16)
+    monkeypatch.setattr(sde, "BLOCK_CELLS", span * 8 * 22)
+    for workers in (1, 2):
+        report = stats.reduction_diagnostics(system, epsilons,
+                                             workers=workers, **run)
+        assert report.rows == tuple(row for row, _ in reference)
+    assert all(0.0 < row.excluded_fraction < 1.0 for row in report.rows)
+    exits = np.concatenate([exit_idx for _, exit_idx in reference])
+    left = exits[exits <= 1000]
+    # exits inside a block and on a block's last step
+    assert (left % span == 0).any() and (left % span != 0).any()
+    task = sde.rescaled_task(system.f, system.g, system.sigma_q,
+                             system.sigma_p, split.Q, split.P, 1e-1,
+                             (1.0, 0.0), np.zeros(1), run["dt"],
+                             run["horizon"])
+    stops = sde.run_ensemble(task, run["paths"], run["master_seed"])
+    assert ("diverged" in stops.stop_reason) == (guard < run["big_delta"])
+
+
+def test_reduction_memory_does_not_grow_with_the_horizon(monkeypatch):
+    import tracemalloc
+
+    drift, sigma = coupled_3d()
+    system = stats.prepare_system(drift, sigma)
+    # 64 paths of 22 cells a step (see
+    # test_reduction_fold_matches_every_state_bitwise): time blocks of 16
+    # steps, so both horizons take several
+    monkeypatch.setattr(sde, "BLOCK_CELLS", 16 * 64 * 22)
+    peaks = {}
+    for T in (0.5, 4.0):
+        tracemalloc.start()
+        try:
+            stats.reduction_diagnostics(system, (1e-1, 1e-2), 2.0, 0.4, 64,
+                                        1e-2, horizon=T)
+            peaks[T] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[4.0] - peaks[0.5]) <= 0.1 * peaks[0.5], peaks
 
 
 def test_reduction_csv_round_trips_values(tmp_path):

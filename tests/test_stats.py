@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -458,7 +459,7 @@ def test_reduction_fold_matches_every_state_bitwise(monkeypatch, guard):
     # a guard inside the Delta-ball stops most full runs as diverged
     monkeypatch.setattr(sde, "rescaled_task",
                         functools.partial(sde.rescaled_task, guard=guard))
-    run = dict(big_delta=1.3, beta=0.45, paths=24, dt=1e-3, horizon=1.0,
+    run = dict(big_delta=1.3, beta=0.45, paths=24, dt=1e-3, horizon=0.5,
                master_seed=3)
     epsilons = (1e-1, 1e-2)
     # A chunk's states depend on its width once a task is down to one live
@@ -472,13 +473,20 @@ def test_reduction_fold_matches_every_state_bitwise(monkeypatch, guard):
     span = 3
     monkeypatch.setattr(sde, "CHUNK", 16)
     monkeypatch.setattr(sde, "BLOCK_CELLS", span * 8 * 22)
-    for workers in (1, 2):
-        report = stats.reduction_diagnostics(system, epsilons,
-                                             workers=workers, **run)
-        assert report.rows == tuple(row for row, _ in reference)
+    # up to three chunks at once, switching threads often: a fold writing
+    # outside its chunk's paths would change a row
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3):
+            report = stats.reduction_diagnostics(system, epsilons,
+                                                 workers=workers, **run)
+            assert report.rows == tuple(row for row, _ in reference)
+    finally:
+        sys.setswitchinterval(interval)
     assert all(0.0 < row.excluded_fraction < 1.0 for row in report.rows)
     exits = np.concatenate([exit_idx for _, exit_idx in reference])
-    left = exits[exits <= 1000]
+    left = exits[exits <= 500]
     # exits inside a block and on a block's last step
     assert (left % span == 0).any() and (left % span != 0).any()
     task = sde.rescaled_task(system.f, system.g, system.sigma_q,

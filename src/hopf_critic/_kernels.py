@@ -10,19 +10,14 @@ drift and a polynomial diffusion,
 The kernel advances a chunk of paths by one block of steps and freezes a
 path as diverged when it leaves the overflow guard or turns non-finite.
 A block resumes from a ``Carry``, the per-row state the block before left:
-the current states, stop indices and codes, the planar radius range and
-the grid index reached.  Stopped rows never step again, and once every
-row of a chunk has stopped a block only repeats the frozen states.  A call
-without a carry starts fresh at grid index 0, so one call with the whole
-horizon's increments is the unblocked run, and any split into blocks gives
-bitwise the same results.  By default it records every state, each step
-into a contiguous block buffer that reaches the caller's array in one copy
-per block, or, for a caller that folds each block as it comes
-(``store=False``), stays in the buffer until the next block.  A study that
-reads only a few grid points passes ``keep``, the
-grid indices it wants: the kernel then stores the states at those indices
-only, plus the running per-path minimum and maximum of the planar squared
-radius ``x0*x0 + x1*x1`` over every grid point from 0 on.  Polynomials
+the current states, stop indices and codes and the grid index reached.
+Stopped rows never step again, and once every row of a chunk has stopped
+a block only repeats the frozen states.  A call without a carry starts
+fresh at grid index 0, so one call with the whole horizon's increments is
+the unblocked run, and any split into blocks gives bitwise the same
+results.  Each step's states go to one row of the carry's step-major
+block buffer, and the call returns that block: the caller folds what it
+reads out of it before the next block refills the buffer.  Polynomials
 arrive packed as flat arrays (component index, exponent rows,
 coefficients).
 
@@ -59,7 +54,6 @@ rescaled and reduced runs of a planar system stay bitwise equal.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import sys
 
@@ -175,9 +169,8 @@ class Carry:
     ``run_chunk`` advances it in place, one block of increments per call.
     ``x`` (rows, dim) holds every row's state at grid index ``offset``,
     frozen for stopped rows; ``stop_index`` and ``stop_code`` are as
-    ``run_chunk`` returns them; ``r2_min`` and ``r2_max`` are the least
-    and greatest planar squared radius over grid points 0 to ``offset``
-    (None for dim 1).  A fresh carry starts at grid index 0 with no stops.
+    ``run_chunk`` returns them.  A fresh carry starts at grid index 0 with
+    no stops.
     """
 
     def __init__(self, x0):
@@ -187,25 +180,18 @@ class Carry:
         self.offset = 0
         self.stop_index = np.zeros(len(self.x), dtype=np.int64)
         self.stop_code = np.zeros(len(self.x), dtype=np.int64)
-        self.r2_min = self.r2_max = None
-        if x0.shape[2] >= 2:
-            self.r2_min = self.x[:, 0] * self.x[:, 0] \
-                + self.x[:, 1] * self.x[:, 1]
-            self.r2_max = self.r2_min.copy()
-        # every state of a block, step-major, before it goes to ``states``
+        # every state of the last block, step-major, refilled by the next
         self.block = None
 
 
-def _chunk(lin, step, cols, dW, dt, guard, carry, states, rows):
+def _chunk(lin, step, cols, dW, dt, guard, carry):
     """Step one block of G tasks x n paths as G*n rows, task-major.
 
     Row r steps on the increments ``dW[r]`` from ``carry``, which the
     block advances.  ``cols`` holds the coefficient columns, one row per
-    column over the G*n rows.  ``rows`` is None to store every state at
-    its grid index along axis 2 of ``states`` (or, where ``states`` is
-    None, only in ``carry.block``), else maps kept grid indices to
-    positions along that axis.  Returns the first and last grid index of
-    the block's states.
+    column over the G*n rows.  Returns the block's states, step-major
+    (steps, G*n, dim), from its first grid index (0 only at the first
+    block) to its last.
     """
     n_tasks, n_paths, dim = carry.shape
     n_rows = n_tasks * n_paths
@@ -224,19 +210,13 @@ def _chunk(lin, step, cols, dW, dt, guard, carry, states, rows):
     lin_t = lin.transpose(0, 2, 1)
     x = carry.x
     stop_index, stop_code = carry.stop_index, carry.stop_code
-    observe = rows is not None
-    if observe:
-        lo, hi = carry.r2_min, carry.r2_max
-        if start == 0 and 0 in rows:
-            states[:, :, rows[0], :] = x.reshape(n_tasks, n_paths, dim)
-    else:
-        # Each step's states go to one contiguous row of the block; the
-        # block reaches ``states`` in one copy at the end.
-        if carry.block is None or len(carry.block) <= end - first:
-            carry.block = np.empty((end + 1 - first, n_rows, dim))
-        block = carry.block[:end + 1 - first]
-        if start == 0:
-            block[0] = x
+    # Each step's states go to one contiguous row of the block.
+    if carry.block is None or len(carry.block) <= end - first:
+        carry.block = np.empty((end + 1 - first, n_rows, dim))
+    block = carry.block[:end + 1 - first]
+    if start == 0:
+        block[0] = x
+
     def live(active):
         """Task bounds, zero, dt and coefficient columns of live rows; the
         live rows of task g are active[bounds[g]:bounds[g+1]]."""
@@ -273,17 +253,7 @@ def _chunk(lin, step, cols, dW, dt, guard, carry, states, rows):
         else:
             x[active] = x_new
         done = start + k + 1
-        if observe:
-            # Frozen rows repeat their last state, which leaves the range
-            # as it was.
-            r2 = x[:, 0] * x[:, 0] + x[:, 1] * x[:, 1]
-            np.minimum(lo, r2, out=lo)
-            np.maximum(hi, r2, out=hi)
-            row = rows.get(done)
-            if row is not None:
-                states[:, :, row, :] = x.reshape(n_tasks, n_paths, dim)
-        else:
-            block[done - first] = x
+        block[done - first] = x
         if bad is not None and bad.any():
             hit = active[bad]
             stop_index[hit] = done
@@ -295,23 +265,15 @@ def _chunk(lin, step, cols, dW, dt, guard, carry, states, rows):
             bounds, zero, dtv, c = live(active)
     # Once every row has stopped, the rest of the block repeats the frozen
     # states.
-    if observe:
-        tail = [r for i, r in rows.items() if done < i <= end]
-        if tail:
-            states[:, :, tail, :] = x.reshape(n_tasks, n_paths, 1, dim)
-    else:
-        block[done + 1 - first:] = x
-        if states is not None:
-            states[:, :, first:end + 1, :] = block.reshape(
-                end + 1 - first, n_tasks, n_paths, dim).transpose(1, 2, 0, 3)
+    block[done + 1 - first:] = x
     stop_index[active] = end
     carry.x = x
     carry.offset = end
-    return first, end
+    return block
 
 
-def run_chunk(x0, lin, drift_packed, sigma_packed, dW, dt, guard, out=None,
-              keep=None, carry=None, store=True):
+def run_chunk(x0, lin, drift_packed, sigma_packed, dW, dt, guard,
+              carry=None):
     """Advance one chunk of paths of a group of G tasks by one block of steps.
 
     The group's drift and diffusion maps must have equal terms; a lone
@@ -319,8 +281,8 @@ def run_chunk(x0, lin, drift_packed, sigma_packed, dW, dt, guard, out=None,
     index 0 from ``x0``, so one call with every increment runs the whole
     horizon.  A run split into blocks passes the same ``Carry(x0)`` to each
     call in turn, with the next block's increments: the rows go on from
-    the carried states, stops and radius range, rows stopped earlier never
-    step, and the results are bitwise those of one call.
+    the carried states and stops, rows stopped earlier never step, and the
+    results are bitwise those of one call.
 
     Parameters
     ----------
@@ -338,39 +300,26 @@ def run_chunk(x0, lin, drift_packed, sigma_packed, dW, dt, guard, out=None,
     dt : float
     guard : float
         Overflow radius; paths beyond it freeze as diverged.
-    out : ndarray, optional
-        Array to write states into, such as the caller's slice: (G, paths,
-        K, dim) with every grid index up to the block's end along axis 2,
-        or (G, paths, len(keep), dim).
-    keep : increasing sequence of int, optional
-        Grid indices to keep in place of every state; needs dim >= 2.
-        Indices past this block are written by the calls that reach them.
     carry : Carry, optional
         State at the end of the previous block, advanced in place.
-    store : bool, optional
-        False, without ``keep``, leaves the block's states in the carry's
-        block buffer, which the next call refills, and writes no ``out``.
 
     Returns
     -------
-    (states, stop_index, stop_code), with ``keep`` also (r2_min, r2_max),
-    each with a leading task axis of length G
-        ``states``: the view of ``out`` this call wrote, grid indices from
-        the block's start (index 0 only at the first block) to its end,
-        or the kept indices among them, with frozen tails after stops;
-        with ``store`` False, a view of the carry's block buffer holding
-        those grid indices;
+    (states, stop_index, stop_code), each with a leading task axis of
+    length G
+        ``states``: (G, paths, K, dim), the block's states at grid indices
+        from its start (index 0 only at the first block) to its end, with
+        frozen tails after stops; a view of the carry's block buffer,
+        which the next call refills;
         ``stop_index``: the block's end for surviving paths, else the
         freeze index;
-        ``stop_code``: STOP_NONE or STOP_DIVERGED;
-        ``r2_min``, ``r2_max``: per path, the least and greatest
-        ``x0*x0 + x1*x1`` over grid points 0 to the block's end.
+        ``stop_code``: STOP_NONE or STOP_DIVERGED.
     """
     lin = np.ascontiguousarray(lin, dtype=np.float64)
     x0 = np.asarray(x0, dtype=np.float64)
     dW = np.ascontiguousarray(dW, dtype=np.float64)
     n_tasks, n_paths, dim = x0.shape
-    n_steps, m = dW.shape[1:]
+    m = dW.shape[2]
     if lin.shape != (n_tasks, dim, dim) \
             or dW.shape[0] != n_tasks * n_paths \
             or len(drift_packed) != n_tasks \
@@ -381,44 +330,13 @@ def run_chunk(x0, lin, drift_packed, sigma_packed, dW, dt, guard, out=None,
         carry = Carry(x0)
     elif carry.shape != x0.shape:
         raise ValueError("carry and x0 disagree on tasks, paths or dim")
-    end = carry.offset + n_steps
-    rows = None
-    if keep is not None:
-        keep = [int(i) for i in keep]
-        if dim < 2 or (keep and keep[0] < 0) or any(
-                b <= a for a, b in zip(keep, keep[1:])):
-            raise ValueError("keep needs dim >= 2 and increasing grid "
-                             "indices")
-        rows = {i: r for r, i in enumerate(keep)}
-    size = end + 1 if rows is None else len(rows)
-    states = None
-    if rows is not None or store:
-        states = np.empty((n_tasks, n_paths, size, dim)) if out is None \
-            else out
-        if states.shape[:2] != (n_tasks, n_paths) \
-                or states.shape[3:] != (dim,) \
-                or not (states.shape[2] >= size if rows is None
-                        else states.shape[2] == size):
-            raise ValueError(f"out has shape {states.shape}, expected "
-                             f"{(n_tasks, n_paths, size, dim)}")
     drift_shape, drift_coefs = _step_shape(drift_packed)
     sigma_shape, sigma_coefs = _step_shape(sigma_packed)
     step, needs = _generate_step(dim, m, drift_shape, sigma_shape)
     coefs = np.concatenate((drift_coefs, sigma_coefs), axis=1)
     cols = np.repeat(coefs[:, list(needs)].T, n_paths, axis=1)
-    first, end = _chunk(lin, step, cols, dW, float(dt), float(guard), carry,
-                        states, rows)
-    if states is None:
-        written = carry.block[:end + 1 - first].reshape(
-            end + 1 - first, n_tasks, n_paths, dim).transpose(1, 2, 0, 3)
-    elif rows is None:
-        written = states[:, :, first:end + 1]
-    else:
-        written = states[:, :, bisect.bisect_left(keep, first):
-                         bisect.bisect_right(keep, end)]
-    result = (written, carry.stop_index.reshape(n_tasks, n_paths),
-              carry.stop_code.reshape(n_tasks, n_paths))
-    if rows is not None:
-        result += (carry.r2_min.reshape(n_tasks, n_paths),
-                   carry.r2_max.reshape(n_tasks, n_paths))
-    return result
+    block = _chunk(lin, step, cols, dW, float(dt), float(guard), carry)
+    return (block.reshape(len(block), n_tasks, n_paths, dim)
+            .transpose(1, 2, 0, 3),
+            carry.stop_index.reshape(n_tasks, n_paths),
+            carry.stop_code.reshape(n_tasks, n_paths))

@@ -100,6 +100,8 @@ def _apply_overrides(cfg, args):
         updates["epsilons"] = tuple(args.epsilon)
     if args.checkpoints is not None:
         updates["checkpoints"] = tuple(args.checkpoints)
+    elif cfg.checkpoints_follow_T:
+        updates["checkpoints"] = (updates.get("T", cfg.T),)
     if args.plot:
         updates["plot"] = True
     return dataclasses.replace(cfg, **updates)
@@ -126,10 +128,12 @@ def _range_errors(cfg, command):
     if repeated:
         errors.append("epsilons must be distinct at :g precision, "
                       f"repeated: {' '.join(repeated)}")
-    inside = [c for c in cfg.checkpoints
-              if 0.0 < c <= cfg.T * (1.0 + 1e-12)]
-    if len(inside) < len(cfg.checkpoints):
-        outside = next(c for c in cfg.checkpoints if c not in inside)
+    # only the limit-law studies read checkpoints
+    checkpoints = cfg.checkpoints if command in ("converge", "report") \
+        else ()
+    inside = [c for c in checkpoints if 0.0 < c <= cfg.T * (1.0 + 1e-12)]
+    if len(inside) < len(checkpoints):
+        outside = next(c for c in checkpoints if c not in inside)
         errors.append(f"checkpoint {outside} outside (0, T]")
     if 0.0 < cfg.dt <= cfg.T:
         try:

@@ -79,6 +79,8 @@ class Config:
     formats: tuple
     plot: bool
     text: str
+    # no checkpoints line: checkpoints is (T,) and follows a T set later
+    checkpoints_follow_T: bool = False
 
 
 def _to_float(token, lineno, key, errors):
@@ -281,7 +283,8 @@ def parse_config(text):
         if not 0.0 < e < 1.0:
             errors.append(f"{where('epsilon')}epsilon {e} outside (0, 1)")
             break
-    if checkpoints is None:
+    checkpoints_follow_T = checkpoints is None
+    if checkpoints_follow_T:
         checkpoints = (T,)
     for c in checkpoints:
         if not 0.0 < c <= T * (1.0 + 1e-12):
@@ -306,7 +309,8 @@ def parse_config(text):
         epsilons=epsilons, T=T, dt=dt, paths=paths, seed=seed, rho0=rho0,
         delta=delta, nmax=nmax, big_delta=big_delta, beta=beta,
         checkpoints=tuple(checkpoints), workers=workers, out_dir=out_dir,
-        formats=formats, plot=plot, text=text)
+        formats=formats, plot=plot, text=text,
+        checkpoints_follow_T=checkpoints_follow_T)
 
 
 def load_config(path):

@@ -24,12 +24,12 @@ that shape:
     radius has the limit law; the polar drift's ``1/eta`` singularity never
     appears.
 
-``run_ensemble`` integrates any task (one path is an ensemble of one) and
-``polar_ensemble`` reads the radius of its critical plane.
 ``run_coupled`` runs tasks on one draw of noise, stepping each chunk of
-paths through the horizon one time block of noise at a time, and can keep
-only chosen grid points plus each path's planar radius range, or hand each
-block of states to a fold in place of keeping them.
+paths through the horizon one time block of noise at a time, and hands
+each block of states to a fold, which keeps only what its study reads.
+``run_ensemble`` integrates any task (one path is an ensemble of one) with
+the fold that keeps every state, and ``polar_ensemble`` reads the radius
+of its critical plane.
 
 Noise is counter-based: each path owns a keyed generator, so increments
 are a pure function of (master seed, path index, step) and ensembles are
@@ -52,8 +52,8 @@ from ._kernels import STOP_REASONS, Carry, pack_poly, run_chunk
 from .polyfield import PolyMap, stack
 
 CHUNK = 1024
-# Cells (doubles) of noise, increments and kept states one chunk holds for
-# a block of steps; a run goes through its horizon in blocks of as many
+# Cells (doubles) of noise, increments and stepped states one chunk holds
+# for a block of steps; a run goes through its horizon in blocks of as many
 # noise blocks as fit.
 BLOCK_CELLS = 3 << 17
 GUARD_RADIUS = 1e6
@@ -205,32 +205,6 @@ class PathEnsemble:
     def norms(self):
         """Euclidean state norm per path and grid point, shape (paths, K+1)."""
         return np.sqrt((self.states * self.states).sum(axis=2))
-
-
-@dataclass(frozen=True)
-class ObservedEnsemble:
-    """The states an observed run keeps, at its ``keep`` indices, and each
-    path's least and greatest planar squared radius over every grid point.
-    """
-
-    states: np.ndarray
-    stop_index: np.ndarray
-    stop_reason: tuple
-    r2_min: np.ndarray
-    r2_max: np.ndarray
-
-    def inside(self, delta, nmax):
-        """Mask of never-stopped paths whose planar radius stayed in the
-        open annulus ``(delta, nmax)``: ``polar_ensemble``'s per-point test
-        on the extremes, exact because ``sqrt`` is monotone."""
-        live = np.array([r == "none" for r in self.stop_reason], dtype=bool)
-        return live & (np.sqrt(self.r2_min) > delta) \
-            & (np.sqrt(self.r2_max) < nmax)
-
-    def radii(self):
-        """Planar radius at the kept indices, shape (paths, kept)."""
-        z = self.states[:, :, :2]
-        return np.sqrt((z * z).sum(axis=2))
 
 
 @dataclass(frozen=True)
@@ -457,11 +431,8 @@ def _resolve_workers(workers):
 
 # Tasks that step in one kernel loop: ``first`` of them gives the shared
 # dim, step rule and guard, ``members`` their indices among the run's
-# tasks, ``keep`` the kept grid indices in increasing order (or None) and
-# ``states`` their states with a leading task axis (None where a fold
-# takes every state).
-_Group = collections.namedtuple(
-    "_Group", "first members x0 lin drifts sigmas keep states")
+# tasks.
+_Group = collections.namedtuple("_Group", "first members x0 lin drifts sigmas")
 
 # One task's freshly stepped block of states as ``run_coupled`` hands it to
 # a fold: ``first`` is the grid index of the first state, ``states`` the
@@ -472,42 +443,37 @@ FoldBlock = collections.namedtuple(
     "FoldBlock", "first states stop_index stop_code")
 
 
-def run_coupled(tasks, count, master_seed, workers=None, keep=None,
-                fold=None):
+def run_coupled(tasks, count, master_seed, fold, workers=None):
     """Simulate ``count`` paths of several tasks on one draw of noise.
 
     The tasks must share ``stream_class``, ``m`` and ``noise_blocks``, so
     path ``p`` of every task rides the Brownian path of stream
     ``(master_seed, p, stream_class)``, drawn once; each task's increments
     are bitwise those ``increments_from`` gives.  Paths are keyed by
-    index, partitioned into fixed-size chunks, and written into disjoint
-    slices of preallocated arrays, so the result is bit-identical for
-    every worker count.  Tasks with equal dim, step count, step rule,
-    guard, ``keep`` and drift and diffusion terms (the eps of one sweep)
-    step together in one kernel loop per chunk, with results bitwise those
-    of separate runs; their states are views into one array.
+    index and partitioned into fixed-size chunks, so the result is
+    bit-identical for every worker count.  Tasks with equal dim, step
+    count, step rule, guard and drift and diffusion terms (the eps of one
+    sweep) step together in one kernel loop per chunk, with results
+    bitwise those of separate runs.
 
     A chunk goes through the horizon in time blocks: each block draws the
     next noise blocks of every path, forms every task's increments and
     steps every group on from where the last block left it, coarse tasks
     one step and refined tasks two per noise block.  Its buffers are made
-    once and refilled.  A block's noise, increments and, where every state
-    is kept, the kernel's block of states fill at most ``BLOCK_CELLS``
-    doubles (or one noise block), so a run that keeps only some grid
-    points needs memory independent of the horizon.
+    once and refilled.  A block's noise, increments and the kernel's block
+    of states fill at most ``BLOCK_CELLS`` doubles (or one noise block),
+    so a run needs memory independent of the horizon beyond what its fold
+    keeps.
 
-    Returns one result per task: a ``PathEnsemble`` with every state, or,
-    where ``keep`` gives the task a sequence of grid indices, an
-    ``ObservedEnsemble`` with the states at those indices only.
+    After each time block of a chunk, ``fold(paths, blocks)`` takes the
+    states: ``paths`` is the chunk's slice of path indices and ``blocks``
+    holds, per task, the ``FoldBlock`` the block stepped.  The blocks are
+    views of buffers the next block refills.  Calls for different chunks
+    may run at once on different workers, so a fold writes only its
+    chunk's paths.
 
-    ``fold``, where given, takes every state in place of the
-    ``PathEnsemble``: after each time block of a chunk it is called as
-    ``fold(paths, blocks)``, where ``paths`` is the chunk's slice of path
-    indices and ``blocks`` holds, per task, None for a task with ``keep``
-    and else the ``FoldBlock`` the block stepped.  The blocks are views of
-    buffers the next block refills.  Calls for different chunks may run at
-    once on different workers, so a fold writes only its chunk's paths.
-    The result of a task the fold takes is None.
+    Returns ``(stop_index, stop_code)``, each (tasks, count): each path's
+    final stop index and code.
     """
     count = int(count)
     if count < 1:
@@ -516,44 +482,24 @@ def run_coupled(tasks, count, master_seed, workers=None, keep=None,
         raise SdeError("coupled tasks must share stream_class, m and "
                        "noise_blocks")
     workers = _resolve_workers(workers)
-    keep = [None] * len(tasks) if keep is None else [
-        None if rows is None else tuple(int(i) for i in rows)
-        for rows in keep]
-    for task, rows in zip(tasks, keep):
-        if rows is not None and not all(0 <= i <= task.n_steps
-                                        for i in rows):
-            raise SdeError("kept grid indices must lie in [0, n_steps]")
     packed = [(pack_poly(t.drift, t.dim), pack_poly(t.diffusion, t.dim))
               for t in tasks]
     # Tasks of one step shape on one increment array and grid step in one
-    # kernel loop per chunk; each group's states are one array with a
-    # leading task axis.
+    # kernel loop per chunk.
     by_shape = {}
-    for i, (task, rows) in enumerate(zip(tasks, keep)):
+    for i, task in enumerate(tasks):
         # components and exponents of the drift and diffusion terms
         terms = tuple(a.tobytes() for p in packed[i] for a in p[:2])
         by_shape.setdefault((task.dim, task.n_steps, task.refined, task.dt,
-                             task.guard, rows, terms), []).append(i)
-    groups = []
-    states = [None] * len(tasks)
-    for members in by_shape.values():
-        first, rows = tasks[members[0]], keep[members[0]]
-        group_states = None
-        if rows is not None or fold is None:
-            group_states = np.empty((
-                len(members), count,
-                first.n_steps + 1 if rows is None else len(rows), first.dim))
-            for g, i in enumerate(members):
-                states[i] = group_states[g]
-        groups.append(_Group(
-            first, members, np.stack([tasks[i].x0 for i in members]),
-            np.stack([tasks[i].lin for i in members]),
-            [packed[i][0] for i in members], [packed[i][1] for i in members],
-            # the kernel keeps grid indices in increasing order
-            None if rows is None else sorted(rows), group_states))
+                             task.guard, terms), []).append(i)
+    groups = [_Group(
+        tasks[members[0]], members,
+        np.stack([tasks[i].x0 for i in members]),
+        np.stack([tasks[i].lin for i in members]),
+        [packed[i][0] for i in members], [packed[i][1] for i in members])
+        for members in by_shape.values()]
     stop_index = np.empty((len(tasks), count), dtype=np.int64)
     stop_code = np.empty((len(tasks), count), dtype=np.int64)
-    r2 = np.empty((len(tasks), 2, count))
     stream_class, m, blocks = (tasks[0].stream_class, tasks[0].m,
                                tasks[0].noise_blocks)
 
@@ -569,12 +515,11 @@ def run_coupled(tasks, count, master_seed, workers=None, keep=None,
     width = min(count, max(1, CHUNK // max(copies.values())))
     # Per path and noise block: the two half-step draws of each channel,
     # each rule's copies of a step's increments, and the kernel's block of
-    # states of each group that keeps every state; refined tasks take two
-    # steps a block.
+    # states of each group; refined tasks take two steps a block.
     cells = 2 * m + sum(g * (2 if refined else 1) * m
                         for (refined, _), g in copies.items()) + sum(
         len(g.members) * (2 if g.first.refined else 1) * g.first.dim
-        for g in groups if g.keep is None)
+        for g in groups)
     span = max(1, BLOCK_CELLS // (width * cells))
 
     def work(start):
@@ -609,28 +554,20 @@ def run_coupled(tasks, count, master_seed, workers=None, keep=None,
             folded = [None] * len(tasks)
             for g, x0, carry in zip(groups, x0s, carries):
                 increments = dW[g.first.refined, g.first.dt][:len(g.members)]
-                offset = carry.offset
-                written, index, code = run_chunk(
+                # index 0 opens the first block, else the block begins
+                # after the last one's end
+                first = carry.offset + 1 if carry.offset else 0
+                states, index, code = run_chunk(
                     x0, g.lin, g.drifts, g.sigmas,
                     increments.reshape(-1, increments.shape[2], m),
-                    g.first.dt, g.first.guard,
-                    out=None if g.states is None else g.states[:, start:end],
-                    keep=g.keep, carry=carry, store=g.states is not None)[:3]
-                if g.states is None:
-                    for j, i in enumerate(g.members):
-                        # index 0 opens the first block, else the block
-                        # begins after the last one's end
-                        folded[i] = FoldBlock(offset + 1 if offset else 0,
-                                              written[j], index[j], code[j])
-            if fold is not None:
-                fold(slice(start, end), folded)
+                    g.first.dt, g.first.guard, carry=carry)
+                for j, i in enumerate(g.members):
+                    folded[i] = FoldBlock(first, states[j], index[j], code[j])
+            fold(slice(start, end), folded)
         for g, carry in zip(groups, carries):
             shape = len(g.members), n_paths
             stop_index[g.members, start:end] = carry.stop_index.reshape(shape)
             stop_code[g.members, start:end] = carry.stop_code.reshape(shape)
-            if g.keep is not None:
-                r2[g.members, 0, start:end] = carry.r2_min.reshape(shape)
-                r2[g.members, 1, start:end] = carry.r2_max.reshape(shape)
 
     starts = range(0, count, width)
     if workers == 1:
@@ -639,35 +576,30 @@ def run_coupled(tasks, count, master_seed, workers=None, keep=None,
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(work, starts))
-    results = []
-    for i, task in enumerate(tasks):
-        if states[i] is None:
-            results.append(None)
-            continue
-        reasons = tuple(STOP_REASONS[int(c)] for c in stop_code[i])
-        if keep[i] is None:
-            grid = task.grid()
-            results.append(PathEnsemble(
-                grid=grid, states=states[i], stop_index=stop_index[i],
-                stop_time=grid[stop_index[i]], stop_reason=reasons,
-                master_seed=int(master_seed)))
-        else:
-            seen = states[i]
-            if list(keep[i]) != sorted(keep[i]):
-                # back from increasing grid indices to the task's order
-                seen = seen[:, np.argsort(np.argsort(keep[i]))]
-            results.append(ObservedEnsemble(
-                states=seen, stop_index=stop_index[i],
-                stop_reason=reasons, r2_min=r2[i, 0], r2_max=r2[i, 1]))
-    return results
+    return stop_index, stop_code
 
 
 def run_ensemble(task, count, master_seed, workers=None):
     """Simulate ``count`` independent paths of one task, every state kept.
 
-    The one-task case of ``run_coupled``.
+    ``run_coupled`` with one task and a fold that copies each block of
+    states into the ensemble.
     """
-    return run_coupled([task], count, master_seed, workers)[0]
+    states = np.empty((max(int(count), 0), task.n_steps + 1, task.dim))
+
+    def fold(paths, blocks):
+        block = blocks[0]
+        states[paths, block.first:block.first + block.states.shape[1]] = \
+            block.states
+
+    stop_index, stop_code = run_coupled([task], count, master_seed, fold,
+                                        workers)
+    grid = task.grid()
+    return PathEnsemble(
+        grid=grid, states=states, stop_index=stop_index[0],
+        stop_time=grid[stop_index[0]],
+        stop_reason=tuple(STOP_REASONS[int(c)] for c in stop_code[0]),
+        master_seed=int(master_seed))
 
 
 def polar_ensemble(ens, delta, nmax):

@@ -290,6 +290,51 @@ def _checkpoint_indices(checkpoints, dt, n_steps):
     return indices
 
 
+class AnnulusFold:
+    """A ``sde.run_coupled`` fold for the annulus test and the checkpoints.
+
+    Folds each time block into, per task and path, the planar radius at
+    the grid indices ``keep[i]`` (in any order; an index no block reaches
+    reads NaN) and the least and greatest planar squared radius
+    ``x0*x0 + x1*x1`` over every grid point folded.
+    """
+
+    def __init__(self, keep, paths):
+        self.keep = [np.asarray(rows, dtype=np.int64) for rows in keep]
+        self.radii = [np.full((paths, len(rows)), np.nan)
+                      for rows in self.keep]
+        self.r2_min = np.full((len(keep), paths), np.inf)
+        self.r2_max = np.full((len(keep), paths), -np.inf)
+
+    def __call__(self, at, blocks):
+        for i, block in enumerate(blocks):
+            x = block.states
+            r2 = x[:, :, 0] * x[:, :, 0] + x[:, :, 1] * x[:, :, 1]
+            np.minimum(self.r2_min[i, at], r2.min(axis=1),
+                       out=self.r2_min[i, at])
+            np.maximum(self.r2_max[i, at], r2.max(axis=1),
+                       out=self.r2_max[i, at])
+            cols = self.keep[i] - block.first
+            here = np.flatnonzero((cols >= 0) & (cols < x.shape[1]))
+            if here.size:
+                z = x[:, cols[here], :2]
+                self.radii[i][at, here] = np.sqrt((z * z).sum(axis=2))
+
+    def survivors(self, stop_code, delta, nmax):
+        """Per task ``(alive, radii)``: the mask (paths,) of paths that
+        never stopped and whose planar radius stayed inside the open
+        annulus ``(delta, nmax)``, and their radii (len(keep[i]),
+        survivors).  This is ``polar_ensemble``'s per-point test on the
+        extremes, exact because ``sqrt`` is monotone."""
+        out = []
+        for i, radii in enumerate(self.radii):
+            alive = (stop_code[i] == STOP_NONE) \
+                & (np.sqrt(self.r2_min[i]) > delta) \
+                & (np.sqrt(self.r2_max[i]) < nmax)
+            out.append((alive, radii[alive].T))
+        return out
+
+
 def convergence_study(system, epsilons, checkpoints, paths, dt,
                       delta=0.05, nmax=10.0, rho0=1.0, master_seed=0,
                       workers=None, refine=False):
@@ -331,19 +376,13 @@ def convergence_study(system, epsilons, checkpoints, paths, dt,
     y0 = np.zeros(k)
 
     def observe(tasks):
-        # One draw of noise per chunk serves every task of a stream class;
-        # only the checkpoint states and the planar radius range are kept.
+        # One draw of noise per chunk serves every task of a stream class.
         # A refined task reaches each checkpoint in twice the steps.
-        keep = [[2 * i for i in indices] if t.refined else indices
-                for t in tasks]
-        # A survivor never stopped and kept its planar radius inside the
-        # open annulus at every grid point.
-        out = []
-        for seen in sde.run_coupled(tasks, paths, master_seed, workers,
-                                    keep=keep):
-            alive = seen.inside(delta, nmax)
-            out.append((alive, seen.radii()[alive].T))
-        return out
+        fold = AnnulusFold([[2 * i for i in indices] if t.refined
+                            else indices for t in tasks], paths)
+        stop_code = sde.run_coupled(tasks, paths, master_seed, fold,
+                                    workers)[1]
+        return fold.survivors(stop_code, delta, nmax)
 
     steps = [(dt, False)] + ([(dt / 2.0, True)] if refine else [])
     limit = observe([sde.limit_task(system.limit, rho0, h, T, refined=r)
@@ -539,7 +578,7 @@ def reduction_diagnostics(system, epsilons, big_delta, beta, paths, dt,
                 norm_u, axis=1, initial=-np.inf,
                 where=(cols >= i_beta[e]) & (cols < stop)), out=sup_u[e, at])
 
-    sde.run_coupled(tasks, paths, master_seed, workers, fold=fold)
+    sde.run_coupled(tasks, paths, master_seed, fold, workers)
     rows = []
     for e, eps in enumerate(epsilons):
         included = i_beta[e] < exit_idx[e]
@@ -596,12 +635,21 @@ def stationary_check(params, T, burn_in, dt, paths, rho0=1.0,
         raise StatsError("stationary comparison needs a positive diffusion")
     if burn_in < 0.0 or burn_in >= T:
         raise StatsError("need 0 <= burn_in < T")
-    ens = sde.run_ensemble(sde.limit_task(params, rho0, dt, T),
-                           int(paths), master_seed, workers)
-    rho = ens.norms()
+    task = sde.limit_task(params, rho0, dt, T)
     start = int(math.floor(burn_in / dt + 1e-9)) + 1
-    alive = np.array([r == "none" for r in ens.stop_reason])
-    samples = rho[alive, start:].ravel()
+    # Each path's radius at grid indices start on, folded block by block.
+    rho = np.empty((max(int(paths), 0), max(task.n_steps + 1 - start, 0)))
+
+    def fold(at, blocks):
+        block = blocks[0]
+        cut = max(start - block.first, 0)
+        x = block.states[:, cut:]
+        begin = block.first + cut - start
+        rho[at, begin:begin + x.shape[1]] = np.sqrt((x * x).sum(axis=2))
+
+    stop_code = sde.run_coupled([task], paths, master_seed, fold,
+                                workers)[1][0]
+    samples = rho[stop_code == STOP_NONE].ravel()
     if samples.size == 0:
         raise StatsError("no samples after burn-in")
     s_sq = params.s * params.s

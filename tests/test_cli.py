@@ -491,3 +491,35 @@ def test_report_agrees_with_converge_and_reduce(tmp_path):
         assert want in line
     for name, value in conv["verdicts"].items():
         assert f"verdict {name}: {value}\n" in text
+
+
+@pytest.mark.parametrize("command, config, flags, checkpoints", [
+    # no checkpoints line: they follow the T left after --T
+    ("reduce", "coupled3d.cfg", [], [0.05]),
+    # checkpoints 0.5 1.0 lie beyond T, but simulate never reads them
+    ("simulate", "hopf2d.cfg", [], [0.5, 1.0]),
+    # an explicit --checkpoints stays accepted where it is not read
+    ("reduce", "coupled3d.cfg", ["--checkpoints", "1.0"], [1.0]),
+    ("converge", "coupled3d.cfg", [], [0.05]),
+], ids=["reduce", "simulate", "reduce-explicit", "converge-follows-T"])
+def test_checkpoints_are_checked_only_where_read(tmp_path, command, config,
+                                                 flags, checkpoints):
+    out = tmp_path / "out"
+    code = cli.main([command, "--config", str(REPO_CONFIGS / config),
+                     "--out", str(out), "--T", "0.05", "--paths", "4",
+                     *flags])
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["T"] == 0.05
+    assert manifest["checkpoints"] == checkpoints
+
+
+def test_converge_checkpoint_beyond_the_overridden_T_exits_one(tmp_path,
+                                                                capsys):
+    out = tmp_path / "out"
+    code = cli.main(["converge", "--config", str(REPO_CONFIGS / "hopf2d.cfg"),
+                     "--out", str(out), "--T", "0.05"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: CONFIG: checkpoint 0.5 outside (0, T]\n"
+    assert not out.exists()

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hopf_critic import sde
-from hopf_critic._kernels import STOP_DIVERGED, Carry, pack_poly, run_chunk
+from hopf_critic import sde, stats
+from hopf_critic._kernels import (STOP_DIVERGED, STOP_REASONS, Carry,
+                                  pack_poly, run_chunk)
 from hopf_critic.polyfield import PolyMap
 
 
@@ -412,42 +413,63 @@ def observable_tasks():
     return tasks
 
 
+def fold_block(fold, first, states, stop_index, stop_code):
+    """Hand what one ``run_chunk`` call returns for G tasks to a
+    ``run_coupled`` fold, as its only chunk's block from grid index
+    ``first``."""
+    fold(slice(0, stop_index.shape[1]), [
+        sde.FoldBlock(first, *parts)
+        for parts in zip(states, stop_index, stop_code)])
+
+
+def folded(fold):
+    """Every array an ``AnnulusFold`` holds, for bitwise comparison."""
+    return [fold.r2_min, fold.r2_max] + fold.radii
+
+
 @pytest.mark.parametrize("name", sorted(observable_tasks()))
 def test_observed_chunk_keeps_the_full_run_columns_bitwise(name):
     task = observable_tasks()[name]
     args = chunk_inputs(task, 40, 3)
     keep = [0, 1, task.n_steps // 3, task.n_steps - 1, task.n_steps]
     with np.errstate(over="ignore", invalid="ignore"):
-        states, stop_index, stop_code = (a[0] for a in run_chunk(*args))
-        kept, kept_index, kept_code, lo, hi = (
-            a[0] for a in run_chunk(*args, keep=keep))
-    assert kept.tobytes() == states[:, keep].tobytes()
-    assert kept_index.tobytes() == stop_index.tobytes()
-    assert kept_code.tobytes() == stop_code.tobytes()
+        once = run_chunk(*args)
+    fold = stats.AnnulusFold([keep], 40)
+    fold_block(fold, 0, *once)
+    states, stop_code = once[0][0], once[2][0]
+    z = states[:, keep, :2]
+    assert fold.radii[0].tobytes() == np.sqrt((z * z).sum(axis=2)).tobytes()
     z = states[:, :, :2]
     r2 = (z * z).sum(axis=2)
-    assert lo.tobytes() == r2.min(axis=1).tobytes()
-    assert hi.tobytes() == r2.max(axis=1).tobytes()
+    assert fold.r2_min[0].tobytes() == r2.min(axis=1).tobytes()
+    assert fold.r2_max[0].tobytes() == r2.max(axis=1).tobytes()
     if name == "all_guard_2d":
         assert np.all(stop_code == STOP_DIVERGED)
-        assert stop_index.max() < task.n_steps - 1
+        assert once[1][0].max() < task.n_steps - 1
 
 
-def test_run_chunk_writes_into_the_callers_array():
+def test_run_chunk_returns_its_block_buffer():
     task = kernel_tasks()["planar"]
-    args = chunk_inputs(task, 8, 3)
-    target = np.zeros((1, 16, task.n_steps + 1, task.dim))
-    states = run_chunk(*args, out=target[:, 8:])[0]
-    assert np.shares_memory(states, target)
-    assert target[:, 8:].tobytes() == run_chunk(*args)[0].tobytes()
-    assert not target[:, :8].any()
-    with pytest.raises(ValueError):
-        run_chunk(*args, out=target[:, :4])
+    x0, lin, drifts, sigmas, dW, dt, guard = chunk_inputs(task, 8, 3)
+    carry = Carry(x0)
+    first = run_chunk(x0, lin, drifts, sigmas, dW[:, :50], dt, guard,
+                      carry=carry)[0]
+    assert first.shape == (1, 8, 51, task.dim)
+    assert np.shares_memory(first, carry.block)
+    kept = first.copy()
+    second = run_chunk(x0, lin, drifts, sigmas, dW[:, 50:100], dt, guard,
+                       carry=carry)[0]
+    # the next block refills the buffer, grid indices 51 to 100
+    assert second.shape == (1, 8, 50, task.dim)
+    assert np.shares_memory(first, second)
+    once = run_chunk(x0, lin, drifts, sigmas, dW[:, :100], dt, guard)[0]
+    assert once.tobytes() == np.concatenate((kept, second), axis=2).tobytes()
     with pytest.raises(ValueError):
         # one increment row per task and path
-        run_chunk(*args[:4], args[4][:4], *args[5:])
+        run_chunk(x0, lin, drifts, sigmas, dW[:4], dt, guard)
     with pytest.raises(ValueError):
-        run_chunk(*args, keep=[0, 0])
+        run_chunk(x0[:, :4], lin, drifts, sigmas, dW[:4], dt, guard,
+                  carry=carry)
 
 
 def observer_task(name, guard):
@@ -472,18 +494,34 @@ def test_observed_survivors_match_polar_ensemble_bitwise(
     polar = sde.polar_ensemble(sde.run_ensemble(task, 60, 11), delta, nmax)
     alive = np.array([r == "none" for r in polar.stop_reason])
     assert stops <= set(polar.stop_reason) and alive.any()
-    observed = sde.run_coupled([task], 60, 11, keep=[keep])[0]
-    assert observed.inside(delta, nmax).tobytes() == alive.tobytes()
-    assert observed.radii()[alive].tobytes() == \
-        polar.rho[alive][:, keep].tobytes()
+    fold = stats.AnnulusFold([keep], 60)
+    stop_code = sde.run_coupled([task], 60, 11, fold)[1]
+    [(inside, radii)] = fold.survivors(stop_code, delta, nmax)
+    assert inside.tobytes() == alive.tobytes()
+    assert radii.T.tobytes() == polar.rho[alive][:, keep].tobytes()
+
+
+def every_state(tasks, count, seed, workers=None):
+    """``run_coupled`` with a fold that keeps every state of every task;
+    returns the states (paths, steps+1, dim) and stop arrays per task."""
+    states = [np.full((count, t.n_steps + 1, t.dim), np.nan) for t in tasks]
+
+    def fold(at, blocks):
+        for kept, block in zip(states, blocks):
+            kept[at, block.first:block.first + block.states.shape[1]] = \
+                block.states
+
+    stop_index, stop_code = sde.run_coupled(tasks, count, seed, fold,
+                                            workers)
+    return list(zip(states, stop_index, stop_code))
 
 
 def test_coupled_draw_matches_separate_ensembles_bitwise(monkeypatch):
     monkeypatch.setattr(sde, "CHUNK", 16)
-    # Per path and noise block with every state kept: 6 draws, 2 x 3
-    # coarse and 2 x 6 refined increments, and the block states of the
-    # coarse and refined pairs (2 x 3, 2 x 6) and of the reduced task (2);
-    # 16 // 2 = 8 paths a chunk.  Time blocks of 50 noise blocks.
+    # Per path and noise block: 6 draws, 2 x 3 coarse and 2 x 6 refined
+    # increments, and the block states of the coarse and refined pairs
+    # (2 x 3, 2 x 6) and of the reduced task (2); 16 // 2 = 8 paths a
+    # chunk.  Time blocks of 50 noise blocks.
     monkeypatch.setattr(sde, "BLOCK_CELLS", 50 * 8 * 44)
     f, g, sigma_q, sigma_p, Q, P = coupled3d_fields()
     tasks = [sde.rescaled_task(f, g, sigma_q, sigma_p, Q, P, eps,
@@ -499,8 +537,11 @@ def test_coupled_draw_matches_separate_ensembles_bitwise(monkeypatch):
     keep = [[0, 100, 200] if not t.refined else [0, 200, 400]
             for t in tasks]
     separate = [sde.run_ensemble(task, 40, 5) for task in tasks]
-    alone = [sde.run_coupled([task], 40, 5, keep=[rows])[0]
-             for task, rows in zip(tasks, keep)]
+    alone = []
+    for task, rows in zip(tasks, keep):
+        fold = stats.AnnulusFold([rows], 40)
+        sde.run_coupled([task], 40, 5, fold)
+        alone.append(folded(fold))
     groups, widths = [], []
 
     def counted(*args, **kwargs):
@@ -512,25 +553,29 @@ def test_coupled_draw_matches_separate_ensembles_bitwise(monkeypatch):
     for workers in (1, 3):
         groups.clear()
         widths.clear()
-        coupled = sde.run_coupled(tasks, 40, 5, workers)
+        coupled = every_state(tasks, 40, 5, workers)
         # groups of two take 16 // 2 paths a chunk: five chunks of four
         # time blocks, each stepping both eps in one loop per step rule
         # and the reduced task alone
         assert sorted(groups) == [1] * 5 * 4 + [2] * 10 * 4
         assert max(widths) == 16
-        observed = sde.run_coupled(tasks, 40, 5, workers, keep=keep)
-        for one, both, seen, kept, rows in zip(separate, coupled, observed,
-                                               alone, keep):
-            assert both.states.tobytes() == one.states.tobytes()
-            assert both.stop_index.tobytes() == one.stop_index.tobytes()
-            assert both.stop_reason == one.stop_reason
-            assert seen.states.tobytes() == one.states[:, rows].tobytes()
-            assert seen.r2_min.tobytes() == kept.r2_min.tobytes()
-            assert seen.r2_max.tobytes() == kept.r2_max.tobytes()
+        fold = stats.AnnulusFold(keep, 40)
+        sde.run_coupled(tasks, 40, 5, fold, workers)
+        for i, (one, (states, index, code), kept) in enumerate(
+                zip(separate, coupled, alone)):
+            assert states.tobytes() == one.states.tobytes()
+            assert index.tobytes() == one.stop_index.tobytes()
+            assert tuple(STOP_REASONS[c] for c in code) == one.stop_reason
+            z = one.states[:, keep[i], :2]
+            assert fold.radii[i].tobytes() == \
+                np.sqrt((z * z).sum(axis=2)).tobytes()
+            assert [a.tobytes() for a in (fold.r2_min[i], fold.r2_max[i],
+                                          fold.radii[i])] == \
+                [a.tobytes() for a in kept]
     limit = sde.limit_task(sde.LimitParams.from_sigma_bar(np.eye(2)), 1.0,
                            1e-3, 0.2)
     with pytest.raises(sde.SdeError):
-        sde.run_coupled([tasks[0], limit], 40, 5)
+        sde.run_coupled([tasks[0], limit], 40, 5, lambda at, blocks: None)
 
 
 def group_inputs(tasks, count, seed):
@@ -568,6 +613,18 @@ def group_tasks():
             "guard_in_one_task": one_side}
 
 
+def observed(result, keep):
+    """``run_chunk``'s result, with ``keep`` its blocks folded through an
+    ``AnnulusFold`` per task in place of the states."""
+    if keep is None:
+        return result
+    fold = stats.AnnulusFold([keep] * len(result[1]), result[1].shape[1])
+    fold_block(fold, 0, *result)
+    return folded(fold) + list(result[1:])
+
+
+# "keep" folds the states into the checkpoint radii and planar radius
+# range that converge reads, in place of comparing every state
 @pytest.mark.parametrize("observe", [False, True], ids=["all", "keep"])
 @pytest.mark.parametrize("name", sorted(group_tasks()))
 def test_grouped_chunk_matches_one_task_at_a_time_bitwise(name, observe):
@@ -575,14 +632,15 @@ def test_grouped_chunk_matches_one_task_at_a_time_bitwise(name, observe):
     n_steps = tasks[0].n_steps
     keep = [0, 1, n_steps // 3, n_steps] if observe else None
     with np.errstate(over="ignore", invalid="ignore"):
-        grouped = run_chunk(*group_inputs(tasks, 40, 3), keep=keep)
+        grouped = run_chunk(*group_inputs(tasks, 40, 3))
         for g, task in enumerate(tasks):
-            alone = run_chunk(*chunk_inputs(task, 40, 3), keep=keep)
-            assert len(alone) == len(grouped) == (5 if observe else 3)
-            for want, have in zip(alone, grouped):
+            alone = run_chunk(*chunk_inputs(task, 40, 3))
+            one = [a[g:g + 1] for a in grouped]
+            for want, have in zip(observed(alone, keep),
+                                  observed(one, keep)):
                 assert want.dtype == have.dtype
-                assert want[0].shape == have[g].shape
-                assert want[0].tobytes() == have[g].tobytes()
+                assert want.shape == have.shape
+                assert want.tobytes() == have.tobytes()
     diverged = (grouped[2] == STOP_DIVERGED).sum(axis=1)
     if name == "guard_in_one_task":
         assert 1 <= diverged[0] <= 39 and diverged[1] == 0
@@ -592,30 +650,27 @@ def test_grouped_chunk_matches_one_task_at_a_time_bitwise(name, observe):
         assert not diverged.any()
 
 
-def blocked_run(args, length, keep=None):
+def blocked_run(args, length, fold=None):
     """``run_chunk`` on ``args``' increments in blocks of ``length`` steps,
-    one ``Carry`` throughout, into one array; also checks that each call
-    returns exactly the states it wrote."""
+    one ``Carry`` throughout, each block copied into one array and, where
+    given, handed to ``fold``; also checks that each call returns exactly
+    the states of its grid indices."""
     x0, lin, drifts, sigmas, dW, dt, guard = args
     n_tasks, n_paths, dim = np.shape(x0)
     n_steps = dW.shape[1]
-    states = np.full((n_tasks, n_paths,
-                      n_steps + 1 if keep is None else len(keep), dim),
-                     np.nan)
+    states = np.full((n_tasks, n_paths, n_steps + 1, dim), np.nan)
     carry = Carry(x0)
     written = 0
     for at in range(0, n_steps, length):
         end = min(at + length, n_steps)
+        first = at + 1 if at else 0
         result = run_chunk(x0, lin, drifts, sigmas, dW[:, at:end], dt,
-                           guard, out=states, keep=keep, carry=carry)
-        wrote = [i for i in (range(n_steps + 1) if keep is None else keep)
-                 if at < i <= end or i == at == 0]
-        assert result[0].shape[2] == len(wrote)
-        if wrote:
-            assert np.shares_memory(result[0], states)
-            assert result[0].tobytes() == states[:, :, [
-                i if keep is None else keep.index(i) for i in wrote]
-            ].tobytes()
+                           guard, carry=carry)
+        assert result[0].shape == (n_tasks, n_paths, end + 1 - first, dim)
+        assert np.shares_memory(result[0], carry.block)
+        states[:, :, first:end + 1] = result[0]
+        if fold is not None:
+            fold_block(fold, first, *result)
         written += result[0].nbytes
         assert carry.offset == end
     # every state is returned by exactly one call
@@ -636,6 +691,7 @@ def blocked_cases():
     return cases
 
 
+# observe: fold every block through an AnnulusFold as well
 @pytest.mark.parametrize("length", [1, 7])
 @pytest.mark.parametrize("name, observe", [
     # the planar radius needs dim >= 2
@@ -643,14 +699,19 @@ def blocked_cases():
     for observe in (False, True) if not observe or args[0].shape[2] >= 2])
 def test_blocked_chunk_matches_one_call_bitwise(name, observe, length):
     args = blocked_cases()[name]
+    n_tasks, n_paths = np.shape(args[0])[:2]
     n_steps = args[4].shape[1]
     # grid index 0, block edges (7, 14) and the steps either side of one
     keep = sorted({0, 1, 6, 7, 8, 14, n_steps // 3, n_steps - 1,
                    n_steps}) if observe else None
+    fold = stats.AnnulusFold([keep] * n_tasks, n_paths) if observe else None
     with np.errstate(over="ignore", invalid="ignore"):
-        once = run_chunk(*args, keep=keep)
-        blocked = blocked_run(args, length, keep)
-    assert len(once) == len(blocked) == (5 if observe else 3)
+        once = observed(run_chunk(*args), keep)
+        blocked = blocked_run(args, length, fold)
+    if observe:
+        assert not np.isnan(blocked[0]).any()
+        blocked = folded(fold) + list(blocked[1:])
+    assert len(once) == len(blocked)
     for want, have in zip(once, blocked):
         assert want.dtype == have.dtype and want.shape == have.shape
         assert want.tobytes() == have.tobytes()
@@ -705,14 +766,13 @@ def test_blocked_coupled_run_matches_one_call_per_task_bitwise(
         monkeypatch, span, observe):
     monkeypatch.setattr(sde, "CHUNK", 16)
     # per path and noise block: 6 draws, 2 x 3 coarse and 2 x 6 refined
-    # increments, and with every state kept 2 x 3 and 2 x 6 block states;
-    # 16 // 2 = 8 paths a chunk
-    cells = 6 + 6 + 12 + (0 if observe else 6 + 12)
-    monkeypatch.setattr(sde, "BLOCK_CELLS", span * 8 * cells)
+    # increments, and 2 x 3 and 2 x 6 block states; 16 // 2 = 8 paths a
+    # chunk
+    monkeypatch.setattr(sde, "BLOCK_CELLS", span * 8 * (6 + 6 + 12 + 6 + 12))
     # a guard near the start radius stops some paths of every task
     tasks = coupled_rule_tasks(0.05, guard=1.2)
     keep = [[0, 7, 14, 15, 50] if not t.refined else [0, 14, 28, 29, 100]
-            for t in tasks] if observe else None
+            for t in tasks]
     lengths = []
 
     def counted(*args, **kwargs):
@@ -721,50 +781,55 @@ def test_blocked_coupled_run_matches_one_call_per_task_bitwise(
 
     monkeypatch.setattr(sde, "run_chunk", counted)
     with np.errstate(over="ignore", invalid="ignore"):
-        runs = {workers: sde.run_coupled(tasks, 40, 5, workers, keep=keep)
-                for workers in (1, 3)}
-        for i, task in enumerate(tasks):
-            once = run_chunk(*chunk_inputs(task, 40, 5),
-                             keep=keep and keep[i])
-            for seen in (runs[1][i], runs[3][i]):
-                assert seen.states.tobytes() == once[0][0].tobytes()
-                assert seen.stop_index.tobytes() == once[1][0].tobytes()
-                assert seen.stop_reason == tuple(
-                    "diverged" if c == STOP_DIVERGED else "none"
-                    for c in once[2][0])
-                if observe:
-                    assert seen.r2_min.tobytes() == once[3][0].tobytes()
-                    assert seen.r2_max.tobytes() == once[4][0].tobytes()
+        for workers in (1, 3):
+            if observe:
+                fold = stats.AnnulusFold(keep, 40)
+                index, code = sde.run_coupled(tasks, 40, 5, fold, workers)
+                runs = [(fold.r2_min[i], fold.r2_max[i], fold.radii[i],
+                         index[i], code[i]) for i in range(len(tasks))]
+            else:
+                runs = every_state(tasks, 40, 5, workers)
+            for i, task in enumerate(tasks):
+                once = observed(run_chunk(*chunk_inputs(task, 40, 5)),
+                                keep[i] if observe else None)
+                assert len(once) == len(runs[i])
+                for want, have in zip(once, runs[i]):
+                    assert want.tobytes() == have.tobytes()
+            assert all(STOP_DIVERGED in run[-1] for run in runs)
     # coarse groups step span steps a block, refined ones 2 * span
     assert set(lengths) <= {span, 2 * span, 50 % span, 2 * (50 % span)}
     assert max(lengths) == 2 * span
-    assert all("diverged" in seen.stop_reason for seen in runs[1])
 
 
-def test_unsorted_keep_returns_states_in_the_callers_order():
+def test_unsorted_checkpoints_come_back_in_the_callers_order():
     task = coupled_rule_tasks(0.05)[0]
-    ordered = sde.run_coupled([task], 12, 2, keep=[[0, 20, 50]])[0]
-    shuffled = sde.run_coupled([task], 12, 2, keep=[[50, 0, 20]])[0]
-    assert shuffled.states.tobytes() == \
-        ordered.states[:, [2, 0, 1]].tobytes()
-    with pytest.raises(sde.SdeError):
-        sde.run_coupled([task], 12, 2, keep=[[0, 51]])
+    ordered = stats.AnnulusFold([[0, 20, 50]], 12)
+    shuffled = stats.AnnulusFold([[50, 0, 20]], 12)
+    for fold in (ordered, shuffled):
+        sde.run_coupled([task], 12, 2, fold)
+    assert shuffled.radii[0].tobytes() == \
+        ordered.radii[0][:, [2, 0, 1]].tobytes()
+    # a grid index past the horizon is never reached
+    beyond = stats.AnnulusFold([[0, 51]], 12)
+    sde.run_coupled([task], 12, 2, beyond)
+    assert np.isnan(beyond.radii[0][:, 1]).all()
+    assert beyond.radii[0][:, 0].tobytes() == ordered.radii[0][:, 0].tobytes()
 
 
 def test_observed_run_memory_does_not_grow_with_the_horizon(monkeypatch):
     import tracemalloc
 
-    # 64 paths of 24 noise and increment cells a noise block (see
-    # test_blocked_coupled_run_matches_one_call_per_task_bitwise): time
-    # blocks of 16 noise blocks, so both horizons take several
-    monkeypatch.setattr(sde, "BLOCK_CELLS", 16 * 64 * 24)
+    # 64 paths of 42 noise, increment and block state cells a noise block
+    # (see test_blocked_coupled_run_matches_one_call_per_task_bitwise):
+    # time blocks of 16 noise blocks, so both horizons take several
+    monkeypatch.setattr(sde, "BLOCK_CELLS", 16 * 64 * 42)
     peaks = {}
     for T in (0.5, 4.0):
         tasks = coupled_rule_tasks(T, dt=1e-2)
         keep = [[0, t.n_steps // 2, t.n_steps] for t in tasks]
         tracemalloc.start()
         try:
-            sde.run_coupled(tasks, 64, 1, keep=keep)
+            sde.run_coupled(tasks, 64, 1, stats.AnnulusFold(keep, 64))
             peaks[T] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -264,6 +264,64 @@ def test_convergence_refinement_reuses_the_brownian_path():
     assert report.verdicts["max_ks_refinement_shift"] >= 0.0
 
 
+@pytest.mark.parametrize("guard", [sde.GUARD_RADIUS, 1.6],
+                         ids=["annulus", "guard"])
+def test_converge_fold_matches_polar_ensemble_bitwise(monkeypatch, guard):
+    system = stats.prepare_system(*golden_planar())
+    split = system.split
+    # a near outer barrier: paths hit both; a guard inside it stops some
+    # amplified paths as diverged
+    delta, nmax, paths, seed = 0.5, 1.8, 24, 3
+    steps = ((1e-3, False), (5e-4, True))
+    runs = [
+        [sde.limit_task(system.limit, 1.0, h, 0.5, refined=r)
+         for h, r in steps],
+        [sde.rescaled_task(system.f, system.g, system.sigma_q,
+                           system.sigma_p, split.Q, split.P, eps,
+                           (1.0, 0.0), np.zeros(0), h, 0.5, refined=r,
+                           guard=guard)
+         for eps in (1e-1, 1e-2) for h, r in steps]]
+    keep = [[[500, 250] if not t.refined else [1000, 500] for t in tasks]
+            for tasks in runs]
+    # A chunk's states depend on its width once a task is down to one live
+    # row there (see CHANGES.md), so each task's reference runs in the
+    # chunks of 8 paths the pair of eps takes below.
+    monkeypatch.setattr(sde, "CHUNK", 8)
+    reference, reasons = [], set()
+    for tasks, rows in zip(runs, keep):
+        for task, kept in zip(tasks, rows):
+            polar = sde.polar_ensemble(sde.run_ensemble(task, paths, seed),
+                                       delta, nmax)
+            alive = np.array([r == "none" for r in polar.stop_reason])
+            reference.append((alive, polar.rho[alive][:, kept].T))
+            reasons.update(polar.stop_reason)
+    # 16 // 2 = 8 paths a chunk; per path and noise block 4 draws, 2 x 2
+    # coarse and 2 x 4 refined increments and as many block states: time
+    # blocks of 3 noise blocks, the first from grid index 0
+    monkeypatch.setattr(sde, "CHUNK", 16)
+    monkeypatch.setattr(sde, "BLOCK_CELLS", 3 * 8 * 28)
+    # up to three chunks at once, switching threads often: a fold writing
+    # outside its chunk's paths would change a survivor or a radius
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3):
+            found = []
+            for tasks, rows in zip(runs, keep):
+                fold = stats.AnnulusFold(rows, paths)
+                stop_code = sde.run_coupled(tasks, paths, seed, fold,
+                                            workers)[1]
+                found += fold.survivors(stop_code, delta, nmax)
+            for (alive, radii), (want_alive, want_radii) in zip(
+                    found, reference):
+                assert alive.tobytes() == want_alive.tobytes()
+                assert radii.tobytes() == want_radii.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+    assert {"none", "hit_inner", "hit_outer"} <= reasons
+    assert ("diverged" in reasons) == (guard < nmax)
+
+
 def test_independent_same_law_ensembles_sit_below_the_ks_null_bound():
     params = sde.LimitParams.from_sigma_bar(np.eye(2))
     task = sde.limit_task(params, 1.0, 1e-3, 1.0)
@@ -367,11 +425,12 @@ def loop_reduction_row(system, eps, big_delta, beta, paths, dt, horizon,
     exit index."""
     split, h2 = system.split, system.manifold.h2
     z0, y0 = np.array([1.0, 0.0]), np.zeros(split.P.shape[0])
-    full, reduced = sde.run_coupled([
+    # both ride stream (master_seed, p) of one stream class
+    full, reduced = (sde.run_ensemble(task, paths, master_seed) for task in (
         sde.rescaled_task(system.f, system.g, system.sigma_q, system.sigma_p,
                           split.Q, split.P, eps, z0, y0, dt, horizon),
         sde.reduced_task(system.reduced, system.sigma_q, h2, eps, z0, dt,
-                         horizon)], paths, master_seed)
+                         horizon)))
     n_steps = int(round(horizon / dt))
     Z, Y, Zt = full.states[:, :, :2], full.states[:, :, 2:], reduced.states
     hv = h2.evaluate_batch(Z.reshape(-1, 2)).reshape(paths, -1, Y.shape[2])
@@ -561,6 +620,36 @@ def test_stationary_law_concentrates_at_drift_root_for_small_noise():
     median = float(np.median(ens.norms()[:, 15001:]))
     root = stats.averaged_drift(params).record()["root"]
     assert abs(median - root) < 0.05
+
+
+def test_stationary_check_folds_the_post_burn_in_radii_bitwise(monkeypatch):
+    params = sde.LimitParams.from_sigma_bar(np.eye(2))
+    T, burn_in, dt, paths = 2.0, 0.5, 1e-3, 12
+    # the reference: every state kept, the live paths' radii after the
+    # burn-in read from the norms
+    ens = sde.run_ensemble(sde.limit_task(params, 1.0, dt, T), paths, 4)
+    alive = np.array([r == "none" for r in ens.stop_reason])
+    samples = ens.norms()[alive, 501:].ravel()
+    eta_max = max(float(samples.max()) * 1.0001, 120.0 ** 0.25)
+    grid = np.linspace(0.0, eta_max, 10_000)
+    density = grid * np.exp(-(grid ** 4) / 2.0)
+    cdf = np.concatenate(([0.0], np.cumsum(
+        0.5 * (density[1:] + density[:-1]) * np.diff(grid))))
+    cdf /= cdf[-1]
+    positions = (np.arange(samples.size) + 0.5) / samples.size
+    w1 = float(np.mean(np.abs(np.sort(samples)
+                              - np.interp(positions, cdf, grid))))
+    # 5 paths a chunk; per path and step 4 draws, 2 increments and 2
+    # block states: time blocks of 7 steps, so grid index 501, the first
+    # sample, lies inside the block of grid indices 498 to 504
+    monkeypatch.setattr(sde, "CHUNK", 5)
+    monkeypatch.setattr(sde, "BLOCK_CELLS", 7 * 5 * 8)
+    for workers in (1, 2):
+        report = stats.stationary_check(params, T, burn_in, dt, paths,
+                                        master_seed=4, workers=workers)
+        assert report.n_samples == samples.size
+        assert report.eta_max == eta_max
+        assert report.w1 == w1
 
 
 def test_stationary_check_validates_inputs():

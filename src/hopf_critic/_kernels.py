@@ -21,6 +21,12 @@ reads out of it before the next block refills the buffer.  Polynomials
 arrive packed as flat arrays (component index, exponent rows,
 coefficients).
 
+The guard is checked once per block where it can be: a block whose rows
+are all live steps without the per-step check, and then checks all its
+new states at once.  Should any fail, the same step loop steps the block
+again from the untouched carry, checking every step, so its states and
+stops are always those of checked steps.
+
 One chunk loop steps a group of G tasks at once, such as the amplified
 system at every eps of a sweep: tasks whose drift and diffusion have the
 same terms (components and exponents).  Only their coefficients, linear
@@ -32,18 +38,27 @@ own flow.  A lone task is the group of one.
 The kernel does not interpret the packed terms.  For each step shape, the
 term structure plus the coefficients that are exactly 1.0 or -1.0 in every
 task of the group, it generates the source of one straight-line step
-function, with one numpy expression per term over state columns, compiles
-it once and memoises it.  Every other coefficient comes in as a column
-holding each task's value over that task's rows.  The step keeps the
-exact operation order of a term-by-term evaluation, so equal inputs give
-bitwise equal states, grouped or not:
+function, with one numpy expression per term over state columns, and of
+the block's noise sums, compiles them once and memoises them.  Every
+other coefficient comes in as a column holding each task's value over
+that task's rows.  The step keeps the exact operation order of a
+term-by-term evaluation, so equal inputs give bitwise equal states,
+grouped or not:
 
 - a term multiplies left to right, coefficient first, then each variable
   as often as its exponent says (``c*u0*u0*u1``); no powers are shared;
 - every drift and noise component accumulates from 0.0 in packed term
   order, and the update is ``(u + d*dt) + n``;
+- the terms free of state factors that lead a noise component (``w0``,
+  ``c*w1``) are summed from 0.0 once per block, for all its steps; each
+  step then adds the component's other terms onto its row of those sums,
+  in order, so a state-free term after a state term is summed at every
+  step;
+- each step sums the drift into one (rows, dim) buffer and writes the
+  update ``(u + d*dt) + n`` over whole (rows, dim) arrays, straight into
+  its row of the block;
 - the only rewrites are exact in IEEE arithmetic: a ``1.0*`` factor is
-  dropped, ``-1.0*t`` becomes a subtraction, and coefficients and dt are
+  dropped, ``-1.0*t`` becomes a subtraction, and coefficients are
   broadcast to arrays of the rows' shape;
 - each task's linear flow is the product of its rows with the transposed
   view ``lin.T``, as a per-task ``x @ lin.T`` takes it.
@@ -66,6 +81,13 @@ STOP_LEFT_BALL = 3
 STOP_DIVERGED = 4
 
 STOP_REASONS = ("none", "hit_inner", "hit_outer", "left_ball", "diverged")
+
+# What a step past the guard may raise before the check stops its row.
+_QUIET = {"over": "ignore", "invalid": "ignore"}
+# 0.0 as an operand of the generated functions: numpy takes a 0-d array
+# faster than a Python float, with the same IEEE result.
+_ZERO = np.zeros(())
+_ZERO.flags.writeable = False
 
 
 def pack_poly(p, dim):
@@ -110,23 +132,53 @@ def _step_shape(packed):
     return shape, coefs
 
 
+def _accumulate(head, parts, out):
+    """Source that sums ``head`` and then ``parts``, (sign, product)
+    pairs, left to right, the last sum written to ``out``."""
+    head += "".join(f" {sign} {product}" for sign, product in parts[:-1])
+    sign, product = parts[-1]
+    op = "subtract" if sign == "-" else "add"
+    return f"    {op}({head}, {product}, {out})"
+
+
+def _names(prefix, parts):
+    """The variables of one kind (``u``, ``w`` or ``c``) that the products
+    of ``parts`` read, in index order."""
+    return sorted({name for _, product in parts
+                   for name in product.split("*") if name.startswith(prefix)},
+                  key=lambda name: int(name[1:]))
+
+
+def _compile(lines, name):
+    namespace = {"add": np.add, "subtract": np.subtract,
+                 "multiply": np.multiply, "zero": _ZERO}
+    exec(compile("\n".join(lines) + "\n", "<generated step>", "exec"),
+         namespace)
+    return namespace[name]
+
+
 @functools.lru_cache(maxsize=128)
 def _generate_step(dim, m, drift_shape, sigma_shape):
-    """Compile the straight-line step of one step shape.
+    """Compile the straight-line functions of one step shape.
 
     Takes the ``_step_shape`` rows of both maps and returns
-    ``(step, needs)``: ``needs`` lists, by index into the drift terms
-    followed by the diffusion terms, the terms whose coefficient the step
-    reads from a column.  ``step(u, w, zero, dt, c)`` maps the
-    linear-flow image ``u`` (rows, dim) and the increments ``w`` (rows, m)
-    to the next state, a fresh (rows, dim) array; ``zero``, ``dt`` and the
-    sequence ``c`` are arrays of shape (rows,) holding 0.0, the step size
-    and the columns of ``needs``, in that order.
+    ``(step, hoist, needs)``: ``needs`` lists, by index into the drift
+    terms followed by the diffusion terms, the terms whose coefficient the
+    generated functions read from a column of the sequence ``c``.
+
+    ``hoist(w, c, n)`` sums, for every step of a block at once, the
+    state-free terms that lead each noise component into ``n`` (steps,
+    rows, dim), or writes 0.0 where none lead; ``w`` holds the block's
+    increments (rows, steps, m).  ``step(u, w, n, d, c)`` takes the
+    columns ``u`` of the linear-flow image and one step's increments ``w``
+    (rows, m): it sums each drift component into its column of ``d``
+    (left at 0.0 where there are no terms) and adds each noise
+    component's other terms onto its column of that step's row ``n``
+    (rows, dim) of the hoisted sums.
     """
     needs = []
     drift = [[] for _ in range(dim)]
     noise = [[] for _ in range(dim)]
-    used_w = set()
     terms = [(shape, drift, False) for shape in drift_shape]
     terms += [(shape, noise, True) for shape in sigma_shape]
     for index, ((row, exps, unit), sums, channels) in enumerate(terms):
@@ -134,7 +186,6 @@ def _generate_step(dim, m, drift_shape, sigma_shape):
         if channels:
             row, col = divmod(row, m)
             factors.append(f"w{col}")
-            used_w.add(col)
         # Dropping a unit coefficient and turning -1.0*t into a
         # subtraction are exact; a constant term keeps its coefficient.
         if factors and unit is not None:
@@ -143,24 +194,44 @@ def _generate_step(dim, m, drift_shape, sigma_shape):
             sign = "+"
             factors.insert(0, f"c{len(needs)}")
             needs.append(index)
-        sums[row].append(f" {sign} {'*'.join(factors)}")
+        sums[row].append((sign, "*".join(factors)))
+    # Per noise component, the leading terms free of state factors, summed
+    # once per block, and the terms after them, summed at every step.
+    lead = []
+    for parts in noise:
+        count = 0
+        while count < len(parts) and not _names("u", [parts[count]]):
+            count += 1
+        lead.append(parts[:count])
+    rest = [parts[len(first):] for parts, first in zip(noise, lead)]
 
-    lines = ["def step(u, w, zero, dt, c):"]
-    if needs:
-        lines.append(f"    [{', '.join(f'c{i}' for i in range(len(needs)))}]"
-                     " = c")
-    lines += [f"    u{j} = u[:, {j}]" for j in range(dim)]
-    lines += [f"    w{j} = w[:, {j}]" for j in sorted(used_w)]
-    lines.append("    out = empty(u.shape)")
-    for i in range(dim):
-        lines += [f"    d{i} = zero{''.join(drift[i])}",
-                  f"    n{i} = zero{''.join(noise[i])}",
-                  f"    out[:, {i}] = u{i} + d{i}*dt + n{i}"]
-    lines.append("    return out")
-    namespace = {"empty": np.empty}
-    exec(compile("\n".join(lines) + "\n", "<generated step>", "exec"),
-         namespace)
-    return namespace["step"], tuple(needs)
+    def unpack(name, count):
+        """Source binding name0, name1, ... to the items of ``name``."""
+        names = ", ".join(f"{name}{i}" for i in range(count))
+        return f"    [{names}] = {name}"
+
+    def coefficients(parts):
+        return [unpack("c", len(needs))] if _names("c", parts) else []
+
+    hoisted = [p for parts in lead for p in parts]
+    lines = ["def hoist(w, c, n):"] + coefficients(hoisted)
+    lines += [f"    {w} = w[:, :, {w[1:]}].T" for w in _names("w", hoisted)]
+    for i, parts in enumerate(lead):
+        lines.append(_accumulate("zero", parts, f"n[:, :, {i}]") if parts
+                     else f"    n[:, :, {i}] = zero")
+    hoist = _compile(lines, "hoist")
+
+    looped = [p for parts in drift + rest for p in parts]
+    lines = ["def step(u, w, n, d, c):"] + coefficients(looped)
+    lines += [unpack("u", dim), unpack("d", dim)]
+    lines += [f"    {w} = w[:, {w[1:]}]" for w in _names("w", looped)]
+    lines += [f"    n{i} = n[:, {i}]"
+              for i, parts in enumerate(rest) if parts]
+    lines += [_accumulate("zero", parts, f"d{i}")
+              for i, parts in enumerate(drift) if parts]
+    lines += [_accumulate(f"n{i}", parts, f"n{i}")
+              for i, parts in enumerate(rest) if parts]
+    return _compile(lines, "step"), hoist, tuple(needs)
 
 
 class Carry:
@@ -180,11 +251,13 @@ class Carry:
         self.offset = 0
         self.stop_index = np.zeros(len(self.x), dtype=np.int64)
         self.stop_code = np.zeros(len(self.x), dtype=np.int64)
-        # every state of the last block, step-major, refilled by the next
+        # every state of the last block, step-major, refilled by the next,
+        # and a buffer of its shape for the noise sums
         self.block = None
+        self.noise = None
 
 
-def _chunk(lin, step, cols, dW, dt, guard, carry):
+def _chunk(lin, step, hoist, cols, dW, dt, guard, carry):
     """Step one block of G tasks x n paths as G*n rows, task-major.
 
     Row r steps on the increments ``dW[r]`` from ``carry``, which the
@@ -208,66 +281,109 @@ def _chunk(lin, step, cols, dW, dt, guard, carry):
     fast_sq = min(guard_sq, sys.float_info.max) / dim * (1.0 - 1e-9)
     # Per task the transposed view that ``x @ lin.T`` multiplies by.
     lin_t = lin.transpose(0, 2, 1)
-    x = carry.x
     stop_index, stop_code = carry.stop_index, carry.stop_code
-    # Each step's states go to one contiguous row of the block.
+    # Each step's states go to one contiguous row of the block, and its
+    # noise sums to one row of a buffer of the same shape.
     if carry.block is None or len(carry.block) <= end - first:
         carry.block = np.empty((end + 1 - first, n_rows, dim))
+        carry.noise = np.empty_like(carry.block)
     block = carry.block[:end + 1 - first]
     if start == 0:
-        block[0] = x
+        block[0] = carry.x
+    # row k holds the states at grid index start + k + 1
+    states = block[start + 1 - first:]
+    noise = carry.noise[:n_steps]
+    drift = np.zeros((n_rows, dim))
+    live = np.flatnonzero(stop_code == STOP_NONE)
+    if live.size:
+        hoist(dW, cols, noise)
+    # A block of only live rows first steps without the per-step check;
+    # should any of its states fail that check, the block is stepped again
+    # from the untouched carry with the check on.
+    passes = (False, True) if live.size == n_rows and n_steps else (True,)
+    # Step-major increments, the states with their task axis and the
+    # linear-flow image of all rows.
+    dW_steps = dW.transpose(1, 0, 2)
+    grouped = states.reshape(n_steps, n_tasks, n_paths, dim)
+    u_grouped = np.empty((n_tasks, n_paths, dim))
+    u_all = u_grouped.reshape(n_rows, dim)
+    u_columns, drift_columns = tuple(u_all.T), tuple(drift.T)
 
-    def live(active):
-        """Task bounds, zero, dt and coefficient columns of live rows; the
-        live rows of task g are active[bounds[g]:bounds[g+1]]."""
+    def rows_of(active):
+        """Task bounds and coefficient columns of the live rows; the live
+        rows of task g are active[bounds[g]:bounds[g+1]]."""
         return (np.searchsorted(active, n_paths * np.arange(n_tasks + 1)),
-                np.zeros(active.size), np.full(active.size, dt),
-                cols[:, active])
+                tuple(cols[:, active]))
 
-    # The states the steps wrote reach grid index ``done``.
-    done = start
-    active = np.flatnonzero(stop_code == STOP_NONE)
-    all_live = active.size == n_rows
-    bounds, zero, dtv, c = live(active)
-    for k in range(n_steps if active.size else 0):
-        if all_live:
-            xa = x
-            u = np.matmul(x.reshape(n_tasks, n_paths, dim), lin_t)
-            x_new = step(u.reshape(n_rows, dim), dW[:, k], zero, dtv, c)
-        else:
-            xa = x[active]
-            u = np.empty_like(xa)
-            for g in range(n_tasks):
-                s, e = bounds[g], bounds[g + 1]
-                if e > s:
-                    np.matmul(xa[s:e], lin_t[g], out=u[s:e])
-            x_new = step(u, dW[active, k], zero, dtv, c)
-        bad = None
-        if not (x_new * x_new).max(initial=0.0) <= fast_sq:
-            finite = np.isfinite(x_new).all(axis=1)
-            x_new[~finite] = xa[~finite]
-            inside = (x_new * x_new).sum(axis=1) <= guard_sq
-            bad = ~(finite & inside)
-        if all_live:
-            x = x_new
-        else:
-            x[active] = x_new
-        done = start + k + 1
-        block[done - first] = x
-        if bad is not None and bad.any():
-            hit = active[bad]
-            stop_index[hit] = done
-            stop_code[hit] = STOP_DIVERGED
-            active = active[~bad]
-            all_live = False
-            if active.size == 0:
-                break
-            bounds, zero, dtv, c = live(active)
+    for check in passes:
+        x, active = carry.x, live
+        x_grouped = x.reshape(n_tasks, n_paths, dim)
+        all_live = active.size == n_rows
+        bounds, c = rows_of(active)
+        u, d = u_all, drift
+        # The states the steps wrote reach grid index ``done``.
+        done = start
+        with np.errstate(**({} if check else _QUIET)):
+            for k in range(n_steps if active.size else 0):
+                row = states[k]
+                if all_live:
+                    xa = x
+                    np.matmul(x_grouped, lin_t, out=u_grouped)
+                    x_new, n = row, noise[k]
+                    step(u_columns, dW_steps[k], n, drift_columns, c)
+                else:
+                    xa = x[active]
+                    u = np.empty_like(xa)
+                    for g in range(n_tasks):
+                        s, e = bounds[g], bounds[g + 1]
+                        if e > s:
+                            np.matmul(xa[s:e], lin_t[g], out=u[s:e])
+                    x_new, n, d = (np.empty_like(xa), noise[k, active],
+                                   drift[:active.size])
+                    step(tuple(u.T), dW[active, k], n, tuple(d.T), c)
+                # the update (u + d*dt) + n over whole (rows, dim) arrays
+                np.multiply(d, dt, x_new)
+                np.add(u, x_new, x_new)
+                np.add(x_new, n, x_new)
+                bad = None
+                if check and not (x_new * x_new).max(initial=0.0) <= fast_sq:
+                    finite = np.isfinite(x_new).all(axis=1)
+                    x_new[~finite] = xa[~finite]
+                    inside = (x_new * x_new).sum(axis=1) <= guard_sq
+                    bad = ~(finite & inside)
+                if all_live:
+                    x, x_grouped = x_new, grouped[k]
+                else:
+                    x[active] = x_new
+                    row[...] = x
+                done = start + k + 1
+                if bad is not None and bad.any():
+                    hit = active[bad]
+                    stop_index[hit] = done
+                    stop_code[hit] = STOP_DIVERGED
+                    active = active[~bad]
+                    if all_live:
+                        # later steps write only the live rows of x
+                        x = x.copy()
+                        all_live = False
+                    if active.size == 0:
+                        break
+                    bounds, c = rows_of(active)
+        if check:
+            break
+        # Squares grow with the magnitude, so the block's extremes bound
+        # every state's squares; NaN fails both comparisons.
+        high, low = float(states.max()), float(states.min())
+        if high * high <= fast_sq and low * low <= fast_sq:
+            break
+        # The unchecked pass added its terms onto the hoisted sums.
+        hoist(dW, cols, noise)
     # Once every row has stopped, the rest of the block repeats the frozen
     # states.
-    block[done + 1 - first:] = x
+    states[done - start:] = x
     stop_index[active] = end
-    carry.x = x
+    # x may be a row of the block, which the next block refills
+    carry.x = x.copy() if all_live else x
     carry.offset = end
     return block
 
@@ -332,10 +448,12 @@ def run_chunk(x0, lin, drift_packed, sigma_packed, dW, dt, guard,
         raise ValueError("carry and x0 disagree on tasks, paths or dim")
     drift_shape, drift_coefs = _step_shape(drift_packed)
     sigma_shape, sigma_coefs = _step_shape(sigma_packed)
-    step, needs = _generate_step(dim, m, drift_shape, sigma_shape)
+    step, hoist, needs = _generate_step(dim, m, drift_shape, sigma_shape)
     coefs = np.concatenate((drift_coefs, sigma_coefs), axis=1)
     cols = np.repeat(coefs[:, list(needs)].T, n_paths, axis=1)
-    block = _chunk(lin, step, cols, dW, float(dt), float(guard), carry)
+    # dt as a 0-d array, which numpy takes faster than a float
+    block = _chunk(lin, step, hoist, cols, dW, np.array(float(dt)),
+                   float(guard), carry)
     return (block.reshape(len(block), n_tasks, n_paths, dim)
             .transpose(1, 2, 0, 3),
             carry.stop_index.reshape(n_tasks, n_paths),

@@ -293,6 +293,8 @@ def _cmd_simulate(cfg, args):
         name = f"trajectory_eps{eps:g}.csv"
         stats.write_trajectory_csv(ensemble, os.path.join(out, name),
                                    columns)
+        # free every state before the next eps is simulated
+        del ensemble
         outputs.append(name)
         print(f"wrote {name} ({cfg.paths} paths, {task.n_steps} steps)")
     _write_manifest(cfg, args, outputs)

@@ -52,9 +52,9 @@ from ._kernels import STOP_REASONS, Carry, pack_poly, run_chunk
 from .polyfield import PolyMap, stack
 
 CHUNK = 1024
-# Cells (doubles) of noise, increments and stepped states one chunk holds
-# for a block of steps; a run goes through its horizon in blocks of as many
-# noise blocks as fit.
+# Cells (doubles) of noise, increments, stepped states and their noise sums
+# one chunk holds for a block of steps; a run goes through its horizon in
+# blocks of as many noise blocks as fit.
 BLOCK_CELLS = 3 << 17
 GUARD_RADIUS = 1e6
 
@@ -461,9 +461,9 @@ def run_coupled(tasks, count, master_seed, fold, workers=None):
     steps every group on from where the last block left it, coarse tasks
     one step and refined tasks two per noise block.  Its buffers are made
     once and refilled.  A block's noise, increments and the kernel's block
-    of states fill at most ``BLOCK_CELLS`` doubles (or one noise block),
-    so a run needs memory independent of the horizon beyond what its fold
-    keeps.
+    of states and of noise sums fill at most ``BLOCK_CELLS`` doubles (or
+    one noise block), so a run needs memory independent of the horizon
+    beyond what its fold keeps.
 
     After each time block of a chunk, ``fold(paths, blocks)`` takes the
     states: ``paths`` is the chunk's slice of path indices and ``blocks``
@@ -515,10 +515,11 @@ def run_coupled(tasks, count, master_seed, fold, workers=None):
     width = min(count, max(1, CHUNK // max(copies.values())))
     # Per path and noise block: the two half-step draws of each channel,
     # each rule's copies of a step's increments, and the kernel's block of
-    # states of each group; refined tasks take two steps a block.
+    # states and its buffer of noise sums, each a state per step, of each
+    # group; refined tasks take two steps a block.
     cells = 2 * m + sum(g * (2 if refined else 1) * m
                         for (refined, _), g in copies.items()) + sum(
-        len(g.members) * (2 if g.first.refined else 1) * g.first.dim
+        2 * len(g.members) * (2 if g.first.refined else 1) * g.first.dim
         for g in groups)
     span = max(1, BLOCK_CELLS // (width * cells))
 

@@ -35,6 +35,8 @@ from .polyfield import PolyMap
 from .spectral import Tolerances, hopf_split, transform_system
 
 QUANTILE_LEVELS = (0.05, 0.25, 0.5, 0.75, 0.95)
+# Positions of the stationary check's analytic quantiles computed at once.
+_QUANTILE_SLICE = 1 << 16
 
 
 class StatsError(Exception):
@@ -650,6 +652,8 @@ def stationary_check(params, T, burn_in, dt, paths, rho0=1.0,
     stop_code = sde.run_coupled([task], paths, master_seed, fold,
                                 workers)[1][0]
     samples = rho[stop_code == STOP_NONE].ravel()
+    # the fold holds rho too; only the samples stay
+    del rho, fold
     if samples.size == 0:
         raise StatsError("no samples after burn-in")
     s_sq = params.s * params.s
@@ -661,10 +665,17 @@ def stationary_check(params, T, burn_in, dt, paths, rho0=1.0,
         ([0.0], np.cumsum(0.5 * (density[1:] + density[:-1]) * steps)))
     normalizer = float(cdf[-1])
     cdf /= normalizer
-    ordered = np.sort(samples)
-    positions = (np.arange(ordered.size) + 0.5) / ordered.size
-    analytic = np.interp(positions, cdf, grid)
-    w1 = float(np.mean(np.abs(ordered - analytic)))
+    # Beside the samples, sorted in place, one buffer holds the analytic
+    # quantiles, filled a slice of positions at a time, and then the
+    # distances; one mean over all of it keeps numpy's pairwise sum.
+    samples.sort()
+    analytic = np.empty_like(samples)
+    for lo in range(0, samples.size, _QUANTILE_SLICE):
+        hi = min(lo + _QUANTILE_SLICE, samples.size)
+        positions = (np.arange(lo, hi) + 0.5) / samples.size
+        analytic[lo:hi] = np.interp(positions, cdf, grid)
+    np.subtract(samples, analytic, out=analytic)
+    w1 = float(np.mean(np.abs(analytic, out=analytic)))
     return StationaryReport(
         w1=w1, n_samples=int(samples.size), s=float(params.s),
         normalizer=normalizer, eta_max=eta_max, horizon=float(T),

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -190,9 +191,21 @@ def kernel_tasks():
     # from 2.0 every path leaves the guard long before the horizon
     all_guard = sde.em_task(cube, PolyMap(1, 1, [(0, (0,), 0.1)]),
                             np.array([2.0]), 1e-2, 2.0)
+    # noise rows summed in different places: row 0 has only terms without
+    # state factors, summed once per block; row 1 starts with -w0, summed
+    # so too, then has u0*w0 and a w1 term after it, both summed at every
+    # step; row 2 has none.  Drift row 0 has no terms.
+    hoisting = sde.em_task(
+        PolyMap(3, 3, [
+            (1, (0, 1, 0), -0.8), (1, (1, 1, 0), 0.1), (1, (0, 1, 2), -0.1),
+            (2, (0, 0, 1), -0.5), (2, (2, 0, 0), 0.2)]),
+        PolyMap(3, 6, [(0, (0, 0, 0), 0.7), (1, (0, 0, 0), 1.0),
+                       (2, (0, 0, 0), -1.0), (2, (1, 0, 0), 0.4),
+                       (3, (0, 0, 0), 0.5), (3, (0, 1, 0), -1.0)]),
+        np.array([0.6, -0.3, 0.2]), 5e-2, 5.0)
     return {"planar": planar, "coupled3d": coupled, "limit": limit,
             "dense": dense, "partial_guard": partial, "overflow": overflow,
-            "all_guard": all_guard}
+            "all_guard": all_guard, "hoisting": hoisting}
 
 
 @pytest.mark.parametrize("name", sorted(kernel_tasks()))
@@ -519,10 +532,10 @@ def every_state(tasks, count, seed, workers=None):
 def test_coupled_draw_matches_separate_ensembles_bitwise(monkeypatch):
     monkeypatch.setattr(sde, "CHUNK", 16)
     # Per path and noise block: 6 draws, 2 x 3 coarse and 2 x 6 refined
-    # increments, and the block states of the coarse and refined pairs
-    # (2 x 3, 2 x 6) and of the reduced task (2); 16 // 2 = 8 paths a
-    # chunk.  Time blocks of 50 noise blocks.
-    monkeypatch.setattr(sde, "BLOCK_CELLS", 50 * 8 * 44)
+    # increments, and the block states and noise sums of the coarse and
+    # refined pairs (2 x 2 x 3, 2 x 2 x 6) and of the reduced task (2 x 2);
+    # 16 // 2 = 8 paths a chunk.  Time blocks of 50 noise blocks.
+    monkeypatch.setattr(sde, "BLOCK_CELLS", 50 * 8 * 64)
     f, g, sigma_q, sigma_p, Q, P = coupled3d_fields()
     tasks = [sde.rescaled_task(f, g, sigma_q, sigma_p, Q, P, eps,
                                (1.0, 0.0), np.zeros(1), h, 0.2, refined=r)
@@ -717,6 +730,19 @@ def test_blocked_chunk_matches_one_call_bitwise(name, observe, length):
         assert want.tobytes() == have.tobytes()
 
 
+@pytest.mark.parametrize("name", ["partial_guard", "group_coupled3d_guard",
+                                  "group_guard_in_one_task"])
+def test_steps_past_the_guard_leak_no_warnings(name):
+    # rows leave the guard mid-block, so a block stepped without the
+    # per-step check runs them on, where the cubic ones overflow; no
+    # warning of that reaches the caller, in one call or in blocks
+    args = blocked_cases()[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_chunk(*args)
+        blocked_run(args, 7)
+
+
 @pytest.mark.parametrize("name", ["partial_guard", "group_coupled3d_guard"])
 def test_blocks_cover_guard_stops_inside_and_at_block_ends(name):
     stop_index, stop_code = run_chunk(*blocked_cases()[name])[1:3]
@@ -766,9 +792,10 @@ def test_blocked_coupled_run_matches_one_call_per_task_bitwise(
         monkeypatch, span, observe):
     monkeypatch.setattr(sde, "CHUNK", 16)
     # per path and noise block: 6 draws, 2 x 3 coarse and 2 x 6 refined
-    # increments, and 2 x 3 and 2 x 6 block states; 16 // 2 = 8 paths a
-    # chunk
-    monkeypatch.setattr(sde, "BLOCK_CELLS", span * 8 * (6 + 6 + 12 + 6 + 12))
+    # increments, and 2 x 3 and 2 x 6 block states and as many noise sums;
+    # 16 // 2 = 8 paths a chunk
+    monkeypatch.setattr(sde, "BLOCK_CELLS",
+                        span * 8 * (6 + 6 + 12 + 2 * (6 + 12)))
     # a guard near the start radius stops some paths of every task
     tasks = coupled_rule_tasks(0.05, guard=1.2)
     keep = [[0, 7, 14, 15, 50] if not t.refined else [0, 14, 28, 29, 100]
@@ -819,10 +846,11 @@ def test_unsorted_checkpoints_come_back_in_the_callers_order():
 def test_observed_run_memory_does_not_grow_with_the_horizon(monkeypatch):
     import tracemalloc
 
-    # 64 paths of 42 noise, increment and block state cells a noise block
-    # (see test_blocked_coupled_run_matches_one_call_per_task_bitwise):
-    # time blocks of 16 noise blocks, so both horizons take several
-    monkeypatch.setattr(sde, "BLOCK_CELLS", 16 * 64 * 42)
+    # 64 paths of 60 noise, increment, block state and noise sum cells a
+    # noise block (see
+    # test_blocked_coupled_run_matches_one_call_per_task_bitwise): time
+    # blocks of 16 noise blocks, so both horizons take several
+    monkeypatch.setattr(sde, "BLOCK_CELLS", 16 * 64 * 60)
     peaks = {}
     for T in (0.5, 4.0):
         tasks = coupled_rule_tasks(T, dt=1e-2)

@@ -296,10 +296,10 @@ def test_converge_fold_matches_polar_ensemble_bitwise(monkeypatch, guard):
             reference.append((alive, polar.rho[alive][:, kept].T))
             reasons.update(polar.stop_reason)
     # 16 // 2 = 8 paths a chunk; per path and noise block 4 draws, 2 x 2
-    # coarse and 2 x 4 refined increments and as many block states: time
-    # blocks of 3 noise blocks, the first from grid index 0
+    # coarse and 2 x 4 refined increments and as many block states and
+    # noise sums: time blocks of 3 noise blocks, the first from grid index 0
     monkeypatch.setattr(sde, "CHUNK", 16)
-    monkeypatch.setattr(sde, "BLOCK_CELLS", 3 * 8 * 28)
+    monkeypatch.setattr(sde, "BLOCK_CELLS", 3 * 8 * 40)
     # up to three chunks at once, switching threads often: a fold writing
     # outside its chunk's paths would change a survivor or a radius
     interval = sys.getswitchinterval()
@@ -527,11 +527,12 @@ def test_reduction_fold_matches_every_state_bitwise(monkeypatch, guard):
     monkeypatch.setattr(sde, "CHUNK", 8)
     reference = [loop_reduction_row(system, eps, **run) for eps in epsilons]
     # 16 // 2 = 8 paths a chunk; per path and step 6 draws, 2 x 3
-    # increments and the block states of both full (2 x 3) and reduced
-    # (2 x 2) runs: time blocks of 3 steps, the first from grid index 0
+    # increments and the block states and noise sums of both full (2 x 3)
+    # and reduced (2 x 2) runs: time blocks of 3 steps, the first from grid
+    # index 0
     span = 3
     monkeypatch.setattr(sde, "CHUNK", 16)
-    monkeypatch.setattr(sde, "BLOCK_CELLS", span * 8 * 22)
+    monkeypatch.setattr(sde, "BLOCK_CELLS", span * 8 * 32)
     # up to three chunks at once, switching threads often: a fold writing
     # outside its chunk's paths would change a row
     interval = sys.getswitchinterval()
@@ -561,10 +562,10 @@ def test_reduction_memory_does_not_grow_with_the_horizon(monkeypatch):
 
     drift, sigma = coupled_3d()
     system = stats.prepare_system(drift, sigma)
-    # 64 paths of 22 cells a step (see
+    # 64 paths of 32 cells a step (see
     # test_reduction_fold_matches_every_state_bitwise): time blocks of 16
     # steps, so both horizons take several
-    monkeypatch.setattr(sde, "BLOCK_CELLS", 16 * 64 * 22)
+    monkeypatch.setattr(sde, "BLOCK_CELLS", 16 * 64 * 32)
     peaks = {}
     for T in (0.5, 4.0):
         tracemalloc.start()
@@ -639,11 +640,11 @@ def test_stationary_check_folds_the_post_burn_in_radii_bitwise(monkeypatch):
     positions = (np.arange(samples.size) + 0.5) / samples.size
     w1 = float(np.mean(np.abs(np.sort(samples)
                               - np.interp(positions, cdf, grid))))
-    # 5 paths a chunk; per path and step 4 draws, 2 increments and 2
-    # block states: time blocks of 7 steps, so grid index 501, the first
-    # sample, lies inside the block of grid indices 498 to 504
+    # 5 paths a chunk; per path and step 4 draws, 2 increments, 2 block
+    # states and 2 noise sums: time blocks of 7 steps, so grid index 501,
+    # the first sample, lies inside the block of grid indices 498 to 504
     monkeypatch.setattr(sde, "CHUNK", 5)
-    monkeypatch.setattr(sde, "BLOCK_CELLS", 7 * 5 * 8)
+    monkeypatch.setattr(sde, "BLOCK_CELLS", 7 * 5 * 10)
     for workers in (1, 2):
         report = stats.stationary_check(params, T, burn_in, dt, paths,
                                         master_seed=4, workers=workers)

@@ -11,21 +11,26 @@ The kernel advances a chunk of paths by one block of steps and freezes a
 path as diverged when it leaves the overflow guard or turns non-finite.
 A block resumes from a ``Carry``, the per-row state the block before left:
 the current states, stop indices and codes and the grid index reached.
-Stopped rows never step again, and once every row of a chunk has stopped
-a block only repeats the frozen states.  A call without a carry starts
-fresh at grid index 0, so one call with the whole horizon's increments is
-the unblocked run, and any split into blocks gives bitwise the same
-results.  Each step's states go to one row of the carry's step-major
-block buffer, and the call returns that block: the caller folds what it
-reads out of it before the next block refills the buffer.  Polynomials
-arrive packed as flat arrays (component index, exponent rows,
-coefficients).
+Every row steps at every step, but a stopped row keeps its frozen state,
+and once every row of a chunk has stopped a block only repeats the frozen
+states.  A call without a carry starts fresh at grid index 0, so one call
+with the whole horizon's increments is the unblocked run, and any split
+into blocks gives bitwise the same results.  Each step's states go to
+one row of the carry's step-major block buffer, and the call returns that
+block: the caller folds what it reads out of it before the next block
+refills the buffer.  Polynomials arrive packed as flat arrays (component
+index, exponent rows, coefficients).
 
-The guard is checked once per block where it can be: a block whose rows
-are all live steps without the per-step check, and then checks all its
-new states at once.  Should any fail, the same step loop steps the block
-again from the untouched carry, checking every step, so its states and
-stops are always those of checked steps.
+Stops are found after the block.  Its states are first bounded at once
+by their extremes; only a block that fails that bound is scanned row by
+row, and a row live at the block's start stops at its first state that is
+non-finite or beyond the guard.  It keeps that state, or the state before
+it if that one is not finite, for the rest of the run, so its states and
+stops are those of a check after every step.  Rows stopped in an earlier
+block step from the origin, so that their frozen states, often beyond the
+guard, do not fail the bound in every later block.  Rows never leave the
+stacked product, so a path's bits do not depend on which others share
+its chunk, as long as the chunk holds two or more paths.
 
 One chunk loop steps a group of G tasks at once, such as the amplified
 system at every eps of a sweep: tasks whose drift and diffusion have the
@@ -75,14 +80,12 @@ import sys
 import numpy as np
 
 STOP_NONE = 0
-STOP_HIT_INNER = 1
-STOP_HIT_OUTER = 2
-STOP_LEFT_BALL = 3
-STOP_DIVERGED = 4
+STOP_DIVERGED = 1
 
-STOP_REASONS = ("none", "hit_inner", "hit_outer", "left_ball", "diverged")
+STOP_REASONS = ("none", "diverged")
 
-# What a step past the guard may raise before the check stops its row.
+# What a step past the guard, or of a stopped row, may raise; the check
+# after the block stops the row.
 _QUIET = {"over": "ignore", "invalid": "ignore"}
 # 0.0 as an operand of the generated functions: numpy takes a 0-d array
 # faster than a Python float, with the same IEEE result.
@@ -239,9 +242,10 @@ class Carry:
 
     ``run_chunk`` advances it in place, one block of increments per call.
     ``x`` (rows, dim) holds every row's state at grid index ``offset``,
-    frozen for stopped rows; ``stop_index`` and ``stop_code`` are as
-    ``run_chunk`` returns them.  A fresh carry starts at grid index 0 with
-    no stops.
+    frozen for stopped rows: they step with the others, from the origin,
+    but their states are reset to ``x`` after each block.  ``stop_index`` and ``stop_code``
+    are as ``run_chunk`` returns them.  A fresh carry starts at grid index
+    0 with no stops.
     """
 
     def __init__(self, x0):
@@ -274,14 +278,6 @@ def _chunk(lin, step, hoist, cols, dW, dt, guard, carry):
     # The grid index a block begins at belongs to the block before, except
     # index 0.
     first = start + 1 if start else 0
-    guard_sq = guard * guard
-    # A finite bound on every squared coordinate: a step within it has only
-    # finite states, and each row's sum of dim squares stays within the
-    # guard even after rounding, so the full check below can be skipped.
-    fast_sq = min(guard_sq, sys.float_info.max) / dim * (1.0 - 1e-9)
-    # Per task the transposed view that ``x @ lin.T`` multiplies by.
-    lin_t = lin.transpose(0, 2, 1)
-    stop_index, stop_code = carry.stop_index, carry.stop_code
     # Each step's states go to one contiguous row of the block, and its
     # noise sums to one row of a buffer of the same shape.
     if carry.block is None or len(carry.block) <= end - first:
@@ -292,100 +288,85 @@ def _chunk(lin, step, hoist, cols, dW, dt, guard, carry):
         block[0] = carry.x
     # row k holds the states at grid index start + k + 1
     states = block[start + 1 - first:]
-    noise = carry.noise[:n_steps]
-    drift = np.zeros((n_rows, dim))
-    live = np.flatnonzero(stop_code == STOP_NONE)
-    if live.size:
+    live = carry.stop_code == STOP_NONE
+    stepped = n_steps > 0 and live.any()
+    if stepped:
+        noise = carry.noise[:n_steps]
         hoist(dW, cols, noise)
-    # A block of only live rows first steps without the per-step check;
-    # should any of its states fail that check, the block is stepped again
-    # from the untouched carry with the check on.
-    passes = (False, True) if live.size == n_rows and n_steps else (True,)
-    # Step-major increments, the states with their task axis and the
-    # linear-flow image of all rows.
-    dW_steps = dW.transpose(1, 0, 2)
-    grouped = states.reshape(n_steps, n_tasks, n_paths, dim)
-    u_grouped = np.empty((n_tasks, n_paths, dim))
-    u_all = u_grouped.reshape(n_rows, dim)
-    u_columns, drift_columns = tuple(u_all.T), tuple(drift.T)
-
-    def rows_of(active):
-        """Task bounds and coefficient columns of the live rows; the live
-        rows of task g are active[bounds[g]:bounds[g+1]]."""
-        return (np.searchsorted(active, n_paths * np.arange(n_tasks + 1)),
-                tuple(cols[:, active]))
-
-    for check in passes:
-        x, active = carry.x, live
+        # Step-major increments, the states with their task axis, the
+        # linear-flow image of all rows and their drift.
+        dW_steps = dW.transpose(1, 0, 2)
+        grouped = states.reshape(n_steps, n_tasks, n_paths, dim)
+        u_grouped = np.empty((n_tasks, n_paths, dim))
+        u = u_grouped.reshape(n_rows, dim)
+        drift = np.zeros((n_rows, dim))
+        u_columns, drift_columns, c = tuple(u.T), tuple(drift.T), tuple(cols)
+        # Per task the transposed view that ``x @ lin.T`` multiplies by.
+        lin_t = lin.transpose(0, 2, 1)
+        # Rows stopped in an earlier block step from the origin, where
+        # their states stay small enough to pass the guard test below, and
+        # get their frozen states back after the block.
+        x = carry.x if live.all() else np.where(live[:, None], carry.x, 0.0)
         x_grouped = x.reshape(n_tasks, n_paths, dim)
-        all_live = active.size == n_rows
-        bounds, c = rows_of(active)
-        u, d = u_all, drift
-        # The states the steps wrote reach grid index ``done``.
-        done = start
-        with np.errstate(**({} if check else _QUIET)):
-            for k in range(n_steps if active.size else 0):
-                row = states[k]
-                if all_live:
-                    xa = x
-                    np.matmul(x_grouped, lin_t, out=u_grouped)
-                    x_new, n = row, noise[k]
-                    step(u_columns, dW_steps[k], n, drift_columns, c)
-                else:
-                    xa = x[active]
-                    u = np.empty_like(xa)
-                    for g in range(n_tasks):
-                        s, e = bounds[g], bounds[g + 1]
-                        if e > s:
-                            np.matmul(xa[s:e], lin_t[g], out=u[s:e])
-                    x_new, n, d = (np.empty_like(xa), noise[k, active],
-                                   drift[:active.size])
-                    step(tuple(u.T), dW[active, k], n, tuple(d.T), c)
+        with np.errstate(**_QUIET):
+            for k in range(n_steps):
+                row, n = states[k], noise[k]
+                np.matmul(x_grouped, lin_t, out=u_grouped)
+                step(u_columns, dW_steps[k], n, drift_columns, c)
                 # the update (u + d*dt) + n over whole (rows, dim) arrays
-                np.multiply(d, dt, x_new)
-                np.add(u, x_new, x_new)
-                np.add(x_new, n, x_new)
-                bad = None
-                if check and not (x_new * x_new).max(initial=0.0) <= fast_sq:
-                    finite = np.isfinite(x_new).all(axis=1)
-                    x_new[~finite] = xa[~finite]
-                    inside = (x_new * x_new).sum(axis=1) <= guard_sq
-                    bad = ~(finite & inside)
-                if all_live:
-                    x, x_grouped = x_new, grouped[k]
-                else:
-                    x[active] = x_new
-                    row[...] = x
-                done = start + k + 1
-                if bad is not None and bad.any():
-                    hit = active[bad]
-                    stop_index[hit] = done
-                    stop_code[hit] = STOP_DIVERGED
-                    active = active[~bad]
-                    if all_live:
-                        # later steps write only the live rows of x
-                        x = x.copy()
-                        all_live = False
-                    if active.size == 0:
-                        break
-                    bounds, c = rows_of(active)
-        if check:
-            break
-        # Squares grow with the magnitude, so the block's extremes bound
-        # every state's squares; NaN fails both comparisons.
-        high, low = float(states.max()), float(states.min())
-        if high * high <= fast_sq and low * low <= fast_sq:
-            break
-        # The unchecked pass added its terms onto the hoisted sums.
-        hoist(dW, cols, noise)
-    # Once every row has stopped, the rest of the block repeats the frozen
-    # states.
-    states[done - start:] = x
-    stop_index[active] = end
-    # x may be a row of the block, which the next block refills
-    carry.x = x.copy() if all_live else x
+                np.multiply(drift, dt, row)
+                np.add(u, row, row)
+                np.add(row, n, row)
+                x_grouped = grouped[k]
+    carry.stop_index[live] = end
+    if stepped:
+        _find_stops(states, live, carry, guard)
+    if not live.all():
+        states[:, ~live] = carry.x[~live]
+    if n_steps:
+        # the last row of the block, which the next block refills
+        carry.x = states[-1].copy()
     carry.offset = end
     return block
+
+
+def _find_stops(states, live, carry, guard):
+    """Freeze as diverged every row of ``live``, the rows live at the
+    block's start, from its first state that is non-finite or beyond the
+    guard.
+
+    The row keeps that state, or the state before it (``carry.x`` before
+    the block's first step) where it is not finite; its stop index is the
+    grid index of that first bad state.
+    """
+    guard_sq = guard * guard
+    # A finite bound on every squared coordinate: a block within it has only
+    # finite states, and each row's sum of dim squares stays within the
+    # guard even after rounding.  Squares grow with the magnitude, so the
+    # block's extremes bound every state's squares; NaN fails both
+    # comparisons.
+    fast_sq = min(guard_sq, sys.float_info.max) / states.shape[2] \
+        * (1.0 - 1e-9)
+    high, low = float(states.max()), float(states.min())
+    if high * high <= fast_sq and low * low <= fast_sq:
+        return
+    rows = np.flatnonzero(live)
+    # each live row's states from the block's start, carry.x first
+    path = np.concatenate((carry.x[None, rows], states[:, rows]))
+    with np.errstate(**_QUIET):
+        finite = np.isfinite(path).all(axis=2)
+        # a guard of 1e300 squares to inf, so finiteness is its own test
+        bad = ~(finite & ((path * path).sum(axis=2) <= guard_sq))
+    # the block's start was checked by the block before, or is x0
+    bad[0] = False
+    hit = np.flatnonzero(bad.any(axis=0))
+    k = bad[:, hit].argmax(axis=0)
+    # a first bad state that is not finite freezes at the one before
+    frozen = path[k - ~finite[k, hit], hit]
+    tail = np.arange(1, len(path))[:, None] >= k
+    states[:, rows[hit]] = np.where(tail[:, :, None], frozen, path[1:, hit])
+    carry.stop_index[rows[hit]] = carry.offset + k
+    carry.stop_code[rows[hit]] = STOP_DIVERGED
 
 
 def run_chunk(x0, lin, drift_packed, sigma_packed, dW, dt, guard,
@@ -397,8 +378,9 @@ def run_chunk(x0, lin, drift_packed, sigma_packed, dW, dt, guard,
     index 0 from ``x0``, so one call with every increment runs the whole
     horizon.  A run split into blocks passes the same ``Carry(x0)`` to each
     call in turn, with the next block's increments: the rows go on from
-    the carried states and stops, rows stopped earlier never step, and the
-    results are bitwise those of one call.
+    the carried states and stops, and the results are bitwise those of one
+    call.  Every row steps at every step; stops are found after the block,
+    and a stopped row keeps its frozen state.
 
     Parameters
     ----------

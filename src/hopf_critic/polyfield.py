@@ -157,14 +157,7 @@ class PolyMap:
         if x.shape != (self.n_in,):
             raise DimensionMismatch(
                 f"point of shape {x.shape}, expected ({self.n_in},)")
-        out = np.zeros(self.n_out)
-        for comp, exps, coef in self.terms:
-            v = coef
-            for j, e in enumerate(exps):
-                if e:
-                    v *= x[j] ** e
-            out[comp] += v
-        return out
+        return self.evaluate_batch(x[None])[0]
 
     __call__ = evaluate
 

@@ -14,7 +14,10 @@ from numpy.testing import assert_allclose
 from hopf_critic import sde, stats
 from hopf_critic._kernels import (STOP_DIVERGED, STOP_REASONS, Carry,
                                   pack_poly, run_chunk)
+from hopf_critic.config import load_config
 from hopf_critic.polyfield import PolyMap
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def cubic_rotation():
@@ -366,6 +369,31 @@ def test_path_results_do_not_depend_on_ensemble_size():
     small = sde.run_ensemble(task, 3, 5)
     large = sde.run_ensemble(task, 300, 5)
     assert np.array_equal(large.states[:3], small.states)
+
+
+def test_path_results_with_guard_stops_do_not_depend_on_chunk_width(
+        monkeypatch):
+    # Every row of a chunk steps through one stacked product at every step,
+    # stopped or not, so a path's bits do not depend on which other paths
+    # share its chunk.  A chunk of a single path still rounds differently:
+    # numpy sends a one-row product to BLAS gemv, whose rounding differs
+    # from gemm's; a linear flow in a fixed order of operations would
+    # remove that too.
+    cfg = load_config(REPO / "configs" / "coupled3d.cfg")
+    system = stats.prepare_system(cfg.drift, cfg.sigma)
+    task = sde.rescaled_task(system.f, system.g, system.sigma_q,
+                             system.sigma_p, system.split.Q, system.split.P,
+                             0.1, (1.0, 0.0), np.zeros(1), 1e-3, 1.0,
+                             guard=1.25)
+    runs = []
+    for width in (1024, 16, 5):
+        monkeypatch.setattr(sde, "CHUNK", width)
+        runs.append(sde.run_ensemble(task, 24, 3))
+    assert "diverged" in runs[0].stop_reason
+    for run in runs[1:]:
+        assert run.states.tobytes() == runs[0].states.tobytes()
+        assert run.stop_index.tobytes() == runs[0].stop_index.tobytes()
+        assert run.stop_reason == runs[0].stop_reason
 
 
 def test_guard_radius_marks_divergent_paths():
@@ -733,9 +761,10 @@ def test_blocked_chunk_matches_one_call_bitwise(name, observe, length):
 @pytest.mark.parametrize("name", ["partial_guard", "group_coupled3d_guard",
                                   "group_guard_in_one_task"])
 def test_steps_past_the_guard_leak_no_warnings(name):
-    # rows leave the guard mid-block, so a block stepped without the
-    # per-step check runs them on, where the cubic ones overflow; no
-    # warning of that reaches the caller, in one call or in blocks
+    # rows leave the guard mid-block and, like every stopped row, step on
+    # to the block's end before the stops are found, where the cubic ones
+    # overflow; no warning of that reaches the caller, in one call or in
+    # blocks
     args = blocked_cases()[name]
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -147,6 +147,9 @@ def _range_errors(cfg, command):
         errors.append("Delta must be positive")
     if not 0.0 < cfg.delta < cfg.rho0 < cfg.nmax:
         errors.append("need 0 < delta < rho0 < N")
+    if command == "simulate" and "csv" not in cfg.formats:
+        errors.append("simulate writes only trajectory CSVs: formats must "
+                      "include csv")
     if command in ("reduce", "report") and cfg.rho0 >= cfg.big_delta:
         errors.append(f"{command} needs rho0 < Delta: the coupled runs "
                       "start inside the Delta-ball")

@@ -23,13 +23,12 @@ planar approximation error Phi up to the first exit from a Delta-ball.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import normalform, sde
+from . import _text, normalform, sde
 from ._kernels import STOP_NONE
 from .polyfield import PolyMap
 from .spectral import Tolerances, hopf_split, transform_system
@@ -37,6 +36,8 @@ from .spectral import Tolerances, hopf_split, transform_system
 QUANTILE_LEVELS = (0.05, 0.25, 0.5, 0.75, 0.95)
 # Positions of the stationary check's analytic quantiles computed at once.
 _QUANTILE_SLICE = 1 << 16
+# Rows of a trajectory CSV formatted at a time.
+_SLAB_ROWS = 2048
 
 
 class StatsError(Exception):
@@ -712,23 +713,55 @@ def write_reduction_csv(report, path):
 def write_trajectory_csv(ensemble, path, columns):
     """Trajectory CSV: path,t,<state columns>,stopped.
 
-    Each path is written as one block from a single ``%`` operation;
-    ``%.17g`` renders every float exactly as ``_fmt`` does.
+    Rows are written in slabs of ``_SLAB_ROWS``, so the scratch memory
+    depends on neither paths nor steps.  Every field of a slab goes into
+    one character buffer with a mask of its valid characters, which one
+    boolean index compresses into the slab's bytes; floats are the exact
+    ``%.17g`` text of ``_text.fields``, as ``_fmt`` prints them.
     """
-    dim = ensemble.states.shape[2]
+    n_paths, n_times, dim = ensemble.states.shape
     if len(columns) != dim:
         raise StatsError("column names must match the state dimension")
-    times = ["%.17g" % t for t in ensemble.grid.tolist()]
+    times, times_valid = _text.fields(np.asarray(ensemble.grid, dtype=float))
     ended = np.array([r != "none" for r in ensemble.stop_reason], dtype=bool)
-    stopped = ended[:, None] & (np.arange(len(times))
-                                >= np.asarray(ensemble.stop_index)[:, None])
-    tail = ",%.17g" * dim + ",%d\n"
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("path,t," + ",".join(columns) + ",stopped\n")
-        for p, flags in enumerate(stopped.tolist()):
-            cells = zip(times, *ensemble.states[p].T.tolist(), flags)
-            handle.write((f"{p},%s{tail}" * len(times))
-                         % tuple(itertools.chain.from_iterable(cells)))
+    stop_index = np.asarray(ensemble.stop_index)
+    flat = ensemble.states.reshape(-1, dim)
+    # a row: the path index right-aligned in `label` digits with leading
+    # zeros masked, then a comma and a float field for t and each column,
+    # then ",0\n" with the stopped flag in place of the 0
+    label = len(str(max(n_paths - 1, 0)))
+    tens = 10 ** np.arange(label - 1, -1, -1)
+    width = label + (1 + _text.FIELD) * (1 + dim) + 3
+    rows = min(_SLAB_ROWS, len(flat))
+    chars = np.empty((rows, width), dtype=np.uint8)
+    valid = np.empty((rows, width), dtype=bool)
+    floats = chars[:, label:-3].reshape(rows, 1 + dim, 1 + _text.FIELD)
+    floats_valid = valid[:, label:-3].reshape(rows, 1 + dim,
+                                              1 + _text.FIELD)
+    floats[:, :, 0] = ord(",")
+    floats_valid[:, :, 0] = True
+    chars[:, -3:] = np.frombuffer(b",0\n", dtype=np.uint8)
+    valid[:, -3:] = True
+    with open(path, "wb") as handle:
+        handle.write(("path,t," + ",".join(columns) + ",stopped\n").encode())
+        for start in range(0, len(flat), _SLAB_ROWS):
+            stop = min(start + _SLAB_ROWS, len(flat))
+            n = stop - start
+            p, k = np.divmod(np.arange(start, stop), n_times)
+            paths = np.arange(p[0], p[-1] + 1)[:, None]
+            chars[:n, :label] = np.take(paths // tens % 10 + ord("0"),
+                                        p - p[0], axis=0)
+            valid[:n, :label] = np.take((paths >= tens) | (tens == 1),
+                                        p - p[0], axis=0)
+            floats[:n, 0, 1:] = np.take(times, k, axis=0)
+            floats_valid[:n, 0, 1:] = np.take(times_valid, k, axis=0)
+            text, mask = _text.fields(flat[start:stop].reshape(-1))
+            floats[:n, 1:, 1:] = text.reshape(n, dim, _text.FIELD)
+            floats_valid[:n, 1:, 1:] = mask.reshape(n, dim, _text.FIELD)
+            # free them before the next slab's fields are made
+            del text, mask
+            chars[:n, -2] = ord("0") + (ended[p] & (k >= stop_index[p]))
+            handle.write(chars[:n][valid[:n]])
 
 
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")

@@ -413,6 +413,24 @@ def test_configuration_mistakes_exit_one(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
+def test_simulate_without_csv_format_exits_one(tmp_path, capsys):
+    cfg = write_config(tmp_path, GOLDEN.replace("formats csv json",
+                                                "formats json"))
+    out = tmp_path / "out"
+    code = cli.main(["simulate", "--config", cfg, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: CONFIG: ")
+    assert "formats must include csv" in err
+    assert err.count("error: ") == 1
+    assert not out.exists()
+    # the studies still write JSON alone
+    code = cli.main(["converge", "--config", cfg, "--out", str(out)])
+    assert code == 0
+    assert (out / "convergence.json").exists()
+    assert not (out / "convergence.csv").exists()
+
+
 def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main([])

@@ -747,6 +747,34 @@ def test_trajectory_csv_matches_row_loop_bytes(tmp_path, name):
                 if line.startswith("2,")] == ["1"] * 6
 
 
+def test_trajectory_writer_memory_does_not_grow_with_paths_or_horizon(
+        tmp_path):
+    import tracemalloc
+
+    def planar(paths, T):
+        return sde.run_ensemble(sde.em_task(*golden_planar(),
+                                            np.array([1.0, 0.0]), 5e-3, T),
+                                paths, 5)
+
+    # the first write builds the formatter's tables, which then stay
+    stats.write_trajectory_csv(planar(2, 0.01), tmp_path / "t.csv",
+                               ["z1", "z2"])
+    peaks = {}
+    # from 3,232 to 205,056 rows, each at least one full slab
+    for paths, T in ((32, 0.5), (256, 0.5), (32, 4.0), (256, 4.0)):
+        ensemble = planar(paths, T)
+        assert ensemble.states.shape[0] * ensemble.states.shape[1] \
+            >= stats._SLAB_ROWS
+        tracemalloc.start()
+        try:
+            stats.write_trajectory_csv(ensemble, tmp_path / "t.csv",
+                                       ["z1", "z2"])
+            peaks[paths, T] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert max(peaks.values()) <= 1.1 * min(peaks.values()), peaks
+
+
 def test_svg_plot_writes_polylines_and_rejects_bad_log_data(tmp_path):
     out = tmp_path / "plot.svg"
     stats.svg_line_plot(out, [("a", [1.0, 2.0], [3.0, 4.0]),

@@ -25,6 +25,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import platform
 import re
@@ -50,20 +51,23 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(sub):
     sub.add_argument("--config", required=True, help="path to a config file")
-    sub.add_argument("--out", default=None, help="output directory override")
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--paths", type=int, default=None)
-    sub.add_argument("--dt", type=float, default=None)
-    sub.add_argument("--T", type=float, default=None)
-    sub.add_argument("--epsilon", type=float, nargs="+", default=None)
-    sub.add_argument("--checkpoints", type=float, nargs="+", default=None)
-    sub.add_argument("--rho0", type=float, default=None)
-    sub.add_argument("--delta", type=float, default=None)
-    sub.add_argument("--N", dest="nmax", type=float, default=None)
-    sub.add_argument("--Delta", dest="big_delta", type=float, default=None)
-    sub.add_argument("--beta", type=float, default=None)
-    sub.add_argument("--workers", type=int, default=None)
-    sub.add_argument("--plot", action="store_true", default=False)
+    # every other flag's dest names the Config field it overrides
+    sub.add_argument("--out", dest="out_dir", metavar="OUT",
+                     help="output directory override")
+    sub.add_argument("--seed", type=int)
+    sub.add_argument("--paths", type=int)
+    sub.add_argument("--dt", type=float)
+    sub.add_argument("--T", type=float)
+    sub.add_argument("--epsilon", dest="epsilons", metavar="EPSILON",
+                     type=float, nargs="+")
+    sub.add_argument("--checkpoints", type=float, nargs="+")
+    sub.add_argument("--rho0", type=float)
+    sub.add_argument("--delta", type=float)
+    sub.add_argument("--N", dest="nmax", type=float)
+    sub.add_argument("--Delta", dest="big_delta", type=float)
+    sub.add_argument("--beta", type=float)
+    sub.add_argument("--workers", type=int)
+    sub.add_argument("--plot", action="store_true", default=None)
 
 
 def build_parser():
@@ -82,42 +86,33 @@ def build_parser():
     return parser
 
 
-_OVERRIDES = (
-    ("seed", "seed"), ("paths", "paths"), ("dt", "dt"), ("T", "T"),
-    ("rho0", "rho0"), ("delta", "delta"), ("nmax", "nmax"),
-    ("big_delta", "big_delta"), ("beta", "beta"), ("workers", "workers"),
-    ("out", "out_dir"),
-)
-
-
 def _apply_overrides(cfg, args):
-    updates = {}
-    for flag, field in _OVERRIDES:
-        value = getattr(args, flag)
-        if value is not None:
-            updates[field] = value
-    if args.epsilon is not None:
-        updates["epsilons"] = tuple(args.epsilon)
-    if args.checkpoints is not None:
-        updates["checkpoints"] = tuple(args.checkpoints)
-    elif cfg.checkpoints_follow_T:
-        updates["checkpoints"] = (updates.get("T", cfg.T),)
-    if args.plot:
-        updates["plot"] = True
-    return dataclasses.replace(cfg, **updates)
+    """The config with every given flag applied; checkpoints default to T."""
+    fields = {field.name for field in dataclasses.fields(cfg)}
+    cfg = dataclasses.replace(cfg, **{
+        name: tuple(value) if isinstance(value, list) else value
+        for name, value in vars(args).items()
+        if name in fields and value is not None})
+    if cfg.checkpoints is None:
+        cfg = dataclasses.replace(cfg, checkpoints=(cfg.T,))
+    return cfg
 
 
 def _range_errors(cfg, command):
+    # Each check accepts what is in range, so NaN fails it; a value is
+    # judged against T, Delta or rho0 only when that one is valid.
     errors = []
-    if cfg.T <= 0.0:
-        errors.append("T must be positive")
-    if cfg.dt <= 0.0 or cfg.dt > cfg.T:
+    T_valid = 0.0 < cfg.T < math.inf
+    if not T_valid:
+        errors.append("T must be positive and finite")
+    dt_valid = 0.0 < cfg.dt <= (cfg.T if T_valid else math.inf)
+    if not dt_valid:
         errors.append("dt must lie in (0, T]")
-    if cfg.paths < 1:
+    if not cfg.paths >= 1:
         errors.append("paths must be at least 1")
-    elif cfg.paths < 2 and command in ("converge", "report"):
+    elif not cfg.paths >= 2 and command in ("converge", "report"):
         errors.append(f"{command} needs at least 2 paths")
-    if cfg.seed < 0:
+    if not cfg.seed >= 0:
         errors.append("seed must be nonnegative")
     for e in cfg.epsilons:
         if not 0.0 < e < 1.0:
@@ -131,28 +126,31 @@ def _range_errors(cfg, command):
     # only the limit-law studies read checkpoints
     checkpoints = cfg.checkpoints if command in ("converge", "report") \
         else ()
-    inside = [c for c in checkpoints if 0.0 < c <= cfg.T * (1.0 + 1e-12)]
-    if len(inside) < len(checkpoints):
-        outside = next(c for c in checkpoints if c not in inside)
-        errors.append(f"checkpoint {outside} outside (0, T]")
-    if 0.0 < cfg.dt <= cfg.T:
-        try:
-            n_steps = sde._step_count(cfg.T, cfg.dt)
-            stats._checkpoint_indices(inside, cfg.dt, n_steps)
-        except (sde.SdeError, stats.StatsError) as exc:
-            errors.append(str(exc))
+    if T_valid:
+        inside = [c for c in checkpoints if 0.0 < c <= cfg.T * (1 + 1e-12)]
+        if len(inside) < len(checkpoints):
+            outside = next(c for c in checkpoints if c not in inside)
+            errors.append(f"checkpoint {outside} outside (0, T]")
+        if dt_valid:
+            try:
+                n_steps = sde._step_count(cfg.T, cfg.dt)
+                stats._checkpoint_indices(inside, cfg.dt, n_steps)
+            except (sde.SdeError, stats.StatsError) as exc:
+                errors.append(str(exc))
     if not 0.0 < cfg.beta < 0.5:
         errors.append("beta must lie in (0, 0.5)")
-    if cfg.big_delta <= 0.0:
-        errors.append("Delta must be positive")
-    if not 0.0 < cfg.delta < cfg.rho0 < cfg.nmax:
+    radii_valid = 0.0 < cfg.delta < cfg.rho0 < cfg.nmax
+    if not radii_valid:
         errors.append("need 0 < delta < rho0 < N")
+    if not 0.0 < cfg.big_delta:
+        errors.append("Delta must be positive")
+    elif (command in ("reduce", "report") and radii_valid
+          and not cfg.rho0 < cfg.big_delta):
+        errors.append(f"{command} needs rho0 < Delta: the coupled runs "
+                      "start inside the Delta-ball")
     if command == "simulate" and "csv" not in cfg.formats:
         errors.append("simulate writes only trajectory CSVs: formats must "
                       "include csv")
-    if command in ("reduce", "report") and cfg.rho0 >= cfg.big_delta:
-        errors.append(f"{command} needs rho0 < Delta: the coupled runs "
-                      "start inside the Delta-ball")
     try:
         sde._resolve_workers(cfg.workers)
     except sde.SdeError as exc:

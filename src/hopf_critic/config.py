@@ -26,9 +26,14 @@ line contributes one monomial to one component (1-based); every sigma
 line contributes one monomial to one entry of the n-by-m diffusion
 matrix.  ``mu true`` in [system] declares a trailing bifurcation
 parameter: drift exponent vectors then have n+1 entries (the last one
-for the parameter) while sigma exponents stay at n.  All parse and
-validation errors are collected and reported together with their line
-numbers.
+for the parameter) while sigma exponents stay at n.
+
+The parser judges the grammar: sections, keys, token types and counts,
+``n`` and ``m``, term indices, booleans and formats.  All such errors
+are collected and reported together with their line numbers.  It does
+not judge the range of a run value (T, dt, paths, epsilon, ...): the
+command line may still override it, so the CLI judges the resolved run
+once, after its flags, and reports those errors without line numbers.
 """
 
 from __future__ import annotations
@@ -56,7 +61,11 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class Config:
-    """Parsed and validated configuration."""
+    """Parsed configuration, its run values not yet range-checked.
+
+    ``checkpoints`` is None when the file has no checkpoints line; the
+    CLI then compares at the T it resolves after its flags.
+    """
 
     n: int
     m: int
@@ -73,14 +82,12 @@ class Config:
     nmax: float
     big_delta: float
     beta: float
-    checkpoints: tuple
+    checkpoints: tuple | None
     workers: int
     out_dir: str
     formats: tuple
     plot: bool
     text: str
-    # no checkpoints line: checkpoints is (T,) and follows a T set later
-    checkpoints_follow_T: bool = False
 
 
 def _to_float(token, lineno, key, errors):
@@ -266,40 +273,6 @@ def parse_config(text):
                       f"false, got '{plot_token}'")
         plot = False
 
-    def where(key):
-        return f"line {scalars[key][1]}: " if key in scalars else ""
-
-    if T <= 0.0:
-        errors.append(f"{where('T')}T must be positive")
-        T = 1.0
-    if dt <= 0.0 or dt > T:
-        errors.append(f"{where('dt')}dt must lie in (0, T]")
-        dt = min(1e-3, T)
-    if paths < 1:
-        errors.append(f"{where('paths')}paths must be at least 1")
-    if seed < 0:
-        errors.append(f"{where('seed')}seed must be nonnegative")
-    for e in epsilons:
-        if not 0.0 < e < 1.0:
-            errors.append(f"{where('epsilon')}epsilon {e} outside (0, 1)")
-            break
-    checkpoints_follow_T = checkpoints is None
-    if checkpoints_follow_T:
-        checkpoints = (T,)
-    for c in checkpoints:
-        if not 0.0 < c <= T * (1.0 + 1e-12):
-            errors.append(f"{where('checkpoints')}checkpoint {c} outside "
-                          f"(0, T]")
-            break
-    if not 0.0 < beta < 0.5:
-        errors.append(f"{where('beta')}beta must lie in (0, 0.5)")
-    if big_delta <= 0.0:
-        errors.append(f"{where('Delta')}Delta must be positive")
-    if not 0.0 < delta < rho0 < nmax:
-        errors.append("need 0 < delta < rho0 < N")
-    if workers is not None and workers < 1:
-        errors.append(f"{where('workers')}workers must be at least 1")
-
     if errors:
         raise ConfigError(errors)
     return Config(
@@ -308,9 +281,8 @@ def parse_config(text):
         sigma=PolyMap(n, n * m, sigma_terms),
         epsilons=epsilons, T=T, dt=dt, paths=paths, seed=seed, rho0=rho0,
         delta=delta, nmax=nmax, big_delta=big_delta, beta=beta,
-        checkpoints=tuple(checkpoints), workers=workers, out_dir=out_dir,
-        formats=formats, plot=plot, text=text,
-        checkpoints_follow_T=checkpoints_follow_T)
+        checkpoints=checkpoints, workers=workers, out_dir=out_dir,
+        formats=formats, plot=plot, text=text)
 
 
 def load_config(path):

@@ -254,7 +254,9 @@ class LimitParams:
 
 
 def _step_count(T, dt):
-    n = int(round(T / dt))
+    ratio = T / dt
+    # a ratio that overflows (or a NaN T) is no step count
+    n = int(round(ratio)) if math.isfinite(ratio) else 0
     if n < 1 or abs(n * dt - T) > 1e-9 * max(1.0, abs(T)):
         raise SdeError(f"T={T} is not an integral number of dt={dt} steps")
     return n

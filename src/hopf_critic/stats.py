@@ -24,7 +24,7 @@ planar approximation error Phi up to the first exit from a Delta-ball.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -474,13 +474,7 @@ class ReductionReport:
             "epsilons": list(self.epsilons), "Delta": self.big_delta,
             "beta": self.beta, "dt": self.dt, "n_paths": self.n_paths,
             "horizon": self.horizon,
-            "rows": [{
-                "epsilon": r.epsilon, "u_median": r.u_median,
-                "u_p90": r.u_p90, "phi_median": r.phi_median,
-                "phi_p90": r.phi_p90,
-                "excluded_fraction": r.excluded_fraction,
-                "ball_exit_fraction": r.ball_exit_fraction,
-            } for r in self.rows],
+            "rows": [asdict(row) for row in self.rows],
             "q_fit": self.q_fit, "gamma_fit": self.gamma_fit,
         }
 
@@ -619,10 +613,7 @@ class StationaryReport:
     n_paths: int
 
     def as_record(self):
-        return {"w1": self.w1, "n_samples": self.n_samples, "s": self.s,
-                "normalizer": self.normalizer, "eta_max": self.eta_max,
-                "horizon": self.horizon, "burn_in": self.burn_in,
-                "dt": self.dt, "n_paths": self.n_paths}
+        return asdict(self)
 
 
 def stationary_check(params, T, burn_in, dt, paths, rho0=1.0,
@@ -683,31 +674,28 @@ def stationary_check(params, T, burn_in, dt, paths, rho0=1.0,
         burn_in=float(burn_in), dt=float(dt), n_paths=int(paths))
 
 
-def write_convergence_csv(report, path):
-    """Study CSV: epsilon,checkpoint,ks,w1,stopped_fraction,n_paths,dt."""
-    lines = ["epsilon,checkpoint,ks,w1,stopped_fraction,n_paths,dt"]
-    for row in report.rows:
-        for cell in row.cells:
-            lines.append(",".join([
-                _fmt(row.epsilon), _fmt(cell.checkpoint), _fmt(cell.ks),
-                _fmt(cell.w1), _fmt(row.stopped_fraction),
-                str(report.n_paths), _fmt(report.dt)]))
+def _write_csv(path, header, rows):
+    """Write ``header`` and one line of ``%.17g`` fields per row."""
+    lines = [header] + [",".join(map(_fmt, row)) for row in rows]
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
+
+
+def write_convergence_csv(report, path):
+    """Study CSV: epsilon,checkpoint,ks,w1,stopped_fraction,n_paths,dt."""
+    _write_csv(path, "epsilon,checkpoint,ks,w1,stopped_fraction,n_paths,dt",
+               ((row.epsilon, cell.checkpoint, cell.ks, cell.w1,
+                 row.stopped_fraction, report.n_paths, report.dt)
+                for row in report.rows for cell in row.cells))
 
 
 def write_reduction_csv(report, path):
     """Diagnostics CSV, one row per eps."""
-    lines = ["epsilon,u_median,u_p90,phi_median,phi_p90,"
-             "excluded_fraction,ball_exit_fraction,n_paths,dt"]
-    for row in report.rows:
-        lines.append(",".join([
-            _fmt(row.epsilon), _fmt(row.u_median), _fmt(row.u_p90),
-            _fmt(row.phi_median), _fmt(row.phi_p90),
-            _fmt(row.excluded_fraction), _fmt(row.ball_exit_fraction),
-            str(report.n_paths), _fmt(report.dt)]))
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+    _write_csv(path, "epsilon,u_median,u_p90,phi_median,phi_p90,"
+                     "excluded_fraction,ball_exit_fraction,n_paths,dt",
+               ((row.epsilon, row.u_median, row.u_p90, row.phi_median,
+                 row.phi_p90, row.excluded_fraction, row.ball_exit_fraction,
+                 report.n_paths, report.dt) for row in report.rows))
 
 
 def write_trajectory_csv(ensemble, path, columns):

@@ -61,7 +61,8 @@ def test_minimal_config_fills_defaults():
     assert cfg.nmax == 10.0
     assert cfg.big_delta == 2.0
     assert cfg.beta == 0.4
-    assert cfg.checkpoints == (1.0,)
+    # no checkpoints line: the CLI compares at T once its flags are applied
+    assert cfg.checkpoints is None
     assert cfg.workers is None
     assert cfg.out_dir == "out"
     assert cfg.formats == ("csv", "json")
@@ -79,7 +80,11 @@ def test_config_builds_the_declared_polynomials():
 
 def test_checkpoints_default_to_the_horizon():
     cfg = parse_config("[system]\nn 2\n[run]\nT 2.0\n")
-    assert cfg.checkpoints == (2.0,)
+    assert cfg.checkpoints is None
+    parser = cli.build_parser()
+    for flags, horizon in (([], 2.0), (["--T", "0.5"], 0.5)):
+        args = parser.parse_args(["converge", "--config", "x.cfg", *flags])
+        assert cli._apply_overrides(cfg, args).checkpoints == (horizon,)
 
 
 def test_parse_collects_every_error_with_line_numbers():
@@ -97,12 +102,13 @@ plot maybe
     with pytest.raises(ConfigError) as exc:
         parse_config(text)
     errors = exc.value.errors
-    assert len(errors) >= 5
+    assert len(errors) == 4
     assert any("line 2" in e and "n must be" in e for e in errors)
     assert any("line 3" in e and "drift" in e for e in errors)
     assert any("line 4" in e and "bogus" in e for e in errors)
-    assert any("line 6" in e and "epsilon" in e for e in errors)
     assert any("line 9" in e and "plot" in e for e in errors)
+    # the ranges of epsilon and dt are judged by the CLI, after its flags
+    assert not any("epsilon" in e or "dt" in e for e in errors)
 
 
 def test_parse_rejects_duplicate_scalar_keys():
@@ -383,27 +389,43 @@ def test_epsilons_equal_at_g_precision_exit_one(tmp_path, capsys, command,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command, env, flags, message", [
+@pytest.mark.parametrize("command, env, flags, message, text", [
     ("check", {"HOPF_CRITIC_WORKERS": "abc"}, [],
-     "HOPF_CRITIC_WORKERS='abc' is not an integer"),
+     "HOPF_CRITIC_WORKERS='abc' is not an integer", GOLDEN),
     ("converge", {"HOPF_CRITIC_WORKERS": "0"}, [],
-     "HOPF_CRITIC_WORKERS must be at least 1"),
-    ("converge", {}, ["--paths", "1"], "converge needs at least 2 paths"),
-    ("report", {}, ["--paths", "1"], "report needs at least 2 paths"),
-    ("reduce", {}, ["--Delta", "0.5"], "reduce needs rho0 < Delta"),
-    ("report", {}, ["--Delta", "0.5"], "report needs rho0 < Delta"),
-    ("converge", {}, ["--T", "0.1"], "checkpoint 0.25 outside (0, T]"),
+     "HOPF_CRITIC_WORKERS must be at least 1", GOLDEN),
+    ("converge", {}, ["--paths", "1"], "converge needs at least 2 paths",
+     GOLDEN),
+    ("report", {}, ["--paths", "1"], "report needs at least 2 paths",
+     GOLDEN),
+    ("reduce", {}, ["--Delta", "0.5"], "reduce needs rho0 < Delta", GOLDEN),
+    ("report", {}, ["--Delta", "0.5"], "report needs rho0 < Delta", GOLDEN),
+    ("converge", {}, ["--T", "0.1"], "checkpoint 0.25 outside (0, T]",
+     GOLDEN),
+    ("converge", {}, ["--T", "nan"], "T must be positive and finite",
+     GOLDEN),
+    ("simulate", {}, ["--T", "inf"], "T must be positive and finite",
+     GOLDEN),
+    ("converge", {}, ["--dt", "nan"], "dt must lie in (0, T]", GOLDEN),
+    ("reduce", {}, ["--Delta", "nan"], "Delta must be positive", GOLDEN),
+    ("converge", {}, [], "T must be positive and finite",
+     GOLDEN.replace("T 0.5", "T nan")),
+    ("converge", {}, ["--T", "0"], "T must be positive and finite", GOLDEN),
+    ("reduce", {}, ["--Delta", "-1"], "Delta must be positive", GOLDEN),
+    ("converge", {}, ["--dt", "5e-324"], "not an integral number of dt",
+     GOLDEN),
 ], ids=["workers-abc", "workers-0", "converge-one-path", "report-one-path",
         "reduce-rho0-outside-Delta", "report-rho0-outside-Delta",
-        "checkpoint-beyond-T"])
+        "checkpoint-beyond-T", "T-nan", "T-inf", "dt-nan", "Delta-nan",
+        "file-T-nan", "T-zero", "Delta-negative", "dt-overflows-steps"])
 def test_configuration_mistakes_exit_one(tmp_path, capsys, monkeypatch,
-                                         command, env, flags, message):
+                                         command, env, flags, message, text):
     monkeypatch.delenv("HOPF_CRITIC_WORKERS", raising=False)
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     out = tmp_path / "out"
-    code = cli.main([command, "--config", write_config(tmp_path), "--out",
-                     str(out), *flags])
+    code = cli.main([command, "--config", write_config(tmp_path, text),
+                     "--out", str(out), *flags])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: CONFIG: ")
@@ -541,3 +563,25 @@ def test_converge_checkpoint_beyond_the_overridden_T_exits_one(tmp_path,
     err = capsys.readouterr().err
     assert err == "error: CONFIG: checkpoint 0.5 outside (0, T]\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, edits, flags", [
+    ("check", [("dt 1e-2", "dt 2.0")], ["--dt", "1e-3"]),
+    ("check", [("paths 30", "paths 0")], ["--paths", "2"]),
+    ("converge", [("T 0.5", "T 1.0"), ("checkpoints 0.25 0.5",
+                                       "checkpoints 0.5 2.0")],
+     ["--T", "2", "--paths", "4"]),
+    # checkpoints 0.25 0.5 lie beyond the file's T, but simulate never
+    # reads them
+    ("simulate", [("T 0.5", "T 0.05")], ["--paths", "2"]),
+], ids=["dt", "paths", "checkpoints", "simulate-unread-checkpoints"])
+def test_flag_fixes_a_file_value(tmp_path, command, edits, flags):
+    # run values are judged once, after the flags
+    text = GOLDEN
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", write_config(tmp_path, text),
+                     "--out", str(out), *flags]) == 0
+    assert (out / "manifest.json").exists()

@@ -318,8 +318,10 @@ def test_limit_task_rejects_nonpositive_initial_radius():
 def test_grid_step_count_must_divide_horizon():
     drift = PolyMap(1, 1, [(0, (1,), -1.0)])
     diffusion = PolyMap.zero(1, 1)
-    with pytest.raises(sde.SdeError):
-        sde.em_task(drift, diffusion, np.zeros(1), 0.3, 1.0)
+    # T / dt off the grid, overflowing to inf, and NaN
+    for dt, T in ((0.3, 1.0), (5e-324, 1.0), (1e-3, float("nan"))):
+        with pytest.raises(sde.SdeError):
+            sde.em_task(drift, diffusion, np.zeros(1), dt, T)
 
 
 def test_rotation_linear_step_preserves_radius_without_forcing():

@@ -261,8 +261,9 @@ def _cmd_normal_form(cfg, args):
         },
         "manifold_terms": system.manifold.h2.term_lines(),
         "reduced_terms": system.reduced.term_lines(),
-        "radial_cubic_coefficient": system.radial_coefficient,
+        "radial_cubic_coefficient": system.limit.a,
         "limit": {
+            "a": system.limit.a,
             "sigma1_sq": system.limit.sigma1_sq,
             "sigma2_sq": system.limit.sigma2_sq,
             "sigma12": system.limit.sigma12,
@@ -271,7 +272,7 @@ def _cmd_normal_form(cfg, args):
     }
     _write_json(os.path.join(out, "normal_form.json"), record)
     print(f"lam0: {system.split.lam0:.17g}")
-    print(f"radial_cubic_coefficient: {system.radial_coefficient:.17g}")
+    print(f"radial_cubic_coefficient: {system.limit.a:.17g}")
     print(f"limit_s: {system.limit.s:.17g}")
     print(f"wrote {os.path.join(out, 'normal_form.json')}")
     _write_manifest(cfg, args, ["normal_form.json"])
@@ -402,7 +403,7 @@ def _cmd_report(cfg, args):
         f"state dimension        {cfg.n}",
         f"noise channels         {cfg.m}",
         f"rotation rate lam0     {system.split.lam0:.6g}",
-        f"radial cubic coeff.    {system.radial_coefficient:.6g}",
+        f"radial cubic coeff.    {system.limit.a:.6g}",
         f"limit diffusion s      {system.limit.s:.6g}",
         f"paths per ensemble     {cfg.paths}",
         f"step size              {cfg.dt:g}",

@@ -487,16 +487,17 @@ def reduced_field(Q, f, manifold):
     return PolyMap.linear(Q, max_degree=3) + composed
 
 
-def lyapunov_radial_coefficient(reduced, n_nodes=256):
+def lyapunov_radial_coefficient(reduced):
     """Angle-averaged radial cubic coefficient of a reduced field.
 
-    Computes ``(1/2pi) \\int u(t)^T cubic(u(t)) dt`` over the unit circle by
-    an ``n_nodes``-point trapezoidal rule (exact for the trigonometric
-    polynomials arising from a cubic field).  Negative values certify a
-    supercritical (stable-limit-cycle) bifurcation.
+    The mean of ``u^T cubic(u)`` over the unit circle, in closed form:
+    with ``cubic = (sum a_ij z1^i z2^j, sum b_ij z1^i z2^j)`` it is
+    ``(3 a30 + a12 + b21 + 3 b03) / 8``, because ``cos^4`` and ``sin^4``
+    average to 3/8, ``cos^2 sin^2`` to 1/8 and odd powers to 0.  Negative
+    values certify a supercritical (stable-limit-cycle) bifurcation.
     """
-    cubic = reduced.homogeneous_part(3)
-    theta = np.linspace(0.0, 2.0 * np.pi, n_nodes, endpoint=False)
-    points = np.column_stack((np.cos(theta), np.sin(theta)))
-    values = cubic.evaluate_batch(points)
-    return float(np.mean(np.sum(points * values, axis=1)))
+    if reduced.n_in != 2 or reduced.n_out != 2:
+        raise NormalFormError("reduced field must be planar")
+    c = {(comp, exps): coef for comp, exps, coef in reduced.terms}
+    return (3.0 * c.get((0, (3, 0)), 0.0) + c.get((0, (1, 2)), 0.0)
+            + c.get((1, (2, 1)), 0.0) + 3.0 * c.get((1, (0, 3)), 0.0)) / 8.0

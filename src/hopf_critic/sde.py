@@ -20,8 +20,9 @@ that shape:
     by the same noise channels as the full system for pathwise coupling.
 ``limit_task``
     The limiting radial diffusion, integrated through its nonsingular
-    two-dimensional representation ``dZ_i = -Z_i |Z|^2 dt + s dB_i`` whose
-    radius has the limit law; the polar drift's ``1/eta`` singularity never
+    two-dimensional representation ``dZ_i = a Z_i |Z|^2 dt + s dB_i``,
+    with ``a`` the reduced field's radial cubic coefficient, whose radius
+    has the limit law; the polar drift's ``1/eta`` singularity never
     appears.
 
 ``run_coupled`` runs tasks on one draw of noise, stepping each chunk of
@@ -227,10 +228,13 @@ class LimitParams:
     ``sigma_bar`` is the constant critical-plane diffusion block at the
     origin; the row sums of squares and the cross term determine the
     averaged drift constant and the diffusion ``s``.  They are derived
-    once, on construction, from a copy of ``sigma_bar``.
+    once, on construction, from a copy of ``sigma_bar``.  ``a`` is the
+    radial cubic coefficient of the reduced field, the limit drift's
+    ``a Z|Z|^2``; -1 is the normal form ``-Z|Z|^2``.
     """
 
     sigma_bar: np.ndarray
+    a: float = -1.0
     sigma1_sq: float = field(init=False)
     sigma2_sq: float = field(init=False)
     sigma12: float = field(init=False)
@@ -243,7 +247,8 @@ class LimitParams:
         s1 = float(np.sum(bar[0] * bar[0]))
         s2 = float(np.sum(bar[1] * bar[1]))
         s12 = float(np.sum(bar[0] * bar[1]))
-        derived = {"sigma_bar": bar, "sigma1_sq": s1, "sigma2_sq": s2,
+        derived = {"sigma_bar": bar, "a": float(self.a),
+                   "sigma1_sq": s1, "sigma2_sq": s2,
                    "sigma12": s12, "s": math.sqrt((s1 + s2) / 2.0)}
         for name, value in derived.items():
             object.__setattr__(self, name, value)
@@ -394,16 +399,16 @@ def limit_task(params, rho0, dt, T, refined=False,
                stream_class=STREAM_LIMIT, guard=GUARD_RADIUS):
     """Limiting radial diffusion via its planar representation.
 
-    Starts at ``(rho0, 0)``; the law of the radius does not depend on the
-    starting phase.  ``rho0`` must be positive: the limit statement needs
-    a nonzero initial radius, and the origin is rejected rather than
-    extrapolated.
+    The drift is ``params.a Z|Z|^2``.  Starts at ``(rho0, 0)``; the law
+    of the radius does not depend on the starting phase.  ``rho0`` must be
+    positive: the limit statement needs a nonzero initial radius, and the
+    origin is rejected rather than extrapolated.
     """
     if rho0 <= 0.0:
         raise SdeError("rho0 must be positive")
+    a = float(params.a)
     cubic = PolyMap(2, 2, [
-        (0, (3, 0), -1.0), (0, (1, 2), -1.0),
-        (1, (2, 1), -1.0), (1, (0, 3), -1.0)])
+        (0, (3, 0), a), (0, (1, 2), a), (1, (2, 1), a), (1, (0, 3), a)])
     s = float(params.s)
     diffusion = PolyMap(2, 4, [(0, (0, 0), s), (3, (0, 0), s)])
     return SimTask(dim=2, m=2, lin=np.eye(2), drift=cubic,

@@ -2,15 +2,16 @@
 
 The averaged drift and diffusion are the closed forms obtained by
 integrating the phase out of the radial dynamics with a constant
-critical-plane diffusion block: with row statistics
+critical-plane diffusion block: with the reduced field's radial cubic
+coefficient ``a`` (``LimitParams.a``) and row statistics
 ``S1 = sum_j sigma_bar[0,j]^2``, ``S2 = sum_j sigma_bar[1,j]^2`` and
 ``S12 = sum_j sigma_bar[0,j] sigma_bar[1,j]``,
 
-    a(eta, phi) = (1/eta) [ -eta^4 + S1 sin^2(phi)/2 + S2 cos^2(phi)/2
+    b(eta, phi) = (1/eta) [ a eta^4 + S1 sin^2(phi)/2 + S2 cos^2(phi)/2
                             - S12 sin(phi) cos(phi) ]
     w(phi)      = S1 cos^2(phi) + S2 sin^2(phi) + 2 S12 sin(phi) cos(phi)
 
-whose uniform phase averages are ``bbar(eta) = (-eta^4 + (S1+S2)/4)/eta``
+whose uniform phase averages are ``bbar(eta) = (a eta^4 + (S1+S2)/4)/eta``
 and ``s^2 = (S1+S2)/2``.  Both pre-averaged profiles are exposed so the
 closed forms can be cross-checked by quadrature.
 
@@ -48,18 +49,18 @@ class NonTrivialQuadratic(StatsError):
     """Reduction diagnostics need a drift with no mixed quadratic terms."""
 
 
-class ReducedCubicMismatch(StatsError):
-    """Convergence study needs the standard attracting cubic reduced field."""
-
-
 def _fmt(value):
     return format(float(value), ".17g")
 
 
 @dataclass(frozen=True)
 class AveragedDrift:
-    """Callable averaged radial drift with its phase-dependent profile."""
+    """Callable averaged radial drift with its phase-dependent profile.
 
+    ``a`` is the radial cubic coefficient, the drift's ``a eta^3``.
+    """
+
+    a: float
     sigma1_sq: float
     sigma2_sq: float
     sigma12: float
@@ -72,30 +73,32 @@ class AveragedDrift:
         eta = np.asarray(eta, dtype=float)
         if np.any(eta <= 0.0):
             raise ValueError("averaged drift is defined for positive radius")
-        value = (-(eta ** 4) + self.constant) / eta
+        value = (self.a * eta ** 4 + self.constant) / eta
         return float(value) if value.ndim == 0 else value
 
     def pre_average(self, eta, phi):
-        """Phase-dependent radial drift a(eta, phi) before averaging."""
+        """Phase-dependent radial drift b(eta, phi) before averaging."""
         eta = np.asarray(eta, dtype=float)
         if np.any(eta <= 0.0):
             raise ValueError("radius must be positive")
         phi = np.asarray(phi, dtype=float)
         sin, cos = np.sin(phi), np.cos(phi)
-        value = (-(eta ** 4) + 0.5 * self.sigma1_sq * sin * sin
+        value = (self.a * eta ** 4 + 0.5 * self.sigma1_sq * sin * sin
                  + 0.5 * self.sigma2_sq * cos * cos
                  - self.sigma12 * sin * cos) / eta
         return float(value) if value.ndim == 0 else value
 
     def record(self):
-        root = self.constant ** 0.25 if self.constant > 0.0 else 0.0
-        return {"quartic_coefficient": -1.0, "constant": self.constant,
+        # the positive zero of the drift, 0.0 where there is none
+        root = (self.constant / -self.a) ** 0.25 \
+            if self.a < 0.0 < self.constant else 0.0
+        return {"quartic_coefficient": self.a, "constant": self.constant,
                 "root": root}
 
 
 def averaged_drift(params):
     """Averaged radial drift of the limit diffusion for given coefficients."""
-    return AveragedDrift(sigma1_sq=params.sigma1_sq,
+    return AveragedDrift(a=params.a, sigma1_sq=params.sigma1_sq,
                          sigma2_sq=params.sigma2_sq,
                          sigma12=params.sigma12)
 
@@ -162,7 +165,6 @@ class PreparedSystem:
     g_clean: PolyMap
     manifold: object
     reduced: PolyMap
-    radial_coefficient: float
     limit: sde.LimitParams
 
 
@@ -171,8 +173,8 @@ def prepare_system(drift, sigma, tolerances=None):
 
     Splits the linearization, removes mixed quadratic drift terms, builds
     the quadratic center manifold and the reduced planar field, and reads
-    off the limit coefficients from the critical diffusion block at the
-    origin.
+    off the limit coefficients: ``a`` from the reduced field's cubic, the
+    rest from the critical diffusion block at the origin.
     """
     tol = tolerances if tolerances is not None else Tolerances()
     n = drift.n_in
@@ -194,29 +196,13 @@ def prepare_system(drift, sigma, tolerances=None):
     manifold = normalform.center_manifold_quadratic(
         split.Q, split.P, f_clean, g_clean)
     reduced = normalform.reduced_field(split.Q, f_clean, manifold)
-    radial = normalform.lyapunov_radial_coefficient(reduced)
     sigma_bar = sigma_q(np.zeros(n)).reshape(2, m)
-    limit = sde.LimitParams.from_sigma_bar(sigma_bar)
+    limit = sde.LimitParams(
+        sigma_bar, a=normalform.lyapunov_radial_coefficient(reduced))
     return PreparedSystem(
         drift=drift, sigma=sigma, split=split, f=f, g=g, sigma_q=sigma_q,
         sigma_p=sigma_p, transform=transform, f_clean=f_clean,
-        g_clean=g_clean, manifold=manifold, reduced=reduced,
-        radial_coefficient=radial, limit=limit)
-
-
-_STANDARD_CUBIC = {
-    (0, (3, 0)): -1.0, (0, (1, 2)): -1.0,
-    (1, (2, 1)): -1.0, (1, (0, 3)): -1.0,
-}
-
-
-def _require_standard_cubic(reduced, tol=1e-9):
-    got = {(c, e): v for c, e, v in reduced.homogeneous_part(3).terms}
-    keys = set(got) | set(_STANDARD_CUBIC)
-    gap = max(abs(got.get(k, 0.0) - _STANDARD_CUBIC.get(k, 0.0)) for k in keys)
-    if gap > tol:
-        raise ReducedCubicMismatch(
-            f"reduced cubic deviates from the attracting normal form by {gap:.3e}")
+        g_clean=g_clean, manifold=manifold, reduced=reduced, limit=limit)
 
 
 def _quantiles(samples, levels=QUANTILE_LEVELS):
@@ -345,8 +331,9 @@ def convergence_study(system, epsilons, checkpoints, paths, dt,
 
     For each eps the amplified split system is simulated from radius
     ``rho0`` and converted to polar form with annulus barriers
-    ``(delta, nmax)``; the limit diffusion is simulated once from the same
-    radius under the same barriers.  KS and W1 distances are taken at each
+    ``(delta, nmax)``; the limit diffusion, with the system's radial cubic
+    coefficient ``system.limit.a``, is simulated once from the same radius
+    under the same barriers.  KS and W1 distances are taken at each
     checkpoint between never-stopped paths of both ensembles; stopped
     fractions are reported separately.  With ``refine=True`` the whole
     comparison is repeated at half the step on the same Brownian paths,
@@ -365,8 +352,7 @@ def convergence_study(system, epsilons, checkpoints, paths, dt,
         raise StatsError("need at least two paths")
     if not delta < rho0 < nmax:
         raise StatsError("rho0 must lie strictly inside the annulus")
-    _require_standard_cubic(system.reduced)
-    if system.radial_coefficient >= 0.0:
+    if system.limit.a >= 0.0:
         raise StatsError("system is not supercritical")
     if system.limit.s <= 0.0:
         raise StatsError("limit diffusion vanishes; nothing to compare")
@@ -621,12 +607,16 @@ def stationary_check(params, T, burn_in, dt, paths, rho0=1.0,
     """Compare pooled post-burn-in radii against the invariant density.
 
     The invariant law of the limit diffusion has density proportional to
-    ``eta * exp(-eta^4 / (2 s^2))``; its normalizer and quantiles are
-    computed by a 10^4-point trapezoid rule and compared to the pooled
-    samples through the one-dimensional W1 distance.
+    ``eta * exp(a eta^4 / (2 s^2))`` with ``a = params.a < 0``; its
+    normalizer and quantiles are computed by a 10^4-point trapezoid rule
+    and compared to the pooled samples through the one-dimensional W1
+    distance.
     """
     if params.s <= 0.0:
         raise StatsError("stationary comparison needs a positive diffusion")
+    if params.a >= 0.0:
+        raise StatsError("stationary comparison needs an attracting cubic "
+                         "(a < 0)")
     if burn_in < 0.0 or burn_in >= T:
         raise StatsError("need 0 <= burn_in < T")
     task = sde.limit_task(params, rho0, dt, T)
@@ -649,9 +639,11 @@ def stationary_check(params, T, burn_in, dt, paths, rho0=1.0,
     if samples.size == 0:
         raise StatsError("no samples after burn-in")
     s_sq = params.s * params.s
-    eta_max = max(float(samples.max()) * 1.0001, (120.0 * s_sq) ** 0.25)
+    # the density has fallen by exp(-60) at the second bound
+    eta_max = max(float(samples.max()) * 1.0001,
+                  (120.0 * s_sq / -params.a) ** 0.25)
     grid = np.linspace(0.0, eta_max, 10_000)
-    density = grid * np.exp(-(grid ** 4) / (2.0 * s_sq))
+    density = grid * np.exp(params.a * grid ** 4 / (2.0 * s_sq))
     steps = np.diff(grid)
     cdf = np.concatenate(
         ([0.0], np.cumsum(0.5 * (density[1:] + density[:-1]) * steps)))

@@ -155,6 +155,9 @@ def test_shipped_example_configs_parse():
     coupled = load_config(REPO_CONFIGS / "coupled3d.cfg")
     assert coupled.n == 3
     assert coupled.drift.n_in == 3
+    brusselator = load_config(REPO_CONFIGS / "brusselator.cfg")
+    assert brusselator.n == 2
+    assert_allclose(brusselator.drift(np.array([1.0, 1.0])), [7.0, -8.0])
 
 
 def test_check_reports_verdicts_and_exits_zero(tmp_path, capsys):
@@ -215,6 +218,7 @@ def test_normal_form_writes_reduction_artifacts(tmp_path):
     record = json.loads((out / "normal_form.json").read_text())
     assert_allclose(record["lam0"], 1.0)
     assert_allclose(record["radial_cubic_coefficient"], -1.0, atol=1e-12)
+    assert record["limit"]["a"] == record["radial_cubic_coefficient"]
     assert_allclose(record["limit"]["s"], 1.0, atol=1e-12)
     assert isinstance(record["reduced_terms"], list)
     assert record["stable_block"] == []
@@ -471,9 +475,7 @@ def test_runtime_failures_exit_two_with_error_code(tmp_path, capsys):
                      "--paths", "2"])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    assert "REDUCED_CUBIC_MISMATCH" in err or \
-        "NON_TRIVIAL_QUADRATIC" in err
+    assert err.startswith("error: NON_TRIVIAL_QUADRATIC: ")
 
 
 def test_report_covers_both_studies(tmp_path, capsys):
@@ -492,8 +494,7 @@ def test_report_covers_both_studies(tmp_path, capsys):
 
 
 def test_report_notes_skipped_reduction_for_mixed_quadratic(tmp_path):
-    # the quadratic is large enough to trip the reduction gate but too
-    # small to push the reduced cubic off the normal form
+    # the quadratic is large enough to trip the reduction gate
     text = GOLDEN.replace("[run]", "drift 1 2 0 1e-6\n\n[run]")
     cfg = write_config(tmp_path, text)
     out = tmp_path / "out"
@@ -504,6 +505,24 @@ def test_report_notes_skipped_reduction_for_mixed_quadratic(tmp_path):
     text = (out / "report.txt").read_text()
     assert "skipped" in text
     assert "reduction errors" not in text
+
+
+def test_system_off_normal_form_converges_and_reports(tmp_path, capsys):
+    # the Brusselator's reduced cubic averages to -1/4; converge and report
+    # compare against that limit law, and report skips the reduction
+    cfg = str(REPO_CONFIGS / "brusselator.cfg")
+    assert cli.main(["check", "--config", cfg, "--out",
+                     str(tmp_path / "check")]) == 0
+    assert "supercritical: true" in capsys.readouterr().out
+    record = json.loads((tmp_path / "check" / "hypotheses.json").read_text())
+    assert_allclose(record["radial_cubic_coefficient"], -0.25, atol=1e-12)
+    flags = ["--paths", "50", "--epsilon", "1e-3"]
+    for command in ("converge", "report"):
+        assert cli.main([command, "--config", cfg, "--out",
+                         str(tmp_path / command), *flags]) == 0
+    text = (tmp_path / "report" / "report.txt").read_text()
+    assert "radial cubic coeff.    -0.25\n" in text
+    assert "reduction diagnostics skipped" in text
 
 
 def test_report_agrees_with_converge_and_reduce(tmp_path):

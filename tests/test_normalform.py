@@ -214,6 +214,35 @@ def test_lyapunov_radial_coefficient_known_cubics():
                     rtol=1e-12)
 
 
+def quadrature_radial_coefficient(reduced, n_nodes=256):
+    """Reference: the mean of u^T cubic(u) over n_nodes points of the unit
+    circle, a trapezoid rule exact for these trigonometric polynomials."""
+    theta = np.linspace(0.0, 2.0 * np.pi, n_nodes, endpoint=False)
+    points = np.column_stack((np.cos(theta), np.sin(theta)))
+    values = reduced.homogeneous_part(3).evaluate_batch(points)
+    return float(np.mean(np.sum(points * values, axis=1)))
+
+
+def test_closed_form_radial_coefficient_matches_quadrature():
+    rng = np.random.default_rng(11)
+    cubic = [(i, 3 - i) for i in range(4)]
+    for _ in range(50):
+        terms = [(0, (0, 1), -1.0), (1, (1, 0), 1.0)]
+        terms += [(comp, exps, rng.normal()) for comp in range(2)
+                  for exps in cubic]
+        # terms of degree 2 average out and must not enter the coefficient
+        terms += [(comp, (i, 2 - i), rng.normal()) for comp in range(2)
+                  for i in range(3)]
+        reduced = PolyMap(2, 2, terms)
+        assert abs(normalform.lyapunov_radial_coefficient(reduced)
+                   - quadrature_radial_coefficient(reduced)) < 1e-13
+
+
+def test_radial_coefficient_rejects_non_planar_field():
+    with pytest.raises(normalform.NormalFormError):
+        normalform.lyapunov_radial_coefficient(PolyMap.zero(3, 3))
+
+
 def test_complexify_rejects_non_homogeneous_input():
     p = PolyMap(3, 2, [(0, (1, 0, 0), 1.0), (0, (2, 0, 0), 1.0)])
     with pytest.raises(normalform.NonHomogeneousInput):

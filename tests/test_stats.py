@@ -1,16 +1,21 @@
 """Averaged coefficients, sample distances, studies, and writers."""
 
+import dataclasses
 import functools
 import itertools
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from hopf_critic import _kernels, sde, stats
+from hopf_critic.config import load_config
 from hopf_critic.polyfield import PolyMap
+
+REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def golden_planar():
@@ -50,13 +55,15 @@ def w1_oracle(a, b):
 def test_phase_average_of_drift_profile_matches_closed_form():
     rng = np.random.default_rng(0)
     phi = 2.0 * np.pi * np.arange(1024) / 1024
-    for _ in range(10):
-        bar = rng.normal(size=(2, rng.integers(1, 4)))
-        params = sde.LimitParams.from_sigma_bar(bar)
-        drift = stats.averaged_drift(params)
-        for eta in (0.5, 1.0, 2.0):
-            assert_allclose(np.mean(drift.pre_average(eta, phi)), drift(eta),
-                            rtol=1e-12, atol=1e-12)
+    for a in (-1.0, -0.25):
+        for _ in range(10):
+            bar = rng.normal(size=(2, rng.integers(1, 4)))
+            params = sde.LimitParams(bar, a=a)
+            drift = stats.averaged_drift(params)
+            assert drift.record()["quartic_coefficient"] == a
+            for eta in (0.5, 1.0, 2.0):
+                assert_allclose(np.mean(drift.pre_average(eta, phi)),
+                                drift(eta), rtol=1e-12, atol=1e-12)
 
 
 def test_phase_average_of_noise_profile_matches_closed_form():
@@ -71,14 +78,16 @@ def test_phase_average_of_noise_profile_matches_closed_form():
 
 
 def test_averaged_drift_identity_noise_values():
-    params = sde.LimitParams.from_sigma_bar(np.eye(2))
-    drift = stats.averaged_drift(params)
-    assert_allclose(drift(1.0), -0.5)
-    assert_allclose(stats.averaged_diffusion(params), 1.0)
-    root = drift.record()["root"]
-    assert_allclose(root, 0.5 ** 0.25)
-    assert_allclose(drift(root), 0.0, atol=1e-15)
-    assert math.sqrt(stats.averaged_diffusion(params)) == params.s
+    for a in (-1.0, -0.25):
+        params = sde.LimitParams(np.eye(2), a=a)
+        drift = stats.averaged_drift(params)
+        # b(1) = a + c with c = (S1 + S2)/4 = 1/2
+        assert_allclose(drift(1.0), a + 0.5)
+        assert_allclose(stats.averaged_diffusion(params), 1.0)
+        root = drift.record()["root"]
+        assert_allclose(root, (0.5 / -a) ** 0.25)
+        assert_allclose(drift(root), 0.0, atol=1e-15)
+        assert math.sqrt(stats.averaged_diffusion(params)) == params.s
 
 
 def test_averaged_drift_rejects_nonpositive_radius():
@@ -155,7 +164,7 @@ def test_prepare_system_on_planar_normal_form():
     system = stats.prepare_system(drift, sigma)
     assert system.split.P.shape == (0, 0)
     assert_allclose(system.split.lam0, 1.0)
-    assert_allclose(system.radial_coefficient, -1.0)
+    assert_allclose(system.limit.a, -1.0)
     assert_allclose(system.limit.s, 1.0)
     assert_allclose(system.limit.sigma12, 0.0, atol=1e-12)
     assert system.manifold.h2.n_out == 0
@@ -170,7 +179,7 @@ def test_prepare_system_keeps_stable_block_and_manifold():
     system = stats.prepare_system(drift, sigma)
     assert system.split.P.shape == (1, 1)
     assert system.manifold.h2.n_out == 1
-    assert system.radial_coefficient < 0.0
+    assert system.limit.a < 0.0
     assert system.limit.s > 0.0
 
 
@@ -187,13 +196,25 @@ def test_prepare_system_rejects_mismatched_sigma_shape():
         stats.prepare_system(drift, PolyMap.zero(2, 3))
 
 
-def test_convergence_study_requires_standard_cubic():
+def test_convergence_study_runs_with_the_computed_cubic_coefficient():
     _, sigma = golden_planar()
     steep = PolyMap(2, 2, [
         (0, (0, 1), -1.0), (0, (3, 0), -2.0), (0, (1, 2), -2.0),
         (1, (1, 0), 1.0), (1, (2, 1), -2.0), (1, (0, 3), -2.0)])
     system = stats.prepare_system(steep, sigma)
-    with pytest.raises(stats.ReducedCubicMismatch):
+    assert system.limit.a == -2.0
+    report = stats.convergence_study(system, (1e-2,), (0.1,), 4, 1e-3)
+    assert report.rows[0].cells[0].ks >= 0.0
+
+
+def test_convergence_study_rejects_a_repelling_cubic():
+    _, sigma = golden_planar()
+    repel = PolyMap(2, 2, [
+        (0, (0, 1), -1.0), (0, (3, 0), 1.0), (0, (1, 2), 1.0),
+        (1, (1, 0), 1.0), (1, (2, 1), 1.0), (1, (0, 3), 1.0)])
+    system = stats.prepare_system(repel, sigma)
+    assert system.limit.a == 1.0
+    with pytest.raises(stats.StatsError, match="not supercritical"):
         stats.convergence_study(system, (1e-2,), (0.1,), 4, 1e-3)
 
 
@@ -208,6 +229,45 @@ def test_convergence_study_validates_run_parameters():
         stats.convergence_study(system, (1e-2,), (0.1,), 4, 1e-3, rho0=20.0)
     with pytest.raises(stats.StatsError):
         stats.convergence_study(system, (1e-2,), (0.15,), 4, 1e-1)
+
+
+def dkw_band(n, alpha=0.05):
+    """Massart's DKW deviation of an n-sample empirical CDF at level alpha."""
+    return math.sqrt(math.log(2.0 / alpha) / (2.0 * n))
+
+
+@pytest.mark.parametrize("name", ["hopf2d.cfg", "coupled3d.cfg"])
+def test_shipped_normal_form_configs_keep_the_standard_cubic(name):
+    # bitwise -1.0, so the limit law's bits match the hardcoded cubic's
+    cfg = load_config(REPO_CONFIGS / name)
+    assert stats.prepare_system(cfg.drift, cfg.sigma).limit.a == -1.0
+
+
+def test_brusselator_limit_law_takes_the_computed_cubic_coefficient():
+    # Not in normal form: its reduced radial coefficient is -1/4.  Against
+    # that limit law KS sits inside the two-sample DKW band; against the
+    # normal form's -1 it lies far outside.
+    cfg = load_config(REPO_CONFIGS / "brusselator.cfg")
+    system = stats.prepare_system(cfg.drift, cfg.sigma)
+    assert_allclose(system.limit.a, -0.25, atol=1e-12)
+    control = dataclasses.replace(
+        system, limit=dataclasses.replace(system.limit, a=-1.0))
+    checkpoints, paths, dt = (0.5, 1.0), 400, 1e-3
+    results = []
+    for prepared in (system, control):
+        report = stats.convergence_study(prepared, (1e-3,), checkpoints,
+                                         paths, dt, master_seed=0)
+        # the limit ensemble's survivors, as the study counts them
+        fold = stats.AnnulusFold([[int(round(c / dt)) for c in checkpoints]],
+                                 paths)
+        task = sde.limit_task(prepared.limit, 1.0, dt, max(checkpoints))
+        codes = sde.run_coupled([task], paths, 0, fold)[1]
+        limit_alive = fold.survivors(codes, 0.05, 10.0)[0][0].sum()
+        band = dkw_band(report.rows[0].n_survivors) + dkw_band(limit_alive)
+        results.append(([c.ks for c in report.rows[0].cells], band))
+    (ks, band), (ks_control, band_control) = results
+    assert max(ks) < band
+    assert min(ks_control) > band_control
 
 
 def test_convergence_study_report_structure(tmp_path):
@@ -596,11 +656,14 @@ def test_reduction_csv_round_trips_values(tmp_path):
 
 
 def test_stationary_normalizer_matches_quadrature():
-    params = sde.LimitParams.from_sigma_bar(np.eye(2))
-    report = stats.stationary_check(params, 5.0, 1.0, 1e-3, 4)
-    assert abs(report.normalizer - 0.5 * math.sqrt(math.pi / 2.0)) < 1e-6
-    assert report.n_samples == 4 * 4000
-    assert report.s == 1.0
+    # int eta exp(a eta^4 / (2 s^2)) d eta = sqrt(pi s^2 / (2 |a|)) / 2
+    for a in (-1.0, -0.25):
+        params = sde.LimitParams(np.eye(2), a=a)
+        report = stats.stationary_check(params, 5.0, 1.0, 1e-3, 4)
+        assert abs(report.normalizer
+                   - 0.5 * math.sqrt(math.pi / (2.0 * abs(a)))) < 1e-6
+        assert report.n_samples == 4 * 4000
+        assert report.s == 1.0
 
 
 def test_stationary_samples_match_invariant_law():
@@ -660,6 +723,11 @@ def test_stationary_check_validates_inputs():
     silent = sde.LimitParams.from_sigma_bar(np.zeros((2, 2)))
     with pytest.raises(stats.StatsError):
         stats.stationary_check(silent, 1.0, 0.0, 1e-3, 4)
+    for a in (0.0, 0.25):
+        repelling = sde.LimitParams(np.eye(2), a=a)
+        with pytest.raises(stats.StatsError, match="attracting"):
+            stats.stationary_check(repelling, 1.0, 0.0, 1e-3, 4)
+        assert stats.averaged_drift(repelling).record()["root"] == 0.0
 
 
 def test_trajectory_csv_layout(tmp_path):

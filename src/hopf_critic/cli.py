@@ -235,8 +235,7 @@ def _cmd_check(cfg, args):
           + ("unknown" if radial is None else f"{radial:.17g}"))
     for key, value in report.verdicts.items():
         print(f"{key}: {_verdict_word(value)}")
-    _write_manifest(cfg, args, ["hypotheses.json"])
-    return 0
+    return ["hypotheses.json"]
 
 
 def _complex_pair(z):
@@ -275,8 +274,7 @@ def _cmd_normal_form(cfg, args):
     print(f"radial_cubic_coefficient: {system.limit.a:.17g}")
     print(f"limit_s: {system.limit.s:.17g}")
     print(f"wrote {os.path.join(out, 'normal_form.json')}")
-    _write_manifest(cfg, args, ["normal_form.json"])
-    return 0
+    return ["normal_form.json"]
 
 
 def _cmd_simulate(cfg, args):
@@ -299,8 +297,7 @@ def _cmd_simulate(cfg, args):
         del ensemble
         outputs.append(name)
         print(f"wrote {name} ({cfg.paths} paths, {task.n_steps} steps)")
-    _write_manifest(cfg, args, outputs)
-    return 0
+    return outputs
 
 
 def _maybe_log(values):
@@ -361,8 +358,7 @@ def _cmd_converge(cfg, args):
         print(f"eps={row.epsilon:g} stopped={row.stopped_fraction:.3f} "
               f"{cells}")
     print(f"verdicts: {report.verdicts}")
-    _write_manifest(cfg, args, outputs)
-    return 0
+    return outputs
 
 
 def _cmd_reduce(cfg, args):
@@ -388,8 +384,7 @@ def _cmd_reduce(cfg, args):
               f"phi_median={row.phi_median:.6g} "
               f"excluded={row.excluded_fraction:.3f}")
     print(f"fits: q={report.q_fit:.4f} gamma={report.gamma_fit:.4f}")
-    _write_manifest(cfg, args, outputs)
-    return 0
+    return outputs
 
 
 def _cmd_report(cfg, args):
@@ -442,8 +437,7 @@ def _cmd_report(cfg, args):
               encoding="utf-8") as handle:
         handle.write(text)
     sys.stdout.write(text)
-    _write_manifest(cfg, args, outputs)
-    return 0
+    return outputs
 
 
 _DISPATCH = {
@@ -475,10 +469,12 @@ def main(argv=None):
             print(f"error: CONFIG: {line}", file=sys.stderr)
         return 1
     try:
-        return _DISPATCH[args.command](cfg, args)
+        outputs = _DISPATCH[args.command](cfg, args)
+        _write_manifest(cfg, args, outputs)
     except Exception as exc:
         print(f"error: {_code_for(exc)}: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polyfield import PolyMap, product, stack, take_components
+from .polyfield import (PolyMap, drop_trailing_inputs, product, stack,
+                        take_components)
 
 
 class NormalFormError(Exception):
@@ -389,10 +390,7 @@ def center_manifold_quadratic(Q, P, f, g):
         return CenterManifold2(h2=PolyMap.zero(2, 0, max_degree=4))
     if g.n_out != k:
         raise NormalFormError("g output count must match the stable block")
-    embed = np.zeros((g.n_in, 2))
-    embed[:2, :] = np.eye(2)
-    g2_on_plane = g.homogeneous_part(2).substitute(
-        PolyMap.linear(embed, max_degree=g.max_degree), truncate_at=2)
+    g2_on_plane = drop_trailing_inputs(g.homogeneous_part(2), 2)
     basis = [(2, 0), (1, 1), (0, 2)]
     rhs = np.zeros(3 * k)
     for comp, exps, coef in g2_on_plane.terms:
@@ -425,10 +423,7 @@ def tangency_residual(Q, P, g, manifold):
         return 0.0
     Q = np.asarray(Q, dtype=float)
     P = np.asarray(P, dtype=float)
-    embed = np.zeros((g.n_in, 2))
-    embed[:2, :] = np.eye(2)
-    g2 = g.homogeneous_part(2).substitute(
-        PolyMap.linear(embed, max_degree=g.max_degree), truncate_at=2)
+    g2 = drop_trailing_inputs(g.homogeneous_part(2), 2)
     # Dh2(z) Q z as a polynomial map
     rot = PolyMap.linear(Q, max_degree=4)
     rows = []

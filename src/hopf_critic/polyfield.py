@@ -446,6 +446,17 @@ def take_components(p, indices):
     return PolyMap(p.n_in, len(indices), terms, max_degree=p.max_degree)
 
 
+def drop_trailing_inputs(p, n):
+    """Set every input after the first ``n`` to zero and drop it.
+
+    Keeps the terms whose trailing exponents are all zero: the same map,
+    bit for bit, as substituting the embedding ``x -> (x, 0)``.
+    """
+    terms = [(comp, exps[:n], coef) for comp, exps, coef in p.terms
+             if not any(exps[n:])]
+    return PolyMap(n, p.n_out, terms, max_degree=p.max_degree)
+
+
 def left_matmul(matrix, p, cols=1):
     """Row-mix a map's outputs by a constant matrix.
 

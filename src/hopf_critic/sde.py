@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import collections
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -221,7 +220,7 @@ class PolarEnsemble:
     nmax: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LimitParams:
     """Coefficients of the limiting radial diffusion.
 
@@ -418,21 +417,12 @@ def limit_task(params, rho0, dt, T, refined=False,
 
 
 def _resolve_workers(workers):
-    """Worker threads: the argument, else HOPF_CRITIC_WORKERS, else 1."""
-    source = "workers"
+    """Worker threads: the argument, else 1."""
     if workers is None:
-        env = os.environ.get("HOPF_CRITIC_WORKERS", "").strip()
-        if not env:
-            return 1
-        source = "HOPF_CRITIC_WORKERS"
-        try:
-            workers = int(env)
-        except ValueError:
-            raise SdeError(
-                f"HOPF_CRITIC_WORKERS={env!r} is not an integer") from None
+        return 1
     workers = int(workers)
     if workers < 1:
-        raise SdeError(f"{source} must be at least 1")
+        raise SdeError("workers must be at least 1")
     return workers
 
 

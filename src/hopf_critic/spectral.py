@@ -15,8 +15,9 @@ already block-diagonal input returns ``C = Id``.
 The module also hosts the hypothesis report: residual of the critical point,
 eigenvalue classification, a finite-difference transversality estimate in the
 bifurcation parameter, nondegeneracy of the noise at the origin, and the
-supercriticality verdict obtained from the radial cubic coefficient of the
-reduced field.
+supercriticality verdict from the reduced field's radial cubic coefficient,
+which the report reads from ``stats.prepare_system``, the one place the
+reduction runs.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import normalform
-from .polyfield import PolyMap, stack, take_components, left_matmul
+from .polyfield import (PolyMap, drop_trailing_inputs, left_matmul,
+                        take_components)
 
 
 class SpectralError(Exception):
@@ -69,7 +71,7 @@ class Tolerances:
     trans_tol: float = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralSplit:
     """Real block-diagonalizing basis at a Hopf point.
 
@@ -113,7 +115,7 @@ class HypothesisReport:
     ``sigma_nonzero_at_origin``, ``supercritical``.  A verdict is None when
     it could not be assessed: transversality without a bifurcation
     parameter, supercriticality when the eigenvalue structure already
-    failed.
+    failed or ``stats.prepare_system`` cannot reduce the system.
     """
 
     n: int
@@ -342,13 +344,9 @@ def freeze_parameter(p):
 
     Turns a drift on (x, mu) into the critical-parameter drift on x alone.
     """
-    n = p.n_in - 1
-    if n < 1:
+    if p.n_in < 2:
         raise SpectralError("map has no state variables besides the parameter")
-    embed = np.zeros((p.n_in, n))
-    embed[:n, :] = np.eye(n)
-    inner = PolyMap.linear(embed, max_degree=p.max_degree)
-    return p.substitute(inner, truncate_at=p.max_degree)
+    return drop_trailing_inputs(p, p.n_in - 1)
 
 
 def transform_system(drift, sigma, split):
@@ -434,8 +432,8 @@ def check_hypotheses(drift, sigma, tol=None):
         Verdicts for smoothness (trivially true for polynomial data), the
         critical point, the eigenvalue structure, transversality in the
         parameter, noise nondegeneracy at the origin, and supercriticality
-        via the radial cubic coefficient of the reduced field (None when the
-        spectral structure already fails).
+        via the radial cubic coefficient that ``stats.prepare_system``
+        derives (None when the system cannot be reduced).
     """
     tol = tol or Tolerances()
     n = drift.n_out
@@ -478,22 +476,14 @@ def check_hypotheses(drift, sigma, tol=None):
     radial = None
     supercritical = None
     if structure_ok:
+        # stats imports this module, so it is looked up here, not on load
+        from . import stats
         try:
-            split = hopf_split(A0, tol)
-            f, g, _, _ = transform_system(drift_crit, sigma, split)
-            f2 = f.homogeneous_part(2)
-            fplus, _ = normalform.complexify_quadratic(f2)
-            transform = normalform.solve_quadratic(split.lam0, split.P, fplus)
-            f_clean, g_clean = normalform.apply_quadratic_transform(
-                f, g, split.Q, split.P, transform)
-            manifold = normalform.center_manifold_quadratic(
-                split.Q, split.P, f_clean, g_clean)
-            reduced = normalform.reduced_field(split.Q, f_clean, manifold)
-            radial = float(normalform.lyapunov_radial_coefficient(reduced))
+            prepared = stats.prepare_system(drift_crit, sigma, tol)
+            radial = float(prepared.limit.a)
             supercritical = bool(radial < 0.0)
-        except (SpectralError, normalform.NormalFormError):
-            radial = None
-            supercritical = None
+        except (SpectralError, normalform.NormalFormError, stats.StatsError):
+            pass
 
     stable_margin = (max(eigenvalues[i].real for i in others)
                      if others else -np.inf)

@@ -149,20 +149,16 @@ def wasserstein1(a, b, seed=0):
     return float(np.mean(np.abs(np.sort(a) - np.sort(b))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PreparedSystem:
     """Every derived object a study needs, computed once from (drift, sigma)."""
 
-    drift: PolyMap
-    sigma: PolyMap
     split: object
     f: PolyMap
     g: PolyMap
     sigma_q: PolyMap
     sigma_p: PolyMap
     transform: object
-    f_clean: PolyMap
-    g_clean: PolyMap
     manifold: object
     reduced: PolyMap
     limit: sde.LimitParams
@@ -200,9 +196,8 @@ def prepare_system(drift, sigma, tolerances=None):
     limit = sde.LimitParams(
         sigma_bar, a=normalform.lyapunov_radial_coefficient(reduced))
     return PreparedSystem(
-        drift=drift, sigma=sigma, split=split, f=f, g=g, sigma_q=sigma_q,
-        sigma_p=sigma_p, transform=transform, f_clean=f_clean,
-        g_clean=g_clean, manifold=manifold, reduced=reduced, limit=limit)
+        split=split, f=f, g=g, sigma_q=sigma_q, sigma_p=sigma_p,
+        transform=transform, manifold=manifold, reduced=reduced, limit=limit)
 
 
 def _quantiles(samples, levels=QUANTILE_LEVELS):

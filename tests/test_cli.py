@@ -393,40 +393,34 @@ def test_epsilons_equal_at_g_precision_exit_one(tmp_path, capsys, command,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command, env, flags, message, text", [
-    ("check", {"HOPF_CRITIC_WORKERS": "abc"}, [],
-     "HOPF_CRITIC_WORKERS='abc' is not an integer", GOLDEN),
-    ("converge", {"HOPF_CRITIC_WORKERS": "0"}, [],
-     "HOPF_CRITIC_WORKERS must be at least 1", GOLDEN),
-    ("converge", {}, ["--paths", "1"], "converge needs at least 2 paths",
+@pytest.mark.parametrize("command, flags, message, text", [
+    ("converge", ["--workers", "0"], "workers must be at least 1", GOLDEN),
+    ("converge", ["--paths", "1"], "converge needs at least 2 paths",
      GOLDEN),
-    ("report", {}, ["--paths", "1"], "report needs at least 2 paths",
+    ("report", ["--paths", "1"], "report needs at least 2 paths",
      GOLDEN),
-    ("reduce", {}, ["--Delta", "0.5"], "reduce needs rho0 < Delta", GOLDEN),
-    ("report", {}, ["--Delta", "0.5"], "report needs rho0 < Delta", GOLDEN),
-    ("converge", {}, ["--T", "0.1"], "checkpoint 0.25 outside (0, T]",
+    ("reduce", ["--Delta", "0.5"], "reduce needs rho0 < Delta", GOLDEN),
+    ("report", ["--Delta", "0.5"], "report needs rho0 < Delta", GOLDEN),
+    ("converge", ["--T", "0.1"], "checkpoint 0.25 outside (0, T]",
      GOLDEN),
-    ("converge", {}, ["--T", "nan"], "T must be positive and finite",
+    ("converge", ["--T", "nan"], "T must be positive and finite",
      GOLDEN),
-    ("simulate", {}, ["--T", "inf"], "T must be positive and finite",
+    ("simulate", ["--T", "inf"], "T must be positive and finite",
      GOLDEN),
-    ("converge", {}, ["--dt", "nan"], "dt must lie in (0, T]", GOLDEN),
-    ("reduce", {}, ["--Delta", "nan"], "Delta must be positive", GOLDEN),
-    ("converge", {}, [], "T must be positive and finite",
+    ("converge", ["--dt", "nan"], "dt must lie in (0, T]", GOLDEN),
+    ("reduce", ["--Delta", "nan"], "Delta must be positive", GOLDEN),
+    ("converge", [], "T must be positive and finite",
      GOLDEN.replace("T 0.5", "T nan")),
-    ("converge", {}, ["--T", "0"], "T must be positive and finite", GOLDEN),
-    ("reduce", {}, ["--Delta", "-1"], "Delta must be positive", GOLDEN),
-    ("converge", {}, ["--dt", "5e-324"], "not an integral number of dt",
+    ("converge", ["--T", "0"], "T must be positive and finite", GOLDEN),
+    ("reduce", ["--Delta", "-1"], "Delta must be positive", GOLDEN),
+    ("converge", ["--dt", "5e-324"], "not an integral number of dt",
      GOLDEN),
-], ids=["workers-abc", "workers-0", "converge-one-path", "report-one-path",
+], ids=["workers-0", "converge-one-path", "report-one-path",
         "reduce-rho0-outside-Delta", "report-rho0-outside-Delta",
         "checkpoint-beyond-T", "T-nan", "T-inf", "dt-nan", "Delta-nan",
         "file-T-nan", "T-zero", "Delta-negative", "dt-overflows-steps"])
-def test_configuration_mistakes_exit_one(tmp_path, capsys, monkeypatch,
-                                         command, env, flags, message, text):
-    monkeypatch.delenv("HOPF_CRITIC_WORKERS", raising=False)
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
+def test_configuration_mistakes_exit_one(tmp_path, capsys, command, flags,
+                                         message, text):
     out = tmp_path / "out"
     code = cli.main([command, "--config", write_config(tmp_path, text),
                      "--out", str(out), *flags])

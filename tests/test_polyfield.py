@@ -8,6 +8,7 @@ from hopf_critic.polyfield import (
     DimensionMismatch,
     IllConditionedMatrix,
     PolyMap,
+    drop_trailing_inputs,
     left_matmul,
     product,
     stack,
@@ -121,6 +122,20 @@ def test_substitute_truncation_drops_high_degree():
     inner = PolyMap(1, 1, [(0, (1,), 1.0), (0, (2,), 1.0)])
     kept = p.substitute(inner, truncate_at=3)
     assert kept.terms == ((0, (2,), 1.0), (0, (3,), 2.0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_drop_trailing_inputs_matches_the_embedding_bitwise(n):
+    # substituting x -> (x, 0) multiplies every kept term by exactly 1.0
+    p = random_map(np.random.default_rng(31), 4, 3, 4, 30)
+    embed = np.zeros((4, n))
+    embed[:n, :] = np.eye(n)
+    composed = p.substitute(PolyMap.linear(embed, max_degree=p.max_degree))
+    dropped = drop_trailing_inputs(p, n)
+    assert (dropped.n_in, dropped.n_out, dropped.max_degree) == \
+        (composed.n_in, composed.n_out, composed.max_degree)
+    assert dropped.terms == composed.terms
+    assert 0 < len(dropped.terms) < len(p.terms)
 
 
 def test_linear_change_round_trip_preserves_map():

@@ -177,3 +177,6 @@ def test_check_hypotheses_flags_moved_critical_point():
     sigma = PolyMap(2, 4, [(0, (0, 0), 1.0), (3, (0, 0), 1.0)])
     report = check_hypotheses(drift, sigma)
     assert report.verdicts["critical_point"] is False
+    # the reduction refuses a moved critical point, so no coefficient
+    assert report.radial_cubic_coefficient is None
+    assert report.verdicts["supercritical"] is None

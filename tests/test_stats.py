@@ -14,6 +14,7 @@ from numpy.testing import assert_allclose
 from hopf_critic import _kernels, sde, stats
 from hopf_critic.config import load_config
 from hopf_critic.polyfield import PolyMap
+from hopf_critic.spectral import check_hypotheses
 
 REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -194,6 +195,31 @@ def test_prepare_system_rejects_mismatched_sigma_shape():
     drift, _ = golden_planar()
     with pytest.raises(stats.StatsError):
         stats.prepare_system(drift, PolyMap.zero(2, 3))
+
+
+def test_prepared_systems_compare_by_identity_without_raising():
+    # ndarray fields make a field-wise == ambiguous and hash impossible
+    drift, sigma = coupled_3d()
+    first = stats.prepare_system(drift, sigma)
+    second = stats.prepare_system(drift, sigma)
+    for x, y in ((first, second), (first.limit, second.limit),
+                 (first.split, second.split)):
+        assert (x == y) is False
+        assert x == x
+        assert hash(x) == hash(x)
+        assert len({x, y}) == 2
+
+
+@pytest.mark.parametrize("path", sorted(REPO_CONFIGS.glob("*.cfg")),
+                         ids=lambda path: path.name)
+def test_check_reads_the_prepared_cubic_coefficient(path):
+    # one reduction feeds check and every study; brusselator's coefficient
+    # is -0.24999999999999983, not -1/4 exactly
+    cfg = load_config(path)
+    report = check_hypotheses(cfg.drift, cfg.sigma)
+    a = stats.prepare_system(cfg.drift, cfg.sigma).limit.a
+    assert np.float64(report.radial_cubic_coefficient).tobytes() \
+        == np.float64(a).tobytes()
 
 
 def test_convergence_study_runs_with_the_computed_cubic_coefficient():

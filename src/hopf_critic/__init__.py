@@ -16,7 +16,6 @@ from .polyfield import PolyMap
 from .spectral import (
     HypothesisReport,
     SpectralSplit,
-    Tolerances,
     check_hypotheses,
     freeze_parameter,
     hopf_split,
@@ -63,7 +62,7 @@ from .stats import (
 __all__ = [
     "__version__",
     "PolyMap",
-    "HypothesisReport", "SpectralSplit", "Tolerances", "check_hypotheses",
+    "HypothesisReport", "SpectralSplit", "check_hypotheses",
     "freeze_parameter", "hopf_split", "transform_system",
     "CenterManifold2", "QuadraticTransform", "apply_quadratic_transform",
     "center_manifold_quadratic", "invariance_defect",

@@ -118,14 +118,17 @@ def _range_errors(cfg, command):
         if not 0.0 < e < 1.0:
             errors.append(f"epsilon {e} outside (0, 1)")
             break
-    names = [f"{e:g}" for e in cfg.epsilons]
-    repeated = sorted({name for name in names if names.count(name) > 1})
-    if repeated:
-        errors.append("epsilons must be distinct at :g precision, "
-                      f"repeated: {' '.join(repeated)}")
     # only the limit-law studies read checkpoints
     checkpoints = cfg.checkpoints if command in ("converge", "report") \
         else ()
+    # outputs label eps and checkpoints at :g precision
+    for label, values in (("epsilons", cfg.epsilons),
+                          ("checkpoints", checkpoints)):
+        names = [f"{v:g}" for v in values]
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if repeated:
+            errors.append(f"{label} must be distinct at :g precision, "
+                          f"repeated: {' '.join(repeated)}")
     if T_valid:
         inside = [c for c in checkpoints if 0.0 < c <= cfg.T * (1 + 1e-12)]
         if len(inside) < len(checkpoints):

@@ -273,22 +273,6 @@ def solve_quadratic(lam0, P, fplus):
         alpha1=r[3:3 + k].copy(), alpha2=r[3 + k:].copy(), p_real=p_real)
 
 
-def _scalar_const(n_in, value, max_degree=4):
-    return PolyMap(n_in, 1, [(0, (0,) * n_in, value)], max_degree=max_degree)
-
-
-def _matrix_product(A, B, n_in, cap):
-    size = len(A)
-    out = [[None] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(size):
-            acc = PolyMap.zero(n_in, 1, max_degree=cap)
-            for l in range(size):
-                acc = acc + product(A[i][l], B[l][j], truncate_at=cap)
-            out[i][j] = acc
-    return out
-
-
 def apply_quadratic_transform(f, g, Q, P, transform):
     """Push the split system through ``z = z' + p(z', y)``.
 
@@ -337,20 +321,26 @@ def apply_quadratic_transform(f, g, Q, P, transform):
 
     # Neumann series for (I + Dp)^{-1}; entries of Dp have degree <= 1, so
     # powers beyond the third cannot contribute below the truncation degree.
-    Dp = [[p_tilde.component(i).partial(j) for j in range(n)] for i in range(n)]
-    eye = [[_scalar_const(n, 1.0 if i == j else 0.0, cap) for j in range(n)]
-           for i in range(n)]
-    Dp2 = _matrix_product(Dp, Dp, n, cap)
-    Dp3 = _matrix_product(Dp2, Dp, n, cap)
-    inv = [[eye[i][j] - Dp[i][j] + Dp2[i][j] - Dp3[i][j] for j in range(n)]
-           for i in range(n)]
-    rows = []
-    for i in range(n):
-        acc = PolyMap.zero(n, 1, max_degree=cap)
-        for j in range(n):
-            acc = acc + product(inv[i][j], moved.component(j), truncate_at=cap)
-        rows.append(acc)
-    pushed = stack(rows)
+    # Dp, and so every power of it, is zero below its two critical rows:
+    # the stable rows of the push-forward are those of ``moved``, and the
+    # series runs on the 2 x n critical rows alone.
+    zero = PolyMap.zero(n, 1, max_degree=cap)
+    one = PolyMap(n, 1, [(0, (0,) * n, 1.0)], max_degree=cap)
+    Dp = [[transform.p_real.component(i).partial(j) for j in range(n)]
+          for i in range(2)]
+
+    def times_dp(A):
+        return [[sum((product(A[i][l], Dp[l][j], truncate_at=cap)
+                      for l in range(2)), zero) for j in range(n)]
+                for i in range(2)]
+
+    Dp2 = times_dp(Dp)
+    Dp3 = times_dp(Dp2)
+    inv = [[(one if i == j else zero) - Dp[i][j] + Dp2[i][j] - Dp3[i][j]
+            for j in range(n)] for i in range(2)]
+    rows = [sum((product(inv[i][j], moved.component(j), truncate_at=cap)
+                 for j in range(n)), zero) for i in range(2)]
+    pushed = stack(rows + [take_components(moved, range(2, n))])
     remainder = pushed - PolyMap.linear(block, max_degree=cap)
     low = remainder.homogeneous_part(0) + remainder.homogeneous_part(1)
     if low.max_coefficient() >= 1e-10:

@@ -188,26 +188,15 @@ class PolyMap:
     def jacobian(self, x):
         """Exact Jacobian matrix at a point.
 
+        Column ``j`` is ``partial(j)`` evaluated at ``x``, so the Jacobian
+        goes through the same monomial evaluator as the map itself.
+
         Returns
         -------
         ndarray, shape (n_out, n_in)
         """
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n_in,):
-            raise DimensionMismatch(
-                f"point of shape {x.shape}, expected ({self.n_in},)")
-        jac = np.zeros((self.n_out, self.n_in))
-        for comp, exps, coef in self.terms:
-            for j, e in enumerate(exps):
-                if not e:
-                    continue
-                v = coef * e
-                for l, el in enumerate(exps):
-                    p = el - 1 if l == j else el
-                    if p:
-                        v *= x[l] ** p
-                jac[comp, j] += v
-        return jac
+        return np.stack([self.partial(j).evaluate(x)
+                         for j in range(self.n_in)], axis=1)
 
     def partial(self, var):
         """Symbolic partial derivative with respect to input variable ``var``."""

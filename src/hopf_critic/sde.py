@@ -34,9 +34,13 @@ of its critical plane.
 
 Noise is counter-based: each path owns a keyed generator, so increments
 are a pure function of (master seed, path index, step) and ensembles are
-bit-identical for every worker count.  Each coarse step draws two
-half-step Gaussians per channel and sums them, which lets a half-step run
-reuse exactly the same Brownian path for discretization-error checks.
+bit-identical for every worker count.  Each builder stamps its task's
+stream class: ``em_task`` the generic one, ``rescaled_task`` and
+``reduced_task`` the critical one on which they couple, ``limit_task``
+the limit one.  A path's increments are the task's ``increments`` of its
+stream's ``standard_blocks``.  Each coarse step draws two half-step
+Gaussians per channel and sums them, which lets a half-step run reuse
+exactly the same Brownian path for discretization-error checks.
 """
 
 from __future__ import annotations
@@ -124,7 +128,8 @@ class SimTask:
     dt, n_steps : step size and step count (T = dt * n_steps).
     refined : when True the task consumes one half-step draw per step
         instead of a summed pair; n_steps must be even.
-    stream_class : noise key namespace; coupled tasks share one.
+    stream_class : noise key namespace, stamped by the task builder;
+        coupled tasks share one.
     guard : overflow radius for the diverged stop.
     """
 
@@ -176,11 +181,6 @@ class SimTask:
         return np.multiply(np.add(xi[..., 0, :], xi[..., 1, :], out=out),
                            math.sqrt(self.dt / 2.0), out=out)
 
-    def increments_from(self, noise):
-        """Scaled Brownian increments (n_steps, m) drawn from a stream."""
-        return self.increments(noise.standard_blocks(self.noise_blocks,
-                                                     self.m))
-
 
 @dataclass(frozen=True)
 class PathEnsemble:
@@ -201,10 +201,6 @@ class PathEnsemble:
     @property
     def n_paths(self):
         return self.states.shape[0]
-
-    def norms(self):
-        """Euclidean state norm per path and grid point, shape (paths, K+1)."""
-        return np.sqrt((self.states * self.states).sum(axis=2))
 
 
 @dataclass(frozen=True)
@@ -252,10 +248,6 @@ class LimitParams:
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
-    @classmethod
-    def from_sigma_bar(cls, sigma_bar):
-        return cls(sigma_bar)
-
 
 def _step_count(T, dt):
     ratio = T / dt
@@ -277,9 +269,11 @@ def _check_nonlinear(p, name):
             raise SdeError(f"{name} must contain only terms of degree >= 2")
 
 
-def em_task(drift, diffusion, x0, dt, T, stream_class=STREAM_GENERIC,
-            guard=GUARD_RADIUS):
-    """Plain Euler-Maruyama task: identity flow, full drift in the update."""
+def em_task(drift, diffusion, x0, dt, T, guard=GUARD_RADIUS):
+    """Plain Euler-Maruyama task: identity flow, full drift in the update.
+
+    Its noise lives in the generic stream class.
+    """
     dim = drift.n_in
     if drift.n_out != dim:
         raise SdeError("drift must map R^dim to itself")
@@ -290,12 +284,11 @@ def em_task(drift, diffusion, x0, dt, T, stream_class=STREAM_GENERIC,
                    diffusion=diffusion,
                    x0=np.asarray(x0, dtype=float).reshape(dim),
                    dt=float(dt), n_steps=_step_count(T, dt),
-                   stream_class=stream_class, guard=guard)
+                   stream_class=STREAM_GENERIC, guard=guard)
 
 
 def rescaled_task(f, g, sigma_q, sigma_p, Q, P, eps, z0, y0, dt, T,
-                  refined=False, stream_class=STREAM_CRITICAL,
-                  guard=GUARD_RADIUS):
+                  refined=False, guard=GUARD_RADIUS):
     """Amplified slow-time critical system as a SimTask.
 
     ``f`` and ``g`` are the nonlinear drift blocks in split coordinates
@@ -305,7 +298,8 @@ def rescaled_task(f, g, sigma_q, sigma_p, Q, P, eps, z0, y0, dt, T,
     the evaluation at ``eps^{1/4}`` times the state together with the
     outer amplification.  Cubic drift terms and constant diffusion terms
     are therefore copied bitwise, and eps = 1 reproduces the unscaled
-    coefficients exactly.
+    coefficients exactly.  Noise lives in the critical stream class, which
+    the reduced process shares.
     """
     Q = np.asarray(Q, dtype=float)
     P = np.asarray(P, dtype=float)
@@ -347,11 +341,10 @@ def rescaled_task(f, g, sigma_q, sigma_p, Q, P, eps, z0, y0, dt, T,
                          np.asarray(y0, dtype=float).reshape(k)))
     return SimTask(dim=dim, m=m, lin=lin, drift=drift, diffusion=diffusion,
                    x0=x0, dt=float(dt), n_steps=_step_count(T, dt),
-                   refined=refined, stream_class=stream_class, guard=guard)
+                   refined=refined, stream_class=STREAM_CRITICAL, guard=guard)
 
 
-def reduced_task(reduced, sigma_q, h2, eps, z0, dt, T, refined=False,
-                 stream_class=STREAM_CRITICAL, guard=GUARD_RADIUS):
+def reduced_task(reduced, sigma_q, h2, eps, z0, dt, T, guard=GUARD_RADIUS):
     """Center-manifold 2D process as a SimTask.
 
     ``reduced`` is the reduced field (rotation plus cubic); its rotation
@@ -390,18 +383,18 @@ def reduced_task(reduced, sigma_q, h2, eps, z0, dt, T, refined=False,
     lin = _rotation(root * lam0 * float(dt))
     return SimTask(dim=2, m=m, lin=lin, drift=drift, diffusion=diffusion,
                    x0=np.asarray(z0, dtype=float).reshape(2), dt=float(dt),
-                   n_steps=_step_count(T, dt), refined=refined,
-                   stream_class=stream_class, guard=guard)
+                   n_steps=_step_count(T, dt), stream_class=STREAM_CRITICAL,
+                   guard=guard)
 
 
-def limit_task(params, rho0, dt, T, refined=False,
-               stream_class=STREAM_LIMIT, guard=GUARD_RADIUS):
+def limit_task(params, rho0, dt, T, refined=False, guard=GUARD_RADIUS):
     """Limiting radial diffusion via its planar representation.
 
     The drift is ``params.a Z|Z|^2``.  Starts at ``(rho0, 0)``; the law
     of the radius does not depend on the starting phase.  ``rho0`` must be
     positive: the limit statement needs a nonzero initial radius, and the
-    origin is rejected rather than extrapolated.
+    origin is rejected rather than extrapolated.  Noise lives in the limit
+    stream class.
     """
     if rho0 <= 0.0:
         raise SdeError("rho0 must be positive")
@@ -413,7 +406,7 @@ def limit_task(params, rho0, dt, T, refined=False,
     return SimTask(dim=2, m=2, lin=np.eye(2), drift=cubic,
                    diffusion=diffusion, x0=np.array([float(rho0), 0.0]),
                    dt=float(dt), n_steps=_step_count(T, dt), refined=refined,
-                   stream_class=stream_class, guard=guard)
+                   stream_class=STREAM_LIMIT, guard=guard)
 
 
 def _resolve_workers(workers):
@@ -446,7 +439,8 @@ def run_coupled(tasks, count, master_seed, fold, workers=None):
     The tasks must share ``stream_class``, ``m`` and ``noise_blocks``, so
     path ``p`` of every task rides the Brownian path of stream
     ``(master_seed, p, stream_class)``, drawn once; each task's increments
-    are bitwise those ``increments_from`` gives.  Paths are keyed by
+    are bitwise those its ``increments`` forms from that stream's
+    ``standard_blocks(noise_blocks, m)``.  Paths are keyed by
     index and partitioned into fixed-size chunks, so the result is
     bit-identical for every worker count.  Tasks with equal dim, step
     count, step rule, guard and drift and diffusion terms (the eps of one

@@ -27,8 +27,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import normalform
-from .polyfield import (PolyMap, drop_trailing_inputs, left_matmul,
-                        take_components)
+from .polyfield import (COND_LIMIT, PolyMap, drop_trailing_inputs,
+                        left_matmul, take_components)
+
+# Numerical thresholds for the spectral classification and the hypothesis
+# report.  Real parts within IMAG_TOL of zero count as pure imaginary;
+# every other eigenvalue needs a real part below -STABLE_TOL.  The drift at
+# the origin may have norm up to CRIT_TOL.  Transversality is the central
+# difference of Re(lambda) in the parameter with step TRANS_H, true when
+# its magnitude exceeds TRANS_TOL.  cond(C) must stay below
+# polyfield.COND_LIMIT, the bound every linear change of variables obeys.
+IMAG_TOL = 1e-9
+STABLE_TOL = 1e-9
+CRIT_TOL = 1e-9
+TRANS_H = 1e-4
+TRANS_TOL = 1e-6
 
 
 class SpectralError(Exception):
@@ -49,26 +62,6 @@ class UnstableResidualSpectrum(SpectralError):
 
 class IllConditioned(SpectralError):
     """The change-of-basis matrix is too ill-conditioned to trust."""
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical thresholds for spectral classification.
-
-    imag_tol : width of the "pure imaginary" band for real parts.
-    stable_tol : required margin for "strictly negative real part".
-    cond_max : rejection threshold for cond(C).
-    crit_tol : allowed norm of the drift at the origin.
-    trans_h : central-difference step in the bifurcation parameter.
-    trans_tol : minimum |d Re(lambda)/d mu| for a true transversality verdict.
-    """
-
-    imag_tol: float = 1e-9
-    stable_tol: float = 1e-9
-    cond_max: float = 1e8
-    crit_tol: float = 1e-9
-    trans_h: float = 1e-4
-    trans_tol: float = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,7 +144,7 @@ class HypothesisReport:
         return rec
 
 
-def _classify_spectrum(eigenvalues, tol):
+def _classify_spectrum(eigenvalues):
     """Split a spectrum into (positive-imag critical indices, other indices)."""
     crit_pos = []
     others = []
@@ -160,7 +153,7 @@ def _classify_spectrum(eigenvalues, tol):
     for i, lam in enumerate(w):
         if i in paired:
             continue
-        if abs(lam.real) < tol.imag_tol and lam.imag > tol.imag_tol:
+        if abs(lam.real) < IMAG_TOL and lam.imag > IMAG_TOL:
             # locate the conjugate partner so it is not double counted
             best, best_d = None, np.inf
             for j, mu in enumerate(w):
@@ -172,13 +165,13 @@ def _classify_spectrum(eigenvalues, tol):
             crit_pos.append(i)
             if best is not None and best_d < 1e-6 * max(1.0, abs(lam)):
                 paired.add(best)
-        elif abs(lam.real) < tol.imag_tol and lam.imag < -tol.imag_tol:
+        elif abs(lam.real) < IMAG_TOL and lam.imag < -IMAG_TOL:
             continue  # handled through its positive partner
     taken = set(crit_pos) | paired
     for i, lam in enumerate(w):
         if i in taken:
             continue
-        if abs(lam.real) < tol.imag_tol and lam.imag < -tol.imag_tol:
+        if abs(lam.real) < IMAG_TOL and lam.imag < -IMAG_TOL:
             # conjugate of an unpaired critical value: count as critical too
             crit_pos.append(i)
             continue
@@ -277,7 +270,7 @@ def _stable_columns(eigenvalues, vectors, indices):
     return cols
 
 
-def hopf_split(A, tol=None):
+def hopf_split(A):
     """Construct the real block-diagonalizing basis at a Hopf point.
 
     Parameters
@@ -285,7 +278,6 @@ def hopf_split(A, tol=None):
     A : array_like, shape (n, n)
         Real matrix with exactly one simple pure-imaginary conjugate pair
         and n-2 strictly stable eigenvalues.
-    tol : Tolerances, optional
 
     Returns
     -------
@@ -296,19 +288,18 @@ def hopf_split(A, tol=None):
     NoCriticalPair, MultipleCriticalPairs, UnstableResidualSpectrum,
     IllConditioned
     """
-    tol = tol or Tolerances()
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     if A.shape != (n, n) or n < 2:
         raise SpectralError("square matrix of size >= 2 required")
     w, V = np.linalg.eig(A)
-    crit_pos, others = _classify_spectrum(w, tol)
+    crit_pos, others = _classify_spectrum(w)
     if len(crit_pos) == 0:
         raise NoCriticalPair("no eigenvalue pair on the imaginary axis")
     if len(crit_pos) > 1:
         raise MultipleCriticalPairs(
             f"{len(crit_pos)} eigenvalue pairs on the imaginary axis")
-    bad = [w[i] for i in others if w[i].real >= -tol.stable_tol]
+    bad = [w[i] for i in others if w[i].real >= -STABLE_TOL]
     if bad:
         raise UnstableResidualSpectrum(
             f"non-stable residual eigenvalues: {bad}")
@@ -321,7 +312,7 @@ def hopf_split(A, tol=None):
     cols = [col_b, col_a] + _stable_columns(w, V, others)
     C = np.column_stack(cols)
     cond = np.linalg.cond(C)
-    if not np.isfinite(cond) or cond >= tol.cond_max:
+    if not np.isfinite(cond) or cond >= COND_LIMIT:
         raise IllConditioned(f"cond(C) = {cond:.3e}")
     C_inv = np.linalg.solve(C, np.eye(n))
     if np.max(np.abs(C @ C_inv - np.eye(n))) >= 1e-10:
@@ -414,7 +405,7 @@ def _tracked_real_shift(A_of_mu, lam_ref, h):
     return (vals[0].real - vals[1].real) / (2.0 * h)
 
 
-def check_hypotheses(drift, sigma, tol=None):
+def check_hypotheses(drift, sigma):
     """Numerically audit the structural hypotheses of the critical system.
 
     Parameters
@@ -424,7 +415,6 @@ def check_hypotheses(drift, sigma, tol=None):
         parameter as the last variable; n outputs either way.
     sigma : PolyMap
         Noise matrix on the state alone (``n`` inputs, ``n*m`` outputs).
-    tol : Tolerances, optional
 
     Returns
     -------
@@ -435,7 +425,6 @@ def check_hypotheses(drift, sigma, tol=None):
         via the radial cubic coefficient that ``stats.prepare_system``
         derives (None when the system cannot be reduced).
     """
-    tol = tol or Tolerances()
     n = drift.n_out
     if drift.n_in == n:
         has_mu = False
@@ -453,10 +442,10 @@ def check_hypotheses(drift, sigma, tol=None):
     residual = float(np.linalg.norm(drift_crit(origin)))
     A0 = drift_crit.jacobian(origin)
     eigenvalues = np.linalg.eigvals(A0)
-    crit_pos, others = _classify_spectrum(eigenvalues, tol)
+    crit_pos, others = _classify_spectrum(eigenvalues)
     structure_ok = (
         len(crit_pos) == 1
-        and all(eigenvalues[i].real < -tol.stable_tol for i in others)
+        and all(eigenvalues[i].real < -STABLE_TOL for i in others)
         and len(others) == n - 2
     )
     lam0 = float(abs(eigenvalues[crit_pos[0]].imag)) if len(crit_pos) == 1 else None
@@ -469,7 +458,7 @@ def check_hypotheses(drift, sigma, tol=None):
             return drift.jacobian(point)[:, :n]
 
         transversality = float(
-            _tracked_real_shift(A_of_mu, 1j * lam0, tol.trans_h))
+            _tracked_real_shift(A_of_mu, 1j * lam0, TRANS_H))
 
     sigma_nonzero = float(np.linalg.norm(sigma(origin)))
 
@@ -479,7 +468,7 @@ def check_hypotheses(drift, sigma, tol=None):
         # stats imports this module, so it is looked up here, not on load
         from . import stats
         try:
-            prepared = stats.prepare_system(drift_crit, sigma, tol)
+            prepared = stats.prepare_system(drift_crit, sigma)
             radial = float(prepared.limit.a)
             supercritical = bool(radial < 0.0)
         except (SpectralError, normalform.NormalFormError, stats.StatsError):
@@ -497,9 +486,9 @@ def check_hypotheses(drift, sigma, tol=None):
         radial_cubic_coefficient=radial,
         verdicts={
             "smooth_drift": True,
-            "critical_point": bool(residual < tol.crit_tol),
+            "critical_point": bool(residual < CRIT_TOL),
             "simple_imaginary_pair": bool(structure_ok),
-            "transversality": (bool(abs(transversality) > tol.trans_tol)
+            "transversality": (bool(abs(transversality) > TRANS_TOL)
                                if has_mu else None),
             "smooth_sigma": True,
             "sigma_nonzero_at_origin": bool(sigma_nonzero > 0.0),

@@ -32,7 +32,7 @@ import numpy as np
 from . import _text, normalform, sde
 from ._kernels import STOP_NONE
 from .polyfield import PolyMap
-from .spectral import Tolerances, hopf_split, transform_system
+from .spectral import CRIT_TOL, hopf_split, transform_system
 
 QUANTILE_LEVELS = (0.05, 0.25, 0.5, 0.75, 0.95)
 # Positions of the stationary check's analytic quantiles computed at once.
@@ -164,7 +164,7 @@ class PreparedSystem:
     limit: sde.LimitParams
 
 
-def prepare_system(drift, sigma, tolerances=None):
+def prepare_system(drift, sigma):
     """Run the full reduction pipeline on a polynomial system.
 
     Splits the linearization, removes mixed quadratic drift terms, builds
@@ -172,7 +172,6 @@ def prepare_system(drift, sigma, tolerances=None):
     off the limit coefficients: ``a`` from the reduced field's cubic, the
     rest from the critical diffusion block at the origin.
     """
-    tol = tolerances if tolerances is not None else Tolerances()
     n = drift.n_in
     if drift.n_out != n:
         raise StatsError("drift must map R^n to itself")
@@ -180,10 +179,10 @@ def prepare_system(drift, sigma, tolerances=None):
         raise StatsError("sigma must have n inputs and n*m outputs")
     m = sigma.n_out // n
     origin_residual = float(np.linalg.norm(drift(np.zeros(n))))
-    if origin_residual > tol.crit_tol:
+    if origin_residual > CRIT_TOL:
         raise StatsError(
             f"origin is not a critical point (|drift(0)| = {origin_residual:.3e})")
-    split = hopf_split(drift.jacobian(np.zeros(n)), tol)
+    split = hopf_split(drift.jacobian(np.zeros(n)))
     f, g, sigma_q, sigma_p = transform_system(drift, sigma, split)
     fplus, _ = normalform.complexify_quadratic(f.homogeneous_part(2))
     transform = normalform.solve_quadratic(split.lam0, split.P, fplus)
@@ -200,8 +199,8 @@ def prepare_system(drift, sigma, tolerances=None):
         transform=transform, manifold=manifold, reduced=reduced, limit=limit)
 
 
-def _quantiles(samples, levels=QUANTILE_LEVELS):
-    values = np.quantile(np.asarray(samples, dtype=float), levels)
+def _quantiles(samples):
+    values = np.quantile(np.asarray(samples, dtype=float), QUANTILE_LEVELS)
     return tuple(float(v) for v in values)
 
 
@@ -470,8 +469,8 @@ def _fit_slope(epsilons, values):
 
 
 def reduction_diagnostics(system, epsilons, big_delta, beta, paths, dt,
-                          horizon=1.0, z0=(1.0, 0.0), y0=None,
-                          master_seed=0, workers=None):
+                          horizon=1.0, z0=(1.0, 0.0), master_seed=0,
+                          workers=None):
     """Coupled full-versus-reduced error diagnostics across eps.
 
     Requires a system already free of mixed quadratic drift terms, so the
@@ -504,15 +503,15 @@ def reduction_diagnostics(system, epsilons, big_delta, beta, paths, dt,
     k = split.P.shape[0]
     h2 = system.manifold.h2
     z0 = np.asarray(z0, dtype=float).reshape(2)
-    y0 = np.zeros(k) if y0 is None else np.asarray(y0, dtype=float).reshape(k)
-    if math.hypot(*z0) >= big_delta or np.linalg.norm(
-            np.concatenate((z0, y0))) >= big_delta:
+    # the stable coordinates start at zero, so |z0| is the state's norm
+    if math.hypot(*z0) >= big_delta:
         raise StatsError("initial state must start inside the Delta-ball")
     # The full runs of every eps share one kernel loop per chunk, and so do
     # the reduced runs.
     tasks = [task for eps in epsilons for task in (
         sde.rescaled_task(system.f, system.g, system.sigma_q, system.sigma_p,
-                          split.Q, split.P, eps, z0, y0, dt, horizon),
+                          split.Q, split.P, eps, z0, np.zeros(k), dt,
+                          horizon),
         sde.reduced_task(system.reduced, system.sigma_q, h2, eps, z0, dt,
                          horizon))]
     n_steps = tasks[0].n_steps

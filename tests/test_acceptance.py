@@ -175,7 +175,7 @@ def test_averaged_coefficients_match_phase_quadrature():
     worst = 0.0
     for _ in range(100):
         bar = rng.normal(size=(2, int(rng.integers(1, 4))))
-        params = sde.LimitParams.from_sigma_bar(bar)
+        params = sde.LimitParams(bar)
         drift = stats.averaged_drift(params)
         for eta in (0.5, 1.0, 2.0):
             gap = abs(np.mean(drift.pre_average(eta, phi)) - drift(eta))
@@ -241,7 +241,7 @@ def test_planar_gap_decreases_with_epsilon():
 
 
 def test_long_run_radii_match_the_invariant_density():
-    params = sde.LimitParams.from_sigma_bar(np.eye(2))
+    params = sde.LimitParams(np.eye(2))
     start = time.perf_counter()
     report = stats.stationary_check(params, 200.0, 50.0, 1e-3, 32,
                                     master_seed=0)

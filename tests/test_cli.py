@@ -415,10 +415,15 @@ def test_epsilons_equal_at_g_precision_exit_one(tmp_path, capsys, command,
     ("reduce", ["--Delta", "-1"], "Delta must be positive", GOLDEN),
     ("converge", ["--dt", "5e-324"], "not an integral number of dt",
      GOLDEN),
+    ("converge", ["--checkpoints", "0.25", "0.25", "0.5"],
+     "checkpoints must be distinct at :g precision, repeated: 0.25", GOLDEN),
+    ("report", ["--checkpoints", "0.25", "0.2500000001"],
+     "checkpoints must be distinct at :g precision, repeated: 0.25", GOLDEN),
 ], ids=["workers-0", "converge-one-path", "report-one-path",
         "reduce-rho0-outside-Delta", "report-rho0-outside-Delta",
         "checkpoint-beyond-T", "T-nan", "T-inf", "dt-nan", "Delta-nan",
-        "file-T-nan", "T-zero", "Delta-negative", "dt-overflows-steps"])
+        "file-T-nan", "T-zero", "Delta-negative", "dt-overflows-steps",
+        "checkpoints-repeated", "checkpoints-equal-at-g"])
 def test_configuration_mistakes_exit_one(tmp_path, capsys, command, flags,
                                          message, text):
     out = tmp_path / "out"

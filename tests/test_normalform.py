@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hopf_critic import normalform
-from hopf_critic.polyfield import PolyMap
+from hopf_critic.polyfield import PolyMap, stack
 from hopf_critic.spectral import hopf_split, transform_system
 
 
@@ -104,6 +104,26 @@ def test_transform_cancels_critical_quadratics():
             if exps[0] + exps[1] > 0:
                 worst = max(worst, abs(coef))
         assert worst < 1e-9
+
+
+def test_transform_passes_stable_rows_through_the_shift():
+    # phi = id + (p, 0) leaves y alone and Dp vanishes below the planar
+    # rows, so g_new is the nonlinear part of (P y + g) o phi, bit for bit
+    rng = np.random.default_rng(61)
+    for k in (1, 2, 3, 4):
+        n = 2 + k
+        drift, sigma = random_split_system(rng, n)
+        split, f, g = split_fields(drift, sigma)
+        fplus, _ = normalform.complexify_quadratic(f.homogeneous_part(2))
+        transform = normalform.solve_quadratic(split.lam0, split.P, fplus)
+        _, g_new = normalform.apply_quadratic_transform(
+            f, g, split.Q, split.P, transform)
+        stable = PolyMap.linear(split.block_matrix()[2:]) + g
+        phi = PolyMap.identity(n) + stack([transform.p_real,
+                                           PolyMap.zero(n, k)])
+        moved = stable.substitute(phi, truncate_at=4)
+        assert g_new.terms == tuple(t for t in moved.terms
+                                    if sum(t[1]) >= 2)
 
 
 def test_transform_is_a_push_forward_of_the_field():

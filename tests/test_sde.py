@@ -138,10 +138,16 @@ def one_path_ensemble(states):
                             stop_reason=("none",), master_seed=0)
 
 
+def stream_increments(task, stream):
+    """Scaled Brownian increments (n_steps, m) a task draws from a stream."""
+    return task.increments(stream.standard_blocks(task.noise_blocks, task.m))
+
+
 def chunk_inputs(task, count, seed):
     """run_chunk arguments for ``count`` keyed paths of a task alone."""
-    dW = np.stack([task.increments_from(
-        sde.NoiseStream(seed, p, task.stream_class)) for p in range(count)])
+    dW = np.stack([stream_increments(
+        task, sde.NoiseStream(seed, p, task.stream_class))
+        for p in range(count)])
     x0 = np.broadcast_to(task.x0, (1, count, task.dim))
     return (x0, task.lin[None], [pack_poly(task.drift, task.dim)],
             [pack_poly(task.diffusion, task.dim)], dW, task.dt, task.guard)
@@ -167,8 +173,7 @@ def kernel_tasks():
     f, g, sigma_q, sigma_p, Q, P = coupled3d_fields()
     coupled = sde.rescaled_task(f, g, sigma_q, sigma_p, Q, P, 1e-2,
                                 (1.0, 0.0), np.zeros(1), 1e-3, 0.2)
-    params = sde.LimitParams.from_sigma_bar(np.array([[1.0, 0.5],
-                                                      [0.0, 2.0]]))
+    params = sde.LimitParams(np.array([[1.0, 0.5], [0.0, 2.0]]))
     limit = sde.limit_task(params, 1.0, 1e-3, 0.2)
     cube = PolyMap(1, 1, [(0, (3,), 1.0)])
     # from 0.5 the cubic blows up near t = 2: noise pushes some paths
@@ -251,13 +256,28 @@ def test_noise_stream_stream_classes_are_independent():
                               b.standard_blocks(8, 2))
 
 
+def test_builders_stamp_their_stream_class():
+    # full and reduced critical runs couple on one class; the plain and
+    # limit runs each keep their own
+    f, g, sigma_q, sigma_p, Q, P = planar_fields()
+    em = sde.em_task(cubic_rotation(), sigma_q, np.ones(2), 1e-2, 0.1)
+    rescaled = sde.rescaled_task(f, g, sigma_q, sigma_p, Q, P, 1e-2,
+                                 (1.0, 0.0), np.zeros(0), 1e-2, 0.1)
+    reduced = sde.reduced_task(cubic_rotation(), sigma_q, PolyMap.zero(2, 0),
+                               1e-2, (1.0, 0.0), 1e-2, 0.1)
+    limit = sde.limit_task(sde.LimitParams(np.eye(2)), 1.0, 1e-2, 0.1)
+    assert [t.stream_class for t in (em, rescaled, reduced, limit)] == [
+        sde.STREAM_GENERIC, sde.STREAM_CRITICAL, sde.STREAM_CRITICAL,
+        sde.STREAM_LIMIT]
+
+
 def test_increments_have_brownian_moments():
     dt = 0.01
     n = 200_000
     # a Brownian motion task: the increments run_ensemble draws for it
     task = sde.em_task(PolyMap.zero(1, 1), PolyMap(1, 1, [(0, (0,), 1.0)]),
                        np.zeros(1), dt, n * dt)
-    xi = task.increments_from(sde.NoiseStream(123, 0))[:, 0]
+    xi = stream_increments(task, sde.NoiseStream(123, 0))[:, 0]
     se_mean = math.sqrt(dt / n)
     assert abs(xi.mean()) < 4 * se_mean
     se_var = dt * math.sqrt(2.0 / n)
@@ -273,10 +293,10 @@ def test_refined_increments_ride_the_same_brownian_path():
     fine = sde.rescaled_task(f, g, sigma_q, sigma_p, Q, P, 1e-2,
                              (1.0, 0.0), np.zeros(0), 5e-4, 0.05,
                              refined=True)
-    dw_coarse = coarse.increments_from(
-        sde.NoiseStream(7, 0, stream_class=sde.STREAM_CRITICAL))
-    dw_fine = fine.increments_from(
-        sde.NoiseStream(7, 0, stream_class=sde.STREAM_CRITICAL))
+    dw_coarse = stream_increments(
+        coarse, sde.NoiseStream(7, 0, stream_class=sde.STREAM_CRITICAL))
+    dw_fine = stream_increments(
+        fine, sde.NoiseStream(7, 0, stream_class=sde.STREAM_CRITICAL))
     assert dw_fine.shape[0] == 2 * dw_coarse.shape[0]
     paired = dw_fine[0::2] + dw_fine[1::2]
     assert_allclose(paired, dw_coarse, rtol=0, atol=1e-15)
@@ -304,13 +324,14 @@ def test_exponential_decay_matches_ode_limit():
 
 def test_noiseless_limit_follows_deterministic_radius():
     # s = 0: rho(t) = (1 + 2 t)^(-1/2) from rho0 = 1
-    params = sde.LimitParams.from_sigma_bar(np.zeros((2, 2)))
+    params = sde.LimitParams(np.zeros((2, 2)))
     path = sde.run_ensemble(sde.limit_task(params, 1.0, 1e-4, 1.0), 1, 0)
-    assert_allclose(path.norms()[0, -1], 3.0 ** -0.5, rtol=1e-3)
+    assert_allclose(np.linalg.norm(path.states[0, -1]), 3.0 ** -0.5,
+                    rtol=1e-3)
 
 
 def test_limit_task_rejects_nonpositive_initial_radius():
-    params = sde.LimitParams.from_sigma_bar(np.eye(2))
+    params = sde.LimitParams(np.eye(2))
     with pytest.raises(sde.SdeError):
         sde.limit_task(params, 0.0, 1e-3, 1.0)
 
@@ -615,8 +636,7 @@ def test_coupled_draw_matches_separate_ensembles_bitwise(monkeypatch):
             assert [a.tobytes() for a in (fold.r2_min[i], fold.r2_max[i],
                                           fold.radii[i])] == \
                 [a.tobytes() for a in kept]
-    limit = sde.limit_task(sde.LimitParams.from_sigma_bar(np.eye(2)), 1.0,
-                           1e-3, 0.2)
+    limit = sde.limit_task(sde.LimitParams(np.eye(2)), 1.0, 1e-3, 0.2)
     with pytest.raises(sde.SdeError):
         sde.run_coupled([tasks[0], limit], 40, 5, lambda at, blocks: None)
 
@@ -897,9 +917,8 @@ def test_observed_run_memory_does_not_grow_with_the_horizon(monkeypatch):
 
 def test_limit_params_recompute_validation():
     with pytest.raises(sde.SdeError):
-        sde.LimitParams.from_sigma_bar(np.eye(3))
-    params = sde.LimitParams.from_sigma_bar(np.array([[1.0, 0.5],
-                                                      [0.0, 2.0]]))
+        sde.LimitParams(np.eye(3))
+    params = sde.LimitParams(np.array([[1.0, 0.5], [0.0, 2.0]]))
     assert_allclose(params.sigma1_sq, 1.25)
     assert_allclose(params.sigma2_sq, 4.0)
     assert_allclose(params.sigma12, 1.0)

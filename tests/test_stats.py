@@ -72,7 +72,7 @@ def test_phase_average_of_noise_profile_matches_closed_form():
     phi = 2.0 * np.pi * np.arange(1024) / 1024
     for _ in range(10):
         bar = rng.normal(size=(2, rng.integers(1, 4)))
-        params = sde.LimitParams.from_sigma_bar(bar)
+        params = sde.LimitParams(bar)
         assert_allclose(np.mean(stats.noise_profile(params, phi)),
                         stats.averaged_diffusion(params),
                         rtol=1e-12, atol=1e-12)
@@ -92,7 +92,7 @@ def test_averaged_drift_identity_noise_values():
 
 
 def test_averaged_drift_rejects_nonpositive_radius():
-    params = sde.LimitParams.from_sigma_bar(np.eye(2))
+    params = sde.LimitParams(np.eye(2))
     drift = stats.averaged_drift(params)
     with pytest.raises(ValueError):
         drift(0.0)
@@ -409,7 +409,7 @@ def test_converge_fold_matches_polar_ensemble_bitwise(monkeypatch, guard):
 
 
 def test_independent_same_law_ensembles_sit_below_the_ks_null_bound():
-    params = sde.LimitParams.from_sigma_bar(np.eye(2))
+    params = sde.LimitParams(np.eye(2))
     task = sde.limit_task(params, 1.0, 1e-3, 1.0)
     a = sde.polar_ensemble(sde.run_ensemble(task, 800, 11), 0.05, 10.0)
     b = sde.polar_ensemble(sde.run_ensemble(task, 800, 12), 0.05, 10.0)
@@ -430,7 +430,8 @@ def test_radial_law_does_not_depend_on_initial_phase():
         sde.em_task(cubic, iso, np.array([1.0, 0.0]), 1e-3, 1.0), 600, 7)
     diag = sde.run_ensemble(
         sde.em_task(cubic, iso, np.array([r, r]), 1e-3, 1.0), 600, 8)
-    ks = stats.ks_distance(east.norms()[:, -1], diag.norms()[:, -1])
+    ks = stats.ks_distance(np.linalg.norm(east.states[:, -1], axis=1),
+                           np.linalg.norm(diag.states[:, -1], axis=1))
     assert ks < 1.36 * math.sqrt(2.0 / 600.0)
 
 
@@ -693,7 +694,7 @@ def test_stationary_normalizer_matches_quadrature():
 
 
 def test_stationary_samples_match_invariant_law():
-    params = sde.LimitParams.from_sigma_bar(np.eye(2))
+    params = sde.LimitParams(np.eye(2))
     first = stats.stationary_check(params, 30.0, 5.0, 1e-3, 8, master_seed=1)
     second = stats.stationary_check(params, 30.0, 5.0, 1e-3, 8, master_seed=2)
     assert first.w1 < 0.04
@@ -702,24 +703,24 @@ def test_stationary_samples_match_invariant_law():
 
 
 def test_stationary_law_concentrates_at_drift_root_for_small_noise():
-    params = sde.LimitParams.from_sigma_bar(0.1 * np.eye(2))
+    params = sde.LimitParams(0.1 * np.eye(2))
     report = stats.stationary_check(params, 50.0, 15.0, 1e-3, 8, rho0=0.3,
                                     master_seed=3)
     assert report.w1 < 0.02
     ens = sde.run_ensemble(sde.limit_task(params, 0.3, 1e-3, 50.0), 8, 3)
-    median = float(np.median(ens.norms()[:, 15001:]))
+    median = float(np.median(np.linalg.norm(ens.states[:, 15001:], axis=2)))
     root = stats.averaged_drift(params).record()["root"]
     assert abs(median - root) < 0.05
 
 
 def test_stationary_check_folds_the_post_burn_in_radii_bitwise(monkeypatch):
-    params = sde.LimitParams.from_sigma_bar(np.eye(2))
+    params = sde.LimitParams(np.eye(2))
     T, burn_in, dt, paths = 2.0, 0.5, 1e-3, 12
     # the reference: every state kept, the live paths' radii after the
     # burn-in read from the norms
     ens = sde.run_ensemble(sde.limit_task(params, 1.0, dt, T), paths, 4)
     alive = np.array([r == "none" for r in ens.stop_reason])
-    samples = ens.norms()[alive, 501:].ravel()
+    samples = np.linalg.norm(ens.states[alive, 501:], axis=2).ravel()
     eta_max = max(float(samples.max()) * 1.0001, 120.0 ** 0.25)
     grid = np.linspace(0.0, eta_max, 10_000)
     density = grid * np.exp(-(grid ** 4) / 2.0)
@@ -743,10 +744,10 @@ def test_stationary_check_folds_the_post_burn_in_radii_bitwise(monkeypatch):
 
 
 def test_stationary_check_validates_inputs():
-    params = sde.LimitParams.from_sigma_bar(np.eye(2))
+    params = sde.LimitParams(np.eye(2))
     with pytest.raises(stats.StatsError):
         stats.stationary_check(params, 1.0, 2.0, 1e-3, 4)
-    silent = sde.LimitParams.from_sigma_bar(np.zeros((2, 2)))
+    silent = sde.LimitParams(np.zeros((2, 2)))
     with pytest.raises(stats.StatsError):
         stats.stationary_check(silent, 1.0, 0.0, 1e-3, 4)
     for a in (0.0, 0.25):

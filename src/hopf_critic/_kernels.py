@@ -15,10 +15,12 @@ Every row steps at every step, but a stopped row keeps its frozen state,
 and once every row of a chunk has stopped a block only repeats the frozen
 states.  A call without a carry starts fresh at grid index 0, so one call
 with the whole horizon's increments is the unblocked run, and any split
-into blocks gives bitwise the same results.  Each step's states go to
-one row of the carry's step-major block buffer, and the call returns that
-block: the caller folds what it reads out of it before the next block
-refills the buffer.  Polynomials arrive packed as flat arrays (component
+into blocks gives bitwise the same results.  Every block opens on the
+states it carries: row 0 of the carry's step-major block buffer holds
+them, so the block repeats the last state of the block before, and each
+step's states go to the next row.  The call returns that block: the
+caller folds what it reads out of it before the next block refills the
+buffer.  Polynomials arrive packed as flat arrays (component
 index, exponent rows, coefficients).
 
 Stops are found after the block.  Its states are first bounded at once
@@ -242,10 +244,10 @@ class Carry:
 
     ``run_chunk`` advances it in place, one block of increments per call.
     ``x`` (rows, dim) holds every row's state at grid index ``offset``,
-    frozen for stopped rows: they step with the others, from the origin,
-    but their states are reset to ``x`` after each block.  ``stop_index`` and ``stop_code``
-    are as ``run_chunk`` returns them.  A fresh carry starts at grid index
-    0 with no stops.
+    where the next block opens, frozen for stopped rows: they step with
+    the others, from the origin, but their states are reset to ``x`` after
+    each block.  ``stop_index`` and ``stop_code`` are as ``run_chunk``
+    returns them.  A fresh carry starts at grid index 0 with no stops.
     """
 
     def __init__(self, x0):
@@ -255,8 +257,8 @@ class Carry:
         self.offset = 0
         self.stop_index = np.zeros(len(self.x), dtype=np.int64)
         self.stop_code = np.zeros(len(self.x), dtype=np.int64)
-        # every state of the last block, step-major, refilled by the next,
-        # and a buffer of its shape for the noise sums
+        # every state of the last block, step-major from the carried
+        # states, refilled by the next, and a buffer for its noise sums
         self.block = None
         self.noise = None
 
@@ -267,27 +269,21 @@ def _chunk(lin, step, hoist, cols, dW, dt, guard, carry):
     Row r steps on the increments ``dW[r]`` from ``carry``, which the
     block advances.  ``cols`` holds the coefficient columns, one row per
     column over the G*n rows.  Returns the block's states, step-major
-    (steps, G*n, dim), from its first grid index (0 only at the first
-    block) to its last.
+    (steps + 1, G*n, dim), at grid indices ``carry.offset`` (the carried
+    states) to the block's end.
     """
     n_tasks, n_paths, dim = carry.shape
     n_rows = n_tasks * n_paths
     n_steps = dW.shape[1]
-    start = carry.offset
-    end = start + n_steps
-    # The grid index a block begins at belongs to the block before, except
-    # index 0.
-    first = start + 1 if start else 0
     # Each step's states go to one contiguous row of the block, and its
-    # noise sums to one row of a buffer of the same shape.
-    if carry.block is None or len(carry.block) <= end - first:
-        carry.block = np.empty((end + 1 - first, n_rows, dim))
-        carry.noise = np.empty_like(carry.block)
-    block = carry.block[:end + 1 - first]
-    if start == 0:
-        block[0] = carry.x
-    # row k holds the states at grid index start + k + 1
-    states = block[start + 1 - first:]
+    # noise sums to one row of a buffer of the steps' shape.
+    if carry.block is None or len(carry.block) <= n_steps:
+        carry.block = np.empty((n_steps + 1, n_rows, dim))
+        carry.noise = np.empty((n_steps, n_rows, dim))
+    block = carry.block[:n_steps + 1]
+    block[0] = carry.x
+    # row k holds the states at grid index carry.offset + k + 1
+    states = block[1:]
     live = carry.stop_code == STOP_NONE
     stepped = n_steps > 0 and live.any()
     if stepped:
@@ -318,53 +314,51 @@ def _chunk(lin, step, hoist, cols, dW, dt, guard, carry):
                 np.add(u, row, row)
                 np.add(row, n, row)
                 x_grouped = grouped[k]
-    carry.stop_index[live] = end
+    carry.stop_index[live] = carry.offset + n_steps
     if stepped:
-        _find_stops(states, live, carry, guard)
+        _find_stops(block, live, carry, guard)
     if not live.all():
         states[:, ~live] = carry.x[~live]
-    if n_steps:
-        # the last row of the block, which the next block refills
-        carry.x = states[-1].copy()
-    carry.offset = end
+    # the last row of the block, which the next block refills
+    carry.x = block[-1].copy()
+    carry.offset += n_steps
     return block
 
 
-def _find_stops(states, live, carry, guard):
+def _find_stops(block, live, carry, guard):
     """Freeze as diverged every row of ``live``, the rows live at the
     block's start, from its first state that is non-finite or beyond the
     guard.
 
-    The row keeps that state, or the state before it (``carry.x`` before
-    the block's first step) where it is not finite; its stop index is the
-    grid index of that first bad state.
+    The row keeps that state, or the state before it where it is not
+    finite; its stop index is the grid index of that first bad state.
     """
     guard_sq = guard * guard
-    # A finite bound on every squared coordinate: a block within it has only
-    # finite states, and each row's sum of dim squares stays within the
-    # guard even after rounding.  Squares grow with the magnitude, so the
-    # block's extremes bound every state's squares; NaN fails both
-    # comparisons.
+    # A finite bound on every squared coordinate: steps within it have
+    # only finite states, and each row's sum of dim squares stays within
+    # the guard even after rounding.  Squares grow with the magnitude, so
+    # the steps' extremes bound every state's squares; NaN fails both
+    # comparisons.  Row 0 holds the frozen states of stopped rows.
+    states = block[1:]
     fast_sq = min(guard_sq, sys.float_info.max) / states.shape[2] \
         * (1.0 - 1e-9)
     high, low = float(states.max()), float(states.min())
     if high * high <= fast_sq and low * low <= fast_sq:
         return
     rows = np.flatnonzero(live)
-    # each live row's states from the block's start, carry.x first
-    path = np.concatenate((carry.x[None, rows], states[:, rows]))
+    path = block[:, rows]
     with np.errstate(**_QUIET):
         finite = np.isfinite(path).all(axis=2)
         # a guard of 1e300 squares to inf, so finiteness is its own test
         bad = ~(finite & ((path * path).sum(axis=2) <= guard_sq))
-    # the block's start was checked by the block before, or is x0
+    # the carried states were checked by the block before, or are x0
     bad[0] = False
     hit = np.flatnonzero(bad.any(axis=0))
     k = bad[:, hit].argmax(axis=0)
     # a first bad state that is not finite freezes at the one before
     frozen = path[k - ~finite[k, hit], hit]
-    tail = np.arange(1, len(path))[:, None] >= k
-    states[:, rows[hit]] = np.where(tail[:, :, None], frozen, path[1:, hit])
+    tail = np.arange(len(path))[:, None] >= k
+    block[:, rows[hit]] = np.where(tail[:, :, None], frozen, path[:, hit])
     carry.stop_index[rows[hit]] = carry.offset + k
     carry.stop_code[rows[hit]] = STOP_DIVERGED
 
@@ -405,10 +399,10 @@ def run_chunk(x0, lin, drift_packed, sigma_packed, dW, dt, guard,
     -------
     (states, stop_index, stop_code), each with a leading task axis of
     length G
-        ``states``: (G, paths, K, dim), the block's states at grid indices
-        from its start (index 0 only at the first block) to its end, with
-        frozen tails after stops; a view of the carry's block buffer,
-        which the next call refills;
+        ``states``: (G, paths, steps + 1, dim), the block's states at grid
+        indices from the carried states' to its end, with frozen tails
+        after stops; a view of the carry's block buffer, which the next
+        call refills;
         ``stop_index``: the block's end for surviving paths, else the
         freeze index;
         ``stop_code``: STOP_NONE or STOP_DIVERGED.

@@ -130,7 +130,8 @@ class SimTask:
         instead of a summed pair; n_steps must be even.
     stream_class : noise key namespace, stamped by the task builder;
         coupled tasks share one.
-    guard : overflow radius for the diverged stop.
+    guard : overflow radius for the diverged stop; the task builders
+        leave it at ``GUARD_RADIUS``.
     """
 
     dim: int
@@ -184,19 +185,17 @@ class SimTask:
 
 @dataclass(frozen=True)
 class PathEnsemble:
-    """Rectangular bundle of paths sharing a grid and a master seed.
+    """Rectangular bundle of paths sharing a grid.
 
-    States after each path's stop time repeat its stopped value, so the
-    array stays rectangular.  ``stop_time`` equals the final grid time for
+    States after each path's stop index repeat its stopped value, so the
+    array stays rectangular.  ``stop_index`` is the final grid index for
     paths that never stopped.
     """
 
     grid: np.ndarray
     states: np.ndarray
     stop_index: np.ndarray
-    stop_time: np.ndarray
     stop_reason: tuple
-    master_seed: int
 
     @property
     def n_paths(self):
@@ -207,13 +206,9 @@ class PathEnsemble:
 class PolarEnsemble:
     """Radii of a planar ensemble, stopped at an annulus."""
 
-    grid: np.ndarray
     rho: np.ndarray
     stop_index: np.ndarray
-    stop_time: np.ndarray
     stop_reason: tuple
-    delta: float
-    nmax: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,7 +264,7 @@ def _check_nonlinear(p, name):
             raise SdeError(f"{name} must contain only terms of degree >= 2")
 
 
-def em_task(drift, diffusion, x0, dt, T, guard=GUARD_RADIUS):
+def em_task(drift, diffusion, x0, dt, T):
     """Plain Euler-Maruyama task: identity flow, full drift in the update.
 
     Its noise lives in the generic stream class.
@@ -284,11 +279,11 @@ def em_task(drift, diffusion, x0, dt, T, guard=GUARD_RADIUS):
                    diffusion=diffusion,
                    x0=np.asarray(x0, dtype=float).reshape(dim),
                    dt=float(dt), n_steps=_step_count(T, dt),
-                   stream_class=STREAM_GENERIC, guard=guard)
+                   stream_class=STREAM_GENERIC)
 
 
 def rescaled_task(f, g, sigma_q, sigma_p, Q, P, eps, z0, y0, dt, T,
-                  refined=False, guard=GUARD_RADIUS):
+                  refined=False):
     """Amplified slow-time critical system as a SimTask.
 
     ``f`` and ``g`` are the nonlinear drift blocks in split coordinates
@@ -341,10 +336,10 @@ def rescaled_task(f, g, sigma_q, sigma_p, Q, P, eps, z0, y0, dt, T,
                          np.asarray(y0, dtype=float).reshape(k)))
     return SimTask(dim=dim, m=m, lin=lin, drift=drift, diffusion=diffusion,
                    x0=x0, dt=float(dt), n_steps=_step_count(T, dt),
-                   refined=refined, stream_class=STREAM_CRITICAL, guard=guard)
+                   refined=refined, stream_class=STREAM_CRITICAL)
 
 
-def reduced_task(reduced, sigma_q, h2, eps, z0, dt, T, guard=GUARD_RADIUS):
+def reduced_task(reduced, sigma_q, h2, eps, z0, dt, T):
     """Center-manifold 2D process as a SimTask.
 
     ``reduced`` is the reduced field (rotation plus cubic); its rotation
@@ -383,11 +378,10 @@ def reduced_task(reduced, sigma_q, h2, eps, z0, dt, T, guard=GUARD_RADIUS):
     lin = _rotation(root * lam0 * float(dt))
     return SimTask(dim=2, m=m, lin=lin, drift=drift, diffusion=diffusion,
                    x0=np.asarray(z0, dtype=float).reshape(2), dt=float(dt),
-                   n_steps=_step_count(T, dt), stream_class=STREAM_CRITICAL,
-                   guard=guard)
+                   n_steps=_step_count(T, dt), stream_class=STREAM_CRITICAL)
 
 
-def limit_task(params, rho0, dt, T, refined=False, guard=GUARD_RADIUS):
+def limit_task(params, rho0, dt, T, refined=False):
     """Limiting radial diffusion via its planar representation.
 
     The drift is ``params.a Z|Z|^2``.  Starts at ``(rho0, 0)``; the law
@@ -406,7 +400,7 @@ def limit_task(params, rho0, dt, T, refined=False, guard=GUARD_RADIUS):
     return SimTask(dim=2, m=2, lin=np.eye(2), drift=cubic,
                    diffusion=diffusion, x0=np.array([float(rho0), 0.0]),
                    dt=float(dt), n_steps=_step_count(T, dt), refined=refined,
-                   stream_class=STREAM_LIMIT, guard=guard)
+                   stream_class=STREAM_LIMIT)
 
 
 def _resolve_workers(workers):
@@ -425,8 +419,9 @@ def _resolve_workers(workers):
 _Group = collections.namedtuple("_Group", "first members x0 lin drifts sigmas")
 
 # One task's freshly stepped block of states as ``run_coupled`` hands it to
-# a fold: ``first`` is the grid index of the first state, ``states`` the
-# states (paths, steps, dim) at grid indices ``first`` on, and
+# a fold: ``first`` is the grid index the block opens at, ``states`` the
+# states (paths, steps + 1, dim) at grid indices ``first`` on, the first
+# of them the carried states the block before ended on (or x0), and
 # ``stop_index`` and ``stop_code`` (paths,) each path's stop index and
 # code (``STOP_NONE`` or ``STOP_DIVERGED``) at the block's end.
 FoldBlock = collections.namedtuple(
@@ -448,18 +443,23 @@ def run_coupled(tasks, count, master_seed, fold, workers=None):
     bitwise those of separate runs.
 
     A chunk goes through the horizon in time blocks: each block draws the
-    next noise blocks of every path, forms every task's increments and
-    steps every group on from where the last block left it, coarse tasks
-    one step and refined tasks two per noise block.  Its buffers are made
-    once and refilled.  A block's noise, increments and the kernel's block
-    of states and of noise sums fill at most ``BLOCK_CELLS`` doubles (or
-    one noise block), so a run needs memory independent of the horizon
+    next noise blocks of every path and steps every group on from where
+    the last block left it, coarse tasks one step and refined tasks two
+    per noise block.  One increments buffer serves every group: each group
+    forms its first task's increments into it, repeated for its other
+    tasks, just before it steps.  The buffers are made once and refilled.
+    A block's noise, the largest group's increments and the kernel's
+    blocks of states and of noise sums fill at most ``BLOCK_CELLS``
+    doubles (or one noise block) beside the carried state each block of
+    states opens on, so a run needs memory independent of the horizon
     beyond what its fold keeps.
 
     After each time block of a chunk, ``fold(paths, blocks)`` takes the
     states: ``paths`` is the chunk's slice of path indices and ``blocks``
-    holds, per task, the ``FoldBlock`` the block stepped.  The blocks are
-    views of buffers the next block refills.  Calls for different chunks
+    holds, per task, the ``FoldBlock`` the block stepped.  Each block
+    repeats the last state of the block before, so a fold must give the
+    same result for a grid point seen twice.  The blocks are views of
+    buffers the next block refills.  Calls for different chunks
     may run at once on different workers, so a fold writes only its
     chunk's paths.
 
@@ -494,24 +494,19 @@ def run_coupled(tasks, count, master_seed, fold, workers=None):
     stream_class, m, blocks = (tasks[0].stream_class, tasks[0].m,
                                tasks[0].noise_blocks)
 
-    # Per step rule, the most tasks of one group on it: a group of G reads
-    # the first G copies of the chunk's increments, one per task.  A kernel
-    # call steps at most CHUNK rows, so a chunk holds CHUNK // G paths for
-    # the largest group's G.
-    rules, copies = {}, {}
-    for group in groups:
-        rule = group.first.refined, group.first.dt
-        rules.setdefault(rule, group.first)
-        copies[rule] = max(copies.get(rule, 1), len(group.members))
-    width = min(count, max(1, CHUNK // max(copies.values())))
-    # Per path and noise block: the two half-step draws of each channel,
-    # each rule's copies of a step's increments, and the kernel's block of
-    # states and its buffer of noise sums, each a state per step, of each
-    # group; refined tasks take two steps a block.
-    cells = 2 * m + sum(g * (2 if refined else 1) * m
-                        for (refined, _), g in copies.items()) + sum(
-        2 * len(g.members) * (2 if g.first.refined else 1) * g.first.dim
-        for g in groups)
+    # A kernel call steps at most CHUNK rows, so a chunk holds CHUNK // G
+    # paths for the largest group's G.
+    widest = max(len(g.members) for g in groups)
+    width = min(count, max(1, CHUNK // widest))
+    # Per path and noise block, each group steps each of its tasks once, or
+    # twice if refined.  A time block's cells per path and noise block: the
+    # two half-step draws of each channel, the largest group's increments,
+    # and the kernel's block of states and its buffer of noise sums, each a
+    # state per step, of each group.
+    task_steps = [len(g.members) * (2 if g.first.refined else 1)
+                  for g in groups]
+    cells = 2 * m + max(task_steps) * m + sum(
+        2 * n * g.first.dim for n, g in zip(task_steps, groups))
     span = max(1, BLOCK_CELLS // (width * cells))
 
     def work(start):
@@ -519,11 +514,10 @@ def run_coupled(tasks, count, master_seed, fold, workers=None):
         n_paths = end - start
         streams = [NoiseStream(master_seed, p, stream_class)
                    for p in range(start, end)]
-        # One set of buffers per chunk, refilled block by block.
+        # One set of buffers per chunk, refilled block by block; each group
+        # fills the increments buffer just before it steps.
         draws = np.empty(n_paths * span * 2 * m)
-        buffers = {rule: np.empty(copies[rule] * n_paths * span
-                                  * (2 if rule[0] else 1) * m)
-                   for rule in rules}
+        increments = np.empty(max(task_steps) * n_paths * span * m)
         x0s = [np.broadcast_to(g.x0[:, None, :], (len(g.members), n_paths,
                                                    g.first.dim))
                for g in groups]
@@ -534,25 +528,19 @@ def run_coupled(tasks, count, master_seed, fold, workers=None):
                 n_paths, n_blocks, 2, m)
             for row, stream in zip(xi, streams):
                 stream.standard_blocks(n_blocks, m, out=row)
-            dW = {}
-            for rule, task in rules.items():
-                steps = 2 * n_blocks if task.refined else n_blocks
-                increments = buffers[rule][
-                    :copies[rule] * n_paths * steps * m].reshape(
-                        copies[rule], n_paths, steps, m)
-                task.increments(xi, out=increments[0])
-                increments[1:] = increments[0]
-                dW[rule] = increments
             folded = [None] * len(tasks)
             for g, x0, carry in zip(groups, x0s, carries):
-                increments = dW[g.first.refined, g.first.dt][:len(g.members)]
-                # index 0 opens the first block, else the block begins
-                # after the last one's end
-                first = carry.offset + 1 if carry.offset else 0
+                n_steps = 2 * n_blocks if g.first.refined else n_blocks
+                dW = increments[:len(g.members) * n_paths * n_steps * m] \
+                    .reshape(len(g.members), n_paths, n_steps, m)
+                g.first.increments(xi, out=dW[0])
+                dW[1:] = dW[0]
+                # the block opens on the carried states at this grid index
+                first = carry.offset
                 states, index, code = run_chunk(
                     x0, g.lin, g.drifts, g.sigmas,
-                    increments.reshape(-1, increments.shape[2], m),
-                    g.first.dt, g.first.guard, carry=carry)
+                    dW.reshape(-1, n_steps, m), g.first.dt, g.first.guard,
+                    carry=carry)
                 for j, i in enumerate(g.members):
                     folded[i] = FoldBlock(first, states[j], index[j], code[j])
             fold(slice(start, end), folded)
@@ -586,12 +574,9 @@ def run_ensemble(task, count, master_seed, workers=None):
 
     stop_index, stop_code = run_coupled([task], count, master_seed, fold,
                                         workers)
-    grid = task.grid()
     return PathEnsemble(
-        grid=grid, states=states, stop_index=stop_index[0],
-        stop_time=grid[stop_index[0]],
-        stop_reason=tuple(STOP_REASONS[int(c)] for c in stop_code[0]),
-        master_seed=int(master_seed))
+        grid=task.grid(), states=states, stop_index=stop_index[0],
+        stop_reason=tuple(STOP_REASONS[int(c)] for c in stop_code[0]))
 
 
 def polar_ensemble(ens, delta, nmax):
@@ -630,6 +615,4 @@ def polar_ensemble(ens, delta, nmax):
             reasons.append(ens.stop_reason[i])
         else:
             reasons.append("none")
-    return PolarEnsemble(grid=ens.grid, rho=rho, stop_index=stop,
-                         stop_time=ens.grid[stop], stop_reason=tuple(reasons),
-                         delta=float(delta), nmax=float(nmax))
+    return PolarEnsemble(rho=rho, stop_index=stop, stop_reason=tuple(reasons))

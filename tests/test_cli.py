@@ -380,7 +380,7 @@ def test_off_grid_times_exit_one(tmp_path, capsys, flags, message):
     ("simulate", ["--epsilon", "0.01000001", "0.01"], GOLDEN),
     ("converge", ["--epsilon", "0.1", "0.1"], GOLDEN),
     ("simulate", [], GOLDEN.replace("epsilon 1e-1", "epsilon 1e-1 0.1")),
-])
+], ids=["simulate-flag", "converge-flag", "simulate-config"])
 def test_epsilons_equal_at_g_precision_exit_one(tmp_path, capsys, command,
                                                  flags, text):
     cfg = write_config(tmp_path, text)

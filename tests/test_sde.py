@@ -1,5 +1,6 @@
 """Noise streams, the splitting integrator, ensembles, and polar paths."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -134,8 +135,7 @@ def one_path_ensemble(states):
     n = states.shape[0] - 1
     grid = np.linspace(0.0, 1.0, n + 1)
     return sde.PathEnsemble(grid=grid, states=states[None],
-                            stop_index=np.array([n]), stop_time=grid[[n]],
-                            stop_reason=("none",), master_seed=0)
+                            stop_index=np.array([n]), stop_reason=("none",))
 
 
 def stream_increments(task, stream):
@@ -178,12 +178,14 @@ def kernel_tasks():
     cube = PolyMap(1, 1, [(0, (3,), 1.0)])
     # from 0.5 the cubic blows up near t = 2: noise pushes some paths
     # past the guard mid-chunk while others survive
-    partial = sde.em_task(cube, PolyMap(1, 1, [(0, (0,), 1.0)]),
-                          np.array([0.5]), 1e-2, 2.0, guard=10.0)
+    partial = dataclasses.replace(
+        sde.em_task(cube, PolyMap(1, 1, [(0, (0,), 1.0)]), np.array([0.5]),
+                    1e-2, 2.0), guard=10.0)
     # a guard of 1e300 squares to inf, so only non-finite states (inf
     # from the cube, nan from inf - inf against the noise) stop a path
-    overflow = sde.em_task(cube, PolyMap(1, 1, [(0, (2,), 1.0)]),
-                           np.array([1.0]), 1e-2, 2.0, guard=1e300)
+    overflow = dataclasses.replace(
+        sde.em_task(cube, PolyMap(1, 1, [(0, (2,), 1.0)]), np.array([1.0]),
+                    1e-2, 2.0), guard=1e300)
     # several terms of mixed size per component, with a step long enough
     # that a reordered sum shows in the state
     dense = sde.em_task(
@@ -404,10 +406,9 @@ def test_path_results_with_guard_stops_do_not_depend_on_chunk_width(
     # remove that too.
     cfg = load_config(REPO / "configs" / "coupled3d.cfg")
     system = stats.prepare_system(cfg.drift, cfg.sigma)
-    task = sde.rescaled_task(system.f, system.g, system.sigma_q,
-                             system.sigma_p, system.split.Q, system.split.P,
-                             0.1, (1.0, 0.0), np.zeros(1), 1e-3, 1.0,
-                             guard=1.25)
+    task = dataclasses.replace(sde.rescaled_task(
+        system.f, system.g, system.sigma_q, system.sigma_p, system.split.Q,
+        system.split.P, 0.1, (1.0, 0.0), np.zeros(1), 1e-3, 1.0), guard=1.25)
     runs = []
     for width in (1024, 16, 5):
         monkeypatch.setattr(sde, "CHUNK", width)
@@ -523,11 +524,13 @@ def test_run_chunk_returns_its_block_buffer():
     kept = first.copy()
     second = run_chunk(x0, lin, drifts, sigmas, dW[:, 50:100], dt, guard,
                        carry=carry)[0]
-    # the next block refills the buffer, grid indices 51 to 100
-    assert second.shape == (1, 8, 50, task.dim)
+    # the next block refills the buffer, grid indices 50 (the carried
+    # states) to 100
+    assert second.shape == (1, 8, 51, task.dim)
     assert np.shares_memory(first, second)
     once = run_chunk(x0, lin, drifts, sigmas, dW[:, :100], dt, guard)[0]
-    assert once.tobytes() == np.concatenate((kept, second), axis=2).tobytes()
+    assert once.tobytes() == np.concatenate(
+        (kept, second[:, :, 1:]), axis=2).tobytes()
     with pytest.raises(ValueError):
         # one increment row per task and path
         run_chunk(x0, lin, drifts, sigmas, dW[:4], dt, guard)
@@ -539,8 +542,9 @@ def test_run_chunk_returns_its_block_buffer():
 def observer_task(name, guard):
     fields, y0 = {"planar": (planar_fields(), np.zeros(0)),
                   "coupled3d": (coupled3d_fields(), np.zeros(1))}[name]
-    return sde.rescaled_task(*fields, 1e-1, (1.0, 0.0), y0, 1e-3, 0.5,
-                             guard=guard)
+    return dataclasses.replace(
+        sde.rescaled_task(*fields, 1e-1, (1.0, 0.0), y0, 1e-3, 0.5),
+        guard=guard)
 
 
 @pytest.mark.parametrize("name", ["planar", "coupled3d"])
@@ -582,11 +586,12 @@ def every_state(tasks, count, seed, workers=None):
 
 def test_coupled_draw_matches_separate_ensembles_bitwise(monkeypatch):
     monkeypatch.setattr(sde, "CHUNK", 16)
-    # Per path and noise block: 6 draws, 2 x 3 coarse and 2 x 6 refined
-    # increments, and the block states and noise sums of the coarse and
-    # refined pairs (2 x 2 x 3, 2 x 2 x 6) and of the reduced task (2 x 2);
-    # 16 // 2 = 8 paths a chunk.  Time blocks of 50 noise blocks.
-    monkeypatch.setattr(sde, "BLOCK_CELLS", 50 * 8 * 64)
+    # Per path and noise block: 6 draws, the largest group's increments
+    # (the refined pair's 2 x 6), and the block states and noise sums of
+    # the coarse and refined pairs (2 x 2 x 3, 2 x 2 x 6) and of the reduced
+    # task (2 x 2); 16 // 2 = 8 paths a chunk.  Time blocks of 50 noise
+    # blocks.
+    monkeypatch.setattr(sde, "BLOCK_CELLS", 50 * 8 * 58)
     f, g, sigma_q, sigma_p, Q, P = coupled3d_fields()
     tasks = [sde.rescaled_task(f, g, sigma_q, sigma_p, Q, P, eps,
                                (1.0, 0.0), np.zeros(1), h, 0.2, refined=r)
@@ -660,17 +665,17 @@ def group_tasks():
                for eps in (1e-1, 1e-2)]
     # a guard inside the typical radius: paths of both tasks stop at
     # different steps, so the live rows of each task step with its own flow
-    fenced = [sde.rescaled_task(f, g, sigma_q, sigma_p, Q, P, eps,
-                                (1.0, 0.0), np.zeros(1), 1e-3, 0.5,
-                                guard=1.6)
+    fenced = [dataclasses.replace(
+        sde.rescaled_task(f, g, sigma_q, sigma_p, Q, P, eps, (1.0, 0.0),
+                          np.zeros(1), 1e-3, 0.5), guard=1.6)
               for eps in (1e-1, 1e-2)]
     # equal terms, but each coefficient is +1.0 in the first task and
     # -0.5 or -1.0 in the second: the first task's paths blow up past the
     # guard mid-chunk, some of them, while the second's never do
     noise = PolyMap(2, 4, [(0, (0, 0), 1.0), (3, (0, 0), 1.0)])
-    one_side = [sde.em_task(PolyMap(2, 2, [(0, (3, 0), a), (1, (0, 3), b)]),
-                            noise, np.array([0.5, 0.5]), 1e-2, 2.0,
-                            guard=10.0)
+    one_side = [dataclasses.replace(
+        sde.em_task(PolyMap(2, 2, [(0, (3, 0), a), (1, (0, 3), b)]), noise,
+                    np.array([0.5, 0.5]), 1e-2, 2.0), guard=10.0)
                 for a, b in ((1.0, 1.0), (-0.5, -1.0))]
     return {"coupled3d": coupled, "coupled3d_guard": fenced,
             "guard_in_one_task": one_side}
@@ -717,27 +722,26 @@ def blocked_run(args, length, fold=None):
     """``run_chunk`` on ``args``' increments in blocks of ``length`` steps,
     one ``Carry`` throughout, each block copied into one array and, where
     given, handed to ``fold``; also checks that each call returns exactly
-    the states of its grid indices."""
+    the states of its grid indices, opening on the last state of the call
+    before, bitwise."""
     x0, lin, drifts, sigmas, dW, dt, guard = args
     n_tasks, n_paths, dim = np.shape(x0)
     n_steps = dW.shape[1]
     states = np.full((n_tasks, n_paths, n_steps + 1, dim), np.nan)
     carry = Carry(x0)
-    written = 0
+    last = np.asarray(x0)
     for at in range(0, n_steps, length):
         end = min(at + length, n_steps)
-        first = at + 1 if at else 0
         result = run_chunk(x0, lin, drifts, sigmas, dW[:, at:end], dt,
                            guard, carry=carry)
-        assert result[0].shape == (n_tasks, n_paths, end + 1 - first, dim)
+        assert result[0].shape == (n_tasks, n_paths, end + 1 - at, dim)
         assert np.shares_memory(result[0], carry.block)
-        states[:, :, first:end + 1] = result[0]
+        assert result[0][:, :, 0].tobytes() == last.tobytes()
+        last = result[0][:, :, -1].copy()
+        states[:, :, at:end + 1] = result[0]
         if fold is not None:
-            fold_block(fold, first, *result)
-        written += result[0].nbytes
+            fold_block(fold, at, *result)
         assert carry.offset == end
-    # every state is returned by exactly one call
-    assert written == states.nbytes
     return (states,) + result[1:]
 
 
@@ -831,8 +835,9 @@ def test_noise_stream_draws_in_pieces_equal_one_draw():
 def coupled_rule_tasks(T, dt=1e-3, guard=sde.GUARD_RADIUS):
     """Two eps, each coarse and refined, on one stream class."""
     f, g, sigma_q, sigma_p, Q, P = coupled3d_fields()
-    return [sde.rescaled_task(f, g, sigma_q, sigma_p, Q, P, eps, (1.0, 0.0),
-                              np.zeros(1), h, T, refined=r, guard=guard)
+    return [dataclasses.replace(
+        sde.rescaled_task(f, g, sigma_q, sigma_p, Q, P, eps, (1.0, 0.0),
+                          np.zeros(1), h, T, refined=r), guard=guard)
             for eps in (1e-1, 1e-2) for h, r in ((dt, False),
                                                  (dt / 2.0, True))]
 
@@ -842,11 +847,11 @@ def coupled_rule_tasks(T, dt=1e-3, guard=sde.GUARD_RADIUS):
 def test_blocked_coupled_run_matches_one_call_per_task_bitwise(
         monkeypatch, span, observe):
     monkeypatch.setattr(sde, "CHUNK", 16)
-    # per path and noise block: 6 draws, 2 x 3 coarse and 2 x 6 refined
-    # increments, and 2 x 3 and 2 x 6 block states and as many noise sums;
-    # 16 // 2 = 8 paths a chunk
+    # per path and noise block: 6 draws, the largest group's increments
+    # (the refined pair's 2 x 6), and 2 x 3 and 2 x 6 block states and as
+    # many noise sums; 16 // 2 = 8 paths a chunk
     monkeypatch.setattr(sde, "BLOCK_CELLS",
-                        span * 8 * (6 + 6 + 12 + 2 * (6 + 12)))
+                        span * 8 * (6 + 12 + 2 * (6 + 12)))
     # a guard near the start radius stops some paths of every task
     tasks = coupled_rule_tasks(0.05, guard=1.2)
     keep = [[0, 7, 14, 15, 50] if not t.refined else [0, 14, 28, 29, 100]
@@ -897,11 +902,11 @@ def test_unsorted_checkpoints_come_back_in_the_callers_order():
 def test_observed_run_memory_does_not_grow_with_the_horizon(monkeypatch):
     import tracemalloc
 
-    # 64 paths of 60 noise, increment, block state and noise sum cells a
+    # 64 paths of 54 noise, increment, block state and noise sum cells a
     # noise block (see
     # test_blocked_coupled_run_matches_one_call_per_task_bitwise): time
     # blocks of 16 noise blocks, so both horizons take several
-    monkeypatch.setattr(sde, "BLOCK_CELLS", 16 * 64 * 60)
+    monkeypatch.setattr(sde, "BLOCK_CELLS", 16 * 64 * 54)
     peaks = {}
     for T in (0.5, 4.0):
         tasks = coupled_rule_tasks(T, dt=1e-2)

@@ -1,7 +1,6 @@
 """Averaged coefficients, sample distances, studies, and writers."""
 
 import dataclasses
-import functools
 import itertools
 import math
 import sys
@@ -362,10 +361,11 @@ def test_converge_fold_matches_polar_ensemble_bitwise(monkeypatch, guard):
     runs = [
         [sde.limit_task(system.limit, 1.0, h, 0.5, refined=r)
          for h, r in steps],
-        [sde.rescaled_task(system.f, system.g, system.sigma_q,
-                           system.sigma_p, split.Q, split.P, eps,
-                           (1.0, 0.0), np.zeros(0), h, 0.5, refined=r,
-                           guard=guard)
+        [dataclasses.replace(
+            sde.rescaled_task(system.f, system.g, system.sigma_q,
+                              system.sigma_p, split.Q, split.P, eps,
+                              (1.0, 0.0), np.zeros(0), h, 0.5, refined=r),
+            guard=guard)
          for eps in (1e-1, 1e-2) for h, r in steps]]
     keep = [[[500, 250] if not t.refined else [1000, 500] for t in tasks]
             for tasks in runs]
@@ -381,11 +381,12 @@ def test_converge_fold_matches_polar_ensemble_bitwise(monkeypatch, guard):
             alive = np.array([r == "none" for r in polar.stop_reason])
             reference.append((alive, polar.rho[alive][:, kept].T))
             reasons.update(polar.stop_reason)
-    # 16 // 2 = 8 paths a chunk; per path and noise block 4 draws, 2 x 2
-    # coarse and 2 x 4 refined increments and as many block states and
-    # noise sums: time blocks of 3 noise blocks, the first from grid index 0
+    # 16 // 2 = 8 paths a chunk; per path and noise block 4 draws, the
+    # largest group's increments (the refined pair's 2 x 4) and 2 x 2
+    # coarse and 2 x 4 refined block states and as many noise sums: time
+    # blocks of 3 noise blocks, each opening on the last one's end
     monkeypatch.setattr(sde, "CHUNK", 16)
-    monkeypatch.setattr(sde, "BLOCK_CELLS", 3 * 8 * 40)
+    monkeypatch.setattr(sde, "BLOCK_CELLS", 3 * 8 * 36)
     # up to three chunks at once, switching threads often: a fold writing
     # outside its chunk's paths would change a survivor or a radius
     interval = sys.getswitchinterval()
@@ -603,8 +604,10 @@ def test_reduction_fold_matches_every_state_bitwise(monkeypatch, guard):
     system = stats.prepare_system(drift, sigma)
     split = system.split
     # a guard inside the Delta-ball stops most full runs as diverged
-    monkeypatch.setattr(sde, "rescaled_task",
-                        functools.partial(sde.rescaled_task, guard=guard))
+    rescaled_task = sde.rescaled_task
+    monkeypatch.setattr(sde, "rescaled_task", lambda *args, **kwargs:
+                        dataclasses.replace(rescaled_task(*args, **kwargs),
+                                            guard=guard))
     run = dict(big_delta=1.3, beta=0.45, paths=24, dt=1e-3, horizon=0.5,
                master_seed=3)
     epsilons = (1e-1, 1e-2)
@@ -613,10 +616,10 @@ def test_reduction_fold_matches_every_state_bitwise(monkeypatch, guard):
     # chunks of 8 paths the pair of eps takes below.
     monkeypatch.setattr(sde, "CHUNK", 8)
     reference = [loop_reduction_row(system, eps, **run) for eps in epsilons]
-    # 16 // 2 = 8 paths a chunk; per path and step 6 draws, 2 x 3
-    # increments and the block states and noise sums of both full (2 x 3)
-    # and reduced (2 x 2) runs: time blocks of 3 steps, the first from grid
-    # index 0
+    # 16 // 2 = 8 paths a chunk; per path and step 6 draws, the largest
+    # group's increments (either pair's 2 x 3) and the block states and
+    # noise sums of both full (2 x 3) and reduced (2 x 2) runs: time blocks
+    # of 3 steps, each opening on the last one's end
     span = 3
     monkeypatch.setattr(sde, "CHUNK", 16)
     monkeypatch.setattr(sde, "BLOCK_CELLS", span * 8 * 32)
@@ -732,7 +735,8 @@ def test_stationary_check_folds_the_post_burn_in_radii_bitwise(monkeypatch):
                               - np.interp(positions, cdf, grid))))
     # 5 paths a chunk; per path and step 4 draws, 2 increments, 2 block
     # states and 2 noise sums: time blocks of 7 steps, so grid index 501,
-    # the first sample, lies inside the block of grid indices 498 to 504
+    # the first sample, lies inside the block of grid indices 497 (the
+    # carried states) to 504
     monkeypatch.setattr(sde, "CHUNK", 5)
     monkeypatch.setattr(sde, "BLOCK_CELLS", 7 * 5 * 10)
     for workers in (1, 2):
@@ -806,8 +810,9 @@ def writer_ensembles():
     # past the guard mid-run while others survive
     cube = PolyMap(1, 1, [(0, (3,), 1.0)])
     noise = PolyMap(1, 1, [(0, (0,), 1.0)])
-    guarded = sde.run_ensemble(sde.em_task(cube, noise, np.array([0.5]),
-                                           1e-2, 2.0, guard=10.0), 40, 3)
+    guarded = sde.run_ensemble(dataclasses.replace(
+        sde.em_task(cube, noise, np.array([0.5]), 1e-2, 2.0), guard=10.0),
+        40, 3)
     states = planar.states[:4, :6].copy()
     states[0, 1] = (-0.0, 5e-324)
     states[0, 2] = (math.inf, -math.inf)
@@ -815,9 +820,7 @@ def writer_ensembles():
     edited = sde.PathEnsemble(
         grid=planar.grid[:6], states=states,
         stop_index=np.array([5, 3, 0, 5]),
-        stop_time=planar.grid[[5, 3, 0, 5]],
-        stop_reason=("none", "diverged", "hit_outer", "none"),
-        master_seed=planar.master_seed)
+        stop_reason=("none", "diverged", "hit_outer", "none"))
     return {"planar": (planar, ["z1", "z2"]),
             "coupled3d": (coupled, ["z1", "z2", "y1"]),
             "guarded": (guarded, ["x1"]),

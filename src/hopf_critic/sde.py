@@ -197,10 +197,6 @@ class PathEnsemble:
     stop_index: np.ndarray
     stop_reason: tuple
 
-    @property
-    def n_paths(self):
-        return self.states.shape[0]
-
 
 @dataclass(frozen=True)
 class PolarEnsemble:

@@ -12,6 +12,12 @@ critical eigenplane and are chosen with equal norms so the rotation block is
 exact; the remaining phase freedom is fixed deterministically so that an
 already block-diagonal input returns ``C = Id``.
 
+One rule reads the spectrum.  ``eig`` of a real matrix returns every complex
+pair as exact conjugates, positive imaginary part first, so two masks
+classify the spectrum with no pairing search, and ``_hopf_problem`` is the
+one pass/fail test: ``hopf_split`` raises its error, and the report's
+``simple_imaginary_pair`` verdict is true exactly when there is none.
+
 The module also hosts the hypothesis report: residual of the critical point,
 eigenvalue classification, a finite-difference transversality estimate in the
 bifurcation parameter, nondegeneracy of the noise at the origin, and the
@@ -108,7 +114,8 @@ class HypothesisReport:
     ``sigma_nonzero_at_origin``, ``supercritical``.  A verdict is None when
     it could not be assessed: transversality without a bifurcation
     parameter, supercriticality when the eigenvalue structure already
-    failed or ``stats.prepare_system`` cannot reduce the system.
+    failed or ``stats.prepare_system`` cannot reduce the system.  A margin
+    is None (JSON null) when there is no eigenvalue to measure.
     """
 
     n: int
@@ -145,38 +152,36 @@ class HypothesisReport:
 
 
 def _classify_spectrum(eigenvalues):
-    """Split a spectrum into (positive-imag critical indices, other indices)."""
-    crit_pos = []
-    others = []
-    paired = set()
-    w = list(eigenvalues)
-    for i, lam in enumerate(w):
-        if i in paired:
-            continue
-        if abs(lam.real) < IMAG_TOL and lam.imag > IMAG_TOL:
-            # locate the conjugate partner so it is not double counted
-            best, best_d = None, np.inf
-            for j, mu in enumerate(w):
-                if j == i or j in paired:
-                    continue
-                d = abs(mu - lam.conjugate())
-                if d < best_d:
-                    best, best_d = j, d
-            crit_pos.append(i)
-            if best is not None and best_d < 1e-6 * max(1.0, abs(lam)):
-                paired.add(best)
-        elif abs(lam.real) < IMAG_TOL and lam.imag < -IMAG_TOL:
-            continue  # handled through its positive partner
-    taken = set(crit_pos) | paired
-    for i, lam in enumerate(w):
-        if i in taken:
-            continue
-        if abs(lam.real) < IMAG_TOL and lam.imag < -IMAG_TOL:
-            # conjugate of an unpaired critical value: count as critical too
-            crit_pos.append(i)
-            continue
-        others.append(i)
-    return crit_pos, others
+    """Split a spectrum into (critical indices, other indices).
+
+    On the axis means ``|Re| < IMAG_TOL`` and ``|Im| > IMAG_TOL``; both
+    members of an exact conjugate pair fall on the same side.  The critical
+    indices are the on-axis members with ``Im > 0``, one per pair; the
+    others are every eigenvalue off the axis.
+    """
+    w = np.asarray(eigenvalues)
+    on_axis = (np.abs(w.real) < IMAG_TOL) & (np.abs(w.imag) > IMAG_TOL)
+    return (np.flatnonzero(on_axis & (w.imag > 0)).tolist(),
+            np.flatnonzero(~on_axis).tolist())
+
+
+def _hopf_problem(w, crit, others):
+    """The spectrum error that rules out a Hopf split, or None.
+
+    The one pass/fail rule: exactly one critical pair, and every other
+    eigenvalue with real part below ``-STABLE_TOL``.  ``hopf_split`` raises
+    what this returns; ``check_hypotheses`` reports whether it is None.
+    """
+    if not crit:
+        return NoCriticalPair("no eigenvalue pair on the imaginary axis")
+    if len(crit) > 1:
+        return MultipleCriticalPairs(
+            f"{len(crit)} eigenvalue pairs on the imaginary axis")
+    bad = [w[i] for i in others if w[i].real >= -STABLE_TOL]
+    if bad:
+        return UnstableResidualSpectrum(
+            f"non-stable residual eigenvalues: {bad}")
+    return None
 
 
 def _balanced_phase(a, b):
@@ -223,32 +228,18 @@ def _critical_columns(v):
 
 
 def _stable_columns(eigenvalues, vectors, indices):
-    """Real basis columns for the stable invariant subspace."""
+    """Real basis columns for the stable invariant subspace.
+
+    ``eig`` of a real matrix returns a complex pair as exact conjugates,
+    the ``Im > 0`` member first, with conjugate eigenvector columns.  That
+    member gives the two columns (Re, Im) of its balanced-phase vector, its
+    conjugate gives none, and a real eigenvalue gives one column.
+    """
     cols = []
-    used = set()
     for i in indices:
-        if i in used:
-            continue
         lam = eigenvalues[i]
         v = vectors[:, i]
-        if abs(lam.imag) > 1e-12:
-            # complex pair: take the positive-imaginary member once
-            if lam.imag < 0:
-                partner = None
-                for j in indices:
-                    if j != i and j not in used and \
-                            abs(eigenvalues[j] - lam.conjugate()) < 1e-8 * max(1.0, abs(lam)):
-                        partner = j
-                        break
-                if partner is not None:
-                    continue  # will be handled from the conjugate
-                v = v.conjugate()
-            else:
-                for j in indices:
-                    if j != i and j not in used and \
-                            abs(eigenvalues[j] - lam.conjugate()) < 1e-8 * max(1.0, abs(lam)):
-                        used.add(j)
-                        break
+        if lam.imag > 1e-12:
             phi = _balanced_phase(v.real, v.imag)
             a = v.real * np.cos(phi) - v.imag * np.sin(phi)
             b = v.imag * np.cos(phi) + v.real * np.sin(phi)
@@ -258,7 +249,7 @@ def _stable_columns(eigenvalues, vectors, indices):
             if a[lead] < 0:
                 a, b = -a, -b
             cols.extend([a, b])
-        else:
+        elif lam.imag >= -1e-12:
             theta = np.angle(v[int(np.argmax(np.abs(v)))])
             u = (v * np.exp(-1j * theta)).real
             u = u / np.linalg.norm(u)
@@ -266,7 +257,6 @@ def _stable_columns(eigenvalues, vectors, indices):
             if u[lead] < 0:
                 u = -u
             cols.append(u)
-        used.add(i)
     return cols
 
 
@@ -293,22 +283,12 @@ def hopf_split(A):
     if A.shape != (n, n) or n < 2:
         raise SpectralError("square matrix of size >= 2 required")
     w, V = np.linalg.eig(A)
-    crit_pos, others = _classify_spectrum(w)
-    if len(crit_pos) == 0:
-        raise NoCriticalPair("no eigenvalue pair on the imaginary axis")
-    if len(crit_pos) > 1:
-        raise MultipleCriticalPairs(
-            f"{len(crit_pos)} eigenvalue pairs on the imaginary axis")
-    bad = [w[i] for i in others if w[i].real >= -STABLE_TOL]
-    if bad:
-        raise UnstableResidualSpectrum(
-            f"non-stable residual eigenvalues: {bad}")
-    i_crit = crit_pos[0]
-    lam0 = float(abs(w[i_crit].imag))
-    v = V[:, i_crit]
-    if w[i_crit].imag < 0:
-        v = v.conjugate()
-    col_b, col_a = _critical_columns(v)
+    crit, others = _classify_spectrum(w)
+    problem = _hopf_problem(w, crit, others)
+    if problem is not None:
+        raise problem
+    lam0 = float(w[crit[0]].imag)
+    col_b, col_a = _critical_columns(V[:, crit[0]])
     cols = [col_b, col_a] + _stable_columns(w, V, others)
     C = np.column_stack(cols)
     cond = np.linalg.cond(C)
@@ -442,13 +422,9 @@ def check_hypotheses(drift, sigma):
     residual = float(np.linalg.norm(drift_crit(origin)))
     A0 = drift_crit.jacobian(origin)
     eigenvalues = np.linalg.eigvals(A0)
-    crit_pos, others = _classify_spectrum(eigenvalues)
-    structure_ok = (
-        len(crit_pos) == 1
-        and all(eigenvalues[i].real < -STABLE_TOL for i in others)
-        and len(others) == n - 2
-    )
-    lam0 = float(abs(eigenvalues[crit_pos[0]].imag)) if len(crit_pos) == 1 else None
+    crit, others = _classify_spectrum(eigenvalues)
+    structure_ok = _hopf_problem(eigenvalues, crit, others) is None
+    lam0 = float(eigenvalues[crit[0]].imag) if len(crit) == 1 else None
 
     transversality = 0.0
     if has_mu and lam0 is not None:
@@ -474,8 +450,6 @@ def check_hypotheses(drift, sigma):
         except (SpectralError, normalform.NormalFormError, stats.StatsError):
             pass
 
-    stable_margin = (max(eigenvalues[i].real for i in others)
-                     if others else -np.inf)
     report = HypothesisReport(
         n=n,
         critical_point_residual=residual,
@@ -496,9 +470,11 @@ def check_hypotheses(drift, sigma):
         },
         margins={
             "critical_pair_real_part": (
-                float(max(abs(eigenvalues[i].real) for i in crit_pos))
-                if crit_pos else float("nan")),
-            "stable_real_part": float(stable_margin),
+                float(max(abs(eigenvalues[i].real) for i in crit))
+                if crit else None),
+            "stable_real_part": (
+                float(max(eigenvalues[i].real for i in others))
+                if others else None),
         },
     )
     return report

@@ -174,6 +174,39 @@ def test_check_reports_verdicts_and_exits_zero(tmp_path, capsys):
     assert manifest["subcommand"] == "check"
 
 
+def reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+NO_PAIR = """\
+[system]
+n 2
+drift 1 1 0 -1.0
+drift 2 0 1 -2.0
+sigma 1 1 0 0 1.0
+sigma 2 2 0 0 1.0
+"""
+
+
+@pytest.mark.parametrize("config, missing, present", [
+    ("hopf2d", "stable_real_part", "critical_pair_real_part"),
+    ("no-pair", "critical_pair_real_part", "stable_real_part")],
+    ids=["hopf2d", "no-pair"])
+def test_check_writes_strict_json_with_null_margins(tmp_path, config,
+                                                    missing, present):
+    # a margin over no eigenvalues is null, never -Infinity or NaN, so
+    # hypotheses.json parses as RFC 8259 JSON
+    cfg = (str(REPO_CONFIGS / "hopf2d.cfg") if config == "hopf2d"
+           else write_config(tmp_path, NO_PAIR))
+    out = tmp_path / "out"
+    assert cli.main(["check", "--config", cfg, "--out", str(out)]) == 0
+    record = json.loads((out / "hypotheses.json").read_text(),
+                        parse_constant=reject_constant)
+    assert record[f"margin_{missing}"] is None
+    assert isinstance(record[f"margin_{present}"], float)
+    assert record["verdict_simple_imaginary_pair"] is (config == "hopf2d")
+
+
 def test_check_flags_subcritical_system_but_still_exits_zero(tmp_path,
                                                              capsys):
     text = GOLDEN.replace("-1.0", "1.0").replace("drift 1 0 1 1.0",

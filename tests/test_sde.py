@@ -457,7 +457,7 @@ def test_polar_ensemble_matches_per_path_conversion():
                              (1.0, 0.0), np.zeros(0), 1e-3, 1.0)
     ens = sde.run_ensemble(task, 50, 3)
     polar = sde.polar_ensemble(ens, 0.4, 2.5)
-    for i in range(ens.n_paths):
+    for i in range(len(ens.states)):
         rho, stop, reason = to_polar(ens.states[i], int(ens.stop_index[i]),
                                      ens.stop_reason[i], 0.4, 2.5)
         assert_allclose(polar.rho[i], rho, rtol=1e-14, atol=1e-14)

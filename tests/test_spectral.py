@@ -78,6 +78,96 @@ def test_split_rejects_unstable_residual_mode():
         hopf_split(A)
 
 
+DAMPED = np.array([[-0.5, -2.0], [2.0, -0.5]])
+
+
+def blockdiag(*blocks):
+    n = sum(len(b) for b in blocks)
+    out = np.zeros((n, n))
+    at = 0
+    for b in blocks:
+        out[at:at + len(b), at:at + len(b)] = b
+        at += len(b)
+    return out
+
+
+def test_real_eig_returns_exact_conjugate_pairs():
+    # the spectral split classifies with no partner search because eig of
+    # a real matrix returns each complex pair as exact conjugates, the
+    # Im > 0 member first, with conjugate eigenvector columns
+    rng = np.random.default_rng(3)
+    matrices = [rng.normal(size=(n, n)) for n in range(2, 9) for _ in range(20)]
+    for copies in (2, 3):
+        repeated = blockdiag(rotation_block(1.0), *[DAMPED] * copies)
+        M = rng.normal(size=repeated.shape) + 2.0 * np.eye(len(repeated))
+        matrices += [repeated, M @ repeated @ np.linalg.inv(M)]
+    pairs = 0
+    for A in matrices:
+        w, V = np.linalg.eig(A)
+        for vals in (w, np.linalg.eigvals(A)):
+            j = 0
+            while j < len(vals):
+                if vals[j].imag == 0.0:
+                    j += 1
+                    continue
+                assert vals[j].imag > 0.0
+                assert (np.conj(vals[j:j + 1]).tobytes()
+                        == vals[j + 1:j + 2].tobytes())
+                if vals is w:
+                    assert np.conj(V[:, j]).tobytes() == V[:, j + 1].tobytes()
+                    pairs += 1
+                j += 2
+    assert pairs > len(matrices)
+
+
+def test_split_recovers_a_repeated_stable_rotation():
+    # two equal stable pairs: each Im > 0 member gives its two columns
+    block = blockdiag(rotation_block(1.5), DAMPED, DAMPED)
+    rng = np.random.default_rng(4)
+    systems = [block]
+    for _ in range(10):
+        M = rng.normal(size=(6, 6)) + 2.0 * np.eye(6)
+        systems.append(M @ block @ np.linalg.inv(M))
+    for A in systems:
+        split = hopf_split(A)
+        assert abs(split.lam0 - 1.5) < 1e-12
+        assert_allclose(split.C_inv @ A @ split.C, split.block_matrix(),
+                        atol=1e-9)
+        stable = np.linalg.eigvals(split.P)
+        assert_allclose(stable.real, -0.5, atol=1e-7)
+        assert_allclose(np.sort(stable.imag), [-2.0, -2.0, 2.0, 2.0],
+                        atol=1e-7)
+
+
+def spectrum_cases():
+    rng = np.random.default_rng(5)
+    return {
+        "no-pair": (np.diag([-1.0, -2.0, -3.0]), False),
+        "two-pairs": (blockdiag(rotation_block(1.0), rotation_block(2.0)),
+                      False),
+        "unstable-residual": (blockdiag(rotation_block(1.0), [[0.5]]), False),
+        "zero-eigenvalue": (blockdiag(rotation_block(1.0), [[0.0]]), False),
+        "generic": (conjugated_system(rng, 1.3, 3)[0], True),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(spectrum_cases()))
+def test_check_pair_verdict_is_hopf_split_passing(case):
+    # check's simple_imaginary_pair verdict and hopf_split's spectrum
+    # errors are one rule
+    A, fits = spectrum_cases()[case]
+    n = len(A)
+    sigma = PolyMap(n, n * n, [(i * (n + 1), (0,) * n, 1.0) for i in range(n)])
+    report = check_hypotheses(PolyMap.linear(A), sigma)
+    try:
+        hopf_split(A)
+        passed = True
+    except (NoCriticalPair, MultipleCriticalPairs, UnstableResidualSpectrum):
+        passed = False
+    assert passed is fits
+    assert report.verdicts["simple_imaginary_pair"] is passed
+
+
 def coupled3d():
     drift = PolyMap(3, 3, [
         (0, (0, 1, 0), -1.0), (0, (3, 0, 0), -1.0), (0, (1, 2, 0), -1.0),

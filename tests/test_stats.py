@@ -786,7 +786,7 @@ def row_loop_trajectory_csv(ensemble, path, columns):
     The block writer in ``stats`` must reproduce its bytes exactly.
     """
     lines = ["path,t," + ",".join(columns) + ",stopped"]
-    for p in range(ensemble.n_paths):
+    for p in range(len(ensemble.states)):
         live = ensemble.stop_reason[p] == "none"
         for k, t in enumerate(ensemble.grid):
             stopped = 0 if live or k < ensemble.stop_index[p] else 1
@@ -831,7 +831,7 @@ def writer_ensembles():
 def test_trajectory_csv_matches_row_loop_bytes(tmp_path, name):
     ensemble, columns = writer_ensembles()[name]
     if name == "guarded":
-        assert 0 < ensemble.stop_reason.count("diverged") < ensemble.n_paths
+        assert 0 < ensemble.stop_reason.count("diverged") < len(ensemble.states)
     want, got = tmp_path / "rows.csv", tmp_path / "blocks.csv"
     row_loop_trajectory_csv(ensemble, want, columns)
     stats.write_trajectory_csv(ensemble, got, columns)

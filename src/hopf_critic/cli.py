@@ -151,9 +151,6 @@ def _range_errors(cfg, command):
           and not cfg.rho0 < cfg.big_delta):
         errors.append(f"{command} needs rho0 < Delta: the coupled runs "
                       "start inside the Delta-ball")
-    if command == "simulate" and "csv" not in cfg.formats:
-        errors.append("simulate writes only trajectory CSVs: formats must "
-                      "include csv")
     try:
         sde._resolve_workers(cfg.workers)
     except sde.SdeError as exc:
@@ -199,7 +196,6 @@ def _write_manifest(cfg, args, outputs):
         "Delta": cfg.big_delta,
         "beta": cfg.beta,
         "refine": getattr(args, "refine", False),
-        "formats": list(cfg.formats),
         "plot": cfg.plot,
     }
     resolved_text = json.dumps({"config_sha256": config_sha256, **resolved},
@@ -334,23 +330,18 @@ def _convergence_svg(out, report):
     return "convergence.svg"
 
 
-def _write_tables(cfg, out, stem, report, write_csv):
-    """Write the study's CSV and JSON as ``cfg.formats`` asks; list them."""
-    outputs = []
-    if "csv" in cfg.formats:
-        write_csv(report, os.path.join(out, f"{stem}.csv"))
-        outputs.append(f"{stem}.csv")
-    if "json" in cfg.formats:
-        _write_json(os.path.join(out, f"{stem}.json"), report.as_record())
-        outputs.append(f"{stem}.json")
-    return outputs
+def _write_tables(out, stem, report, write_csv):
+    """Write the study's CSV and JSON; list them."""
+    write_csv(report, os.path.join(out, f"{stem}.csv"))
+    _write_json(os.path.join(out, f"{stem}.json"), report.as_record())
+    return [f"{stem}.csv", f"{stem}.json"]
 
 
 def _cmd_converge(cfg, args):
     system = _prepare(cfg)
     out = _out_dir(cfg)
     report = _convergence(cfg, system, args)
-    outputs = _write_tables(cfg, out, "convergence", report,
+    outputs = _write_tables(out, "convergence", report,
                             stats.write_convergence_csv)
     if cfg.plot:
         outputs.append(_convergence_svg(out, report))
@@ -368,7 +359,7 @@ def _cmd_reduce(cfg, args):
     system = _prepare(cfg)
     out = _out_dir(cfg)
     report = _reduction(cfg, system)
-    outputs = _write_tables(cfg, out, "reduction", report,
+    outputs = _write_tables(out, "reduction", report,
                             stats.write_reduction_csv)
     if cfg.plot:
         eps = list(report.epsilons)

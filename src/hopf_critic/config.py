@@ -18,7 +18,6 @@ A config file has three sections::
 
     [output]
     directory out
-    formats csv json
     plot false
 
 Tokens are whitespace-separated; ``#`` starts a comment.  Every drift
@@ -29,7 +28,7 @@ parameter: drift exponent vectors then have n+1 entries (the last one
 for the parameter) while sigma exponents stay at n.
 
 The parser judges the grammar: sections, keys, token types and counts,
-``n`` and ``m``, term indices, booleans and formats.  All such errors
+``n`` and ``m``, term indices and booleans.  All such errors
 are collected and reported together with their line numbers.  It does
 not judge the range of a run value (T, dt, paths, epsilon, ...): the
 command line may still override it, so the CLI judges the resolved run
@@ -46,7 +45,7 @@ _SECTIONS = ("system", "run", "output")
 _SYSTEM_KEYS = {"n", "m", "mu", "drift", "sigma"}
 _RUN_KEYS = {"epsilon", "T", "dt", "paths", "seed", "rho0", "delta", "N",
              "Delta", "beta", "checkpoints", "workers"}
-_OUTPUT_KEYS = {"directory", "formats", "plot"}
+_OUTPUT_KEYS = {"directory", "plot"}
 _BOOL_TOKENS = {"true": True, "yes": True, "1": True,
                 "false": False, "no": False, "0": False}
 
@@ -85,7 +84,6 @@ class Config:
     checkpoints: tuple | None
     workers: int
     out_dir: str
-    formats: tuple
     plot: bool
     text: str
 
@@ -255,17 +253,6 @@ def parse_config(text):
         return args[0]
 
     out_dir = out_scalar("directory", "out")
-    if "formats" in scalars:
-        args, lineno = scalars["formats"]
-        formats = tuple(args)
-        for fmt in formats:
-            if fmt not in ("csv", "json"):
-                errors.append(f"line {lineno}: unknown format '{fmt}'")
-        if not formats:
-            errors.append(f"line {lineno}: formats needs at least one value")
-            formats = ("csv", "json")
-    else:
-        formats = ("csv", "json")
     plot_token = out_scalar("plot", "false")
     plot = _BOOL_TOKENS.get(plot_token.lower())
     if plot is None:
@@ -282,7 +269,7 @@ def parse_config(text):
         epsilons=epsilons, T=T, dt=dt, paths=paths, seed=seed, rho0=rho0,
         delta=delta, nmax=nmax, big_delta=big_delta, beta=beta,
         checkpoints=checkpoints, workers=workers, out_dir=out_dir,
-        formats=formats, plot=plot, text=text)
+        plot=plot, text=text)
 
 
 def load_config(path):

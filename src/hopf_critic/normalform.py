@@ -4,7 +4,11 @@ Everything here operates on systems already in split coordinates
 
     dz = Q z + f(z, y),    dy = P y + g(z, y),
 
-with ``Q = [[0, -lam0], [lam0, 0]]`` and ``P`` stable.  In the complex
+with ``Q = [[0, -lam0], [lam0, 0]]`` and ``P`` stable of size ``k = n - 2``.
+A planar system is the empty stable block ``k = 0``: ``g`` and ``h2`` have
+no outputs, and every function here takes it through its general lines
+(two keep an explicit ``k == 0`` return, where numpy or ``stack`` refuses
+the empty case).  In the complex
 variable ``w = z1 + i z2`` the quadratic part of the critical drift is a
 vector ``F+`` on the monomial basis
 
@@ -89,6 +93,12 @@ class CenterManifold2:
 
 def _quadratic_basis_size(k):
     return 3 + 2 * k
+
+
+def _stable_block(P):
+    """``P`` as a float array; a caller's ``[]`` is the empty (0, 0) block."""
+    P = np.asarray(P, dtype=float)
+    return P.reshape(0, 0) if P.size == 0 else P
 
 
 def complexify_quadratic(f2):
@@ -215,22 +225,19 @@ def build_L(lam0, P):
     lam0 = float(lam0)
     if lam0 <= 0.0:
         raise NormalFormError("rotation frequency must be positive")
-    P = np.asarray(P, dtype=float)
-    if P.size == 0:
-        P = P.reshape(0, 0)
+    P = _stable_block(P)
     k = P.shape[0]
     if P.shape != (k, k):
         raise NormalFormError("stable block must be square")
-    if k and np.max(np.linalg.eigvals(P).real) >= 0.0:
+    if np.max(np.linalg.eigvals(P).real, initial=-np.inf) >= 0.0:
         raise NormalFormError("stable block has a non-negative eigenvalue")
     size = _quadratic_basis_size(k)
     L = np.zeros((size, size), dtype=complex)
     L[0, 0] = -1j * lam0
     L[1, 1] = 3j * lam0
     L[2, 2] = 1j * lam0
-    if k:
-        L[3:3 + k, 3:3 + k] = -P.T
-        L[3 + k:, 3 + k:] = 2j * lam0 * np.eye(k) - P.T
+    L[3:3 + k, 3:3 + k] = -P.T
+    L[3 + k:, 3 + k:] = 2j * lam0 * np.eye(k) - P.T
     return L
 
 
@@ -247,9 +254,7 @@ def solve_quadratic(lam0, P, fplus):
         Defensively, if the resonance matrix is numerically singular
         (condition number >= 1e12) or the solve residual exceeds 1e-10.
     """
-    P = np.asarray(P, dtype=float)
-    if P.size == 0:
-        P = P.reshape(0, 0)
+    P = _stable_block(P)
     k = P.shape[0]
     fplus = np.asarray(fplus, dtype=complex)
     L = build_L(lam0, P)
@@ -299,23 +304,20 @@ def apply_quadratic_transform(f, g, Q, P, transform):
     exactly at the degree-4 truncation because ``Dp`` is linear.
     """
     Q = np.asarray(Q, dtype=float)
-    P = np.asarray(P, dtype=float)
-    if P.size == 0:
-        P = P.reshape(0, 0)
+    P = _stable_block(P)
     k = P.shape[0]
     n = 2 + k
     cap = 4
     if f.n_in != n or f.n_out != 2:
         raise NormalFormError("f must map (z, y) to the critical plane")
-    if g.n_out != k or (k and g.n_in != n):
+    if g.n_in != n or g.n_out != k:
         raise NormalFormError("g must map (z, y) to the stable directions")
     block = np.zeros((n, n))
     block[:2, :2] = Q
     block[2:, 2:] = P
     linear = PolyMap.linear(block, max_degree=cap)
-    field = linear + stack([f, g]) if k else linear + f
-    p_tilde = stack([transform.p_real, PolyMap.zero(n, k, max_degree=cap)]) \
-        if k else transform.p_real
+    field = linear + stack([f, g])
+    p_tilde = stack([transform.p_real, PolyMap.zero(n, k, max_degree=cap)])
     phi = PolyMap.identity(n, max_degree=cap) + p_tilde
     moved = field.substitute(phi, truncate_at=cap)
 
@@ -371,12 +373,11 @@ def center_manifold_quadratic(Q, P, f, g):
         ``spec(S) = {0, +-2 i lam0}`` purely imaginary.
     """
     Q = np.asarray(Q, dtype=float)
-    P = np.asarray(P, dtype=float)
-    if P.size == 0:
-        P = P.reshape(0, 0)
+    P = _stable_block(P)
     k = P.shape[0]
     lam0 = float(Q[1, 0])
     if k == 0:
+        # np.linalg.cond refuses the empty tangency operator
         return CenterManifold2(h2=PolyMap.zero(2, 0, max_degree=4))
     if g.n_out != k:
         raise NormalFormError("g output count must match the stable block")
@@ -410,6 +411,7 @@ def tangency_residual(Q, P, g, manifold):
     h2 = manifold.h2
     k = h2.n_out
     if k == 0:
+        # no rows to stack, and stack of no maps raises
         return 0.0
     Q = np.asarray(Q, dtype=float)
     P = np.asarray(P, dtype=float)
@@ -436,8 +438,6 @@ def invariance_defect(Q, P, f, g, manifold, z):
     """
     z = np.asarray(z, dtype=float)
     h2 = manifold.h2
-    if h2.n_out == 0:
-        return 0.0
     Q = np.asarray(Q, dtype=float)
     P = np.asarray(P, dtype=float)
     y = h2(z)
@@ -466,8 +466,7 @@ def reduced_field(Q, f, manifold):
     h2 = manifold.h2
     if f.n_in != 2 + h2.n_out:
         raise NormalFormError("f and h2 disagree on the stable dimension")
-    inner = stack([PolyMap.identity(2, max_degree=4), h2]) \
-        if h2.n_out else PolyMap.identity(2, max_degree=4)
+    inner = stack([PolyMap.identity(2, max_degree=4), h2])
     composed = f.substitute(inner, truncate_at=3)
     return PolyMap.linear(Q, max_degree=3) + composed
 

@@ -290,7 +290,9 @@ def rescaled_task(f, g, sigma_q, sigma_p, Q, P, eps, z0, y0, dt, T,
     outer amplification.  Cubic drift terms and constant diffusion terms
     are therefore copied bitwise, and eps = 1 reproduces the unscaled
     coefficients exactly.  Noise lives in the critical stream class, which
-    the reduced process shares.
+    the reduced process shares.  A planar system is the empty stable block:
+    ``P`` is (0, 0), ``g`` and ``sigma_p`` have no outputs and ``y0`` is
+    empty, and it runs through the same lines.
     """
     Q = np.asarray(Q, dtype=float)
     P = np.asarray(P, dtype=float)
@@ -302,32 +304,30 @@ def rescaled_task(f, g, sigma_q, sigma_p, Q, P, eps, z0, y0, dt, T,
         raise SdeError("eps must lie in (0, 1]")
     if f.n_in != dim or f.n_out != 2:
         raise SdeError("f must map (z, y) to the critical plane")
-    if g.n_out != k or (k and g.n_in != dim):
+    if g.n_in != dim or g.n_out != k:
         raise SdeError("g must map (z, y) to the stable block")
     if sigma_q.n_out % 2:
         raise SdeError("sigma_q must have 2*m outputs")
     m = sigma_q.n_out // 2
-    if k and sigma_p.n_out != k * m:
+    if sigma_p.n_out != k * m:
         raise SdeError("sigma_p must have (n-2)*m outputs")
     _check_nonlinear(f, "f")
-    if k:
-        _check_nonlinear(g, "g")
+    _check_nonlinear(g, "g")
     lam0 = float(Q[1, 0])
     root = 1.0 / math.sqrt(eps)
     lin = np.zeros((dim, dim))
     lin[:2, :2] = _rotation(root * lam0 * float(dt))
-    if k:
-        stiff = root * P * float(dt)
-        if np.array_equal(stiff, np.diag(np.diag(stiff))):
-            # what scipy.linalg.expm returns for a diagonal matrix
-            lin[2:, 2:] = np.diag(np.exp(np.diag(stiff)))
-        else:
-            from scipy.linalg import expm
-            lin[2:, 2:] = expm(stiff)
-    parts = [f, g] if k else [f]
-    drift = stack(parts).graded_scaled(lambda d: eps ** ((d - 3) / 4.0))
-    sig_parts = [sigma_q, sigma_p] if k else [sigma_q]
-    diffusion = stack(sig_parts).graded_scaled(lambda d: eps ** (d / 4.0))
+    stiff = root * P * float(dt)
+    if np.array_equal(stiff, np.diag(np.diag(stiff))):
+        # what scipy.linalg.expm returns for a diagonal matrix; the empty
+        # stable block is diagonal
+        lin[2:, 2:] = np.diag(np.exp(np.diag(stiff)))
+    else:
+        from scipy.linalg import expm
+        lin[2:, 2:] = expm(stiff)
+    drift = stack([f, g]).graded_scaled(lambda d: eps ** ((d - 3) / 4.0))
+    diffusion = stack([sigma_q, sigma_p]).graded_scaled(
+        lambda d: eps ** (d / 4.0))
     x0 = np.concatenate((np.asarray(z0, dtype=float).reshape(2),
                          np.asarray(y0, dtype=float).reshape(k)))
     return SimTask(dim=dim, m=m, lin=lin, drift=drift, diffusion=diffusion,
@@ -342,9 +342,10 @@ def reduced_task(reduced, sigma_q, h2, eps, z0, dt, T):
     block drives the exact flow and its nonlinear part enters the update
     unscaled, exactly as in the amplified equations.  The diffusion is the
     critical-plane block evaluated on the manifold,
-    ``sigma_Q(eps^{1/4} u, h2(eps^{1/4} u))``.  Noise lives in the same
-    stream class as the full simulation, so equal-keyed streams couple the
-    two pathwise.
+    ``sigma_Q(eps^{1/4} u, h2(eps^{1/4} u))``; on a planar system ``h2``
+    has no outputs and the diffusion is ``sigma_Q(eps^{1/4} u)``.  Noise
+    lives in the same stream class as the full simulation, so equal-keyed
+    streams couple the two pathwise.
     """
     if reduced.n_in != 2 or reduced.n_out != 2:
         raise SdeError("reduced field must be planar")
@@ -364,11 +365,9 @@ def reduced_task(reduced, sigma_q, h2, eps, z0, dt, T):
     drift_terms = [t for t in reduced.terms if sum(t[1]) >= 2]
     drift = PolyMap(2, 2, drift_terms, max_degree=reduced.max_degree)
     quarter = eps ** 0.25
-    inner_parts = [PolyMap.linear(quarter * np.eye(2),
-                                  max_degree=sigma_q.max_degree)]
-    if k:
-        inner_parts.append(h2.graded_scaled(lambda d: eps ** (d / 4.0)))
-    inner = stack(inner_parts)
+    inner = stack([PolyMap.linear(quarter * np.eye(2),
+                                  max_degree=sigma_q.max_degree),
+                   h2.graded_scaled(lambda d: eps ** (d / 4.0))])
     diffusion = sigma_q.substitute(inner, truncate_at=sigma_q.max_degree)
     root = 1.0 / math.sqrt(eps)
     lin = _rotation(root * lam0 * float(dt))

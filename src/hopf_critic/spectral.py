@@ -185,9 +185,16 @@ def _hopf_problem(w, crit, others):
 
 
 def _balanced_phase(a, b):
-    """Phase angle making ||Re(e^{i phi} v)|| equal ||Im(e^{i phi} v)||."""
-    d = float(a @ a - b @ b)
-    s = float(a @ b)
+    """Phase angle making ||Re(e^{i phi} v)|| equal ||Im(e^{i phi} v)||.
+
+    A pair already balanced (``d`` and ``s`` both rounding noise) is
+    balanced by every phase; it gets 0, where ``arctan2`` of the noise
+    would give an arbitrary angle.
+    """
+    aa, bb, s = float(a @ a), float(b @ b), float(a @ b)
+    d = aa - bb
+    if max(abs(d), abs(s)) <= 1e-12 * (aa + bb):
+        return 0.0
     return 0.5 * np.arctan2(d, 2.0 * s)
 
 
@@ -302,8 +309,8 @@ def hopf_split(A):
     Q = np.array([[0.0, -lam0], [lam0, 0.0]])
     off = max(
         np.max(np.abs(M[:2, :2] - Q)),
-        np.max(np.abs(M[:2, 2:])) if n > 2 else 0.0,
-        np.max(np.abs(M[2:, :2])) if n > 2 else 0.0,
+        np.max(np.abs(M[:2, 2:]), initial=0.0),
+        np.max(np.abs(M[2:, :2]), initial=0.0),
     )
     if off >= 1e-9:
         raise IllConditioned(f"block-diagonalization residual {off:.3e}")

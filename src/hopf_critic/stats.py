@@ -450,12 +450,18 @@ class ReductionReport:
     gamma_fit: float
 
     def as_record(self):
+        """JSON record; an undefined median or fit (NaN) is None (null)."""
+        def defined(value):
+            return value if math.isfinite(value) else None
+
         return {
             "epsilons": list(self.epsilons), "Delta": self.big_delta,
             "beta": self.beta, "dt": self.dt, "n_paths": self.n_paths,
             "horizon": self.horizon,
-            "rows": [asdict(row) for row in self.rows],
-            "q_fit": self.q_fit, "gamma_fit": self.gamma_fit,
+            "rows": [{key: defined(value)
+                      for key, value in asdict(row).items()}
+                     for row in self.rows],
+            "q_fit": defined(self.q_fit), "gamma_fit": defined(self.gamma_fit),
         }
 
 
@@ -531,13 +537,10 @@ def reduction_diagnostics(system, epsilons, big_delta, beta, paths, dt,
             X, Zt = full.states, reduced.states
             Z = X[:, :, :2]
             cols = full.first + np.arange(X.shape[1])
-            if k:
-                hv = h2.evaluate_batch(Z.reshape(-1, 2)).reshape(
-                    len(X), -1, k)
-                U = X[:, :, 2:] - (eps ** 0.25) * hv
-                norm_u = np.sqrt((U * U).sum(axis=2))
-            else:
-                norm_u = np.zeros(X.shape[:2])
+            hv = h2.evaluate_batch(Z.reshape(-1, 2)).reshape(
+                *X.shape[:2], k)
+            U = X[:, :, 2:] - (eps ** 0.25) * hv
+            norm_u = np.sqrt((U * U).sum(axis=2))
             norm_phi = np.sqrt(((Z - Zt) ** 2).sum(axis=2))
             outside = (np.sqrt((X ** 2).sum(axis=2)) >= big_delta) \
                 | (np.sqrt((Zt * Zt).sum(axis=2)) >= big_delta)

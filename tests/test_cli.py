@@ -34,7 +34,6 @@ checkpoints 0.25 0.5
 
 [output]
 directory out
-formats csv json
 """
 
 REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -65,7 +64,6 @@ def test_minimal_config_fills_defaults():
     assert cfg.checkpoints is None
     assert cfg.workers is None
     assert cfg.out_dir == "out"
-    assert cfg.formats == ("csv", "json")
     assert cfg.plot is False
 
 
@@ -328,7 +326,7 @@ def test_converge_summary_and_manifest_contents(tmp_path, capsys):
         (1.0, 0.05, 10.0)
     assert (manifest["Delta"], manifest["beta"]) == (2.0, 0.4)
     assert manifest["refine"] is False
-    assert manifest["formats"] == ["csv", "json"]
+    assert "formats" not in manifest
     assert manifest["plot"] is False
 
 
@@ -372,6 +370,21 @@ def test_reduce_writes_rows_per_epsilon(tmp_path, capsys):
     assert len(rows) == 3
     record = json.loads((out / "reduction.json").read_text())
     assert [r["epsilon"] for r in record["rows"]] == [0.1, 0.05]
+
+
+def test_planar_reduce_writes_strict_json_with_null_fits(tmp_path):
+    # a planar system has no manifold defect and no planar gap, so no
+    # slope can be fitted: the fits are null, never NaN
+    out = tmp_path / "out"
+    code = cli.main(["reduce", "--config", str(REPO_CONFIGS / "hopf2d.cfg"),
+                     "--out", str(out), "--paths", "20"])
+    assert code == 0
+    record = json.loads((out / "reduction.json").read_text(),
+                        parse_constant=reject_constant)
+    assert record["q_fit"] is None
+    assert record["gamma_fit"] is None
+    assert [(r["u_median"], r["phi_median"]) for r in record["rows"]] == \
+        [(0.0, 0.0)] * 2
 
 
 def test_missing_config_file_exits_one(tmp_path, capsys):
@@ -471,22 +484,17 @@ def test_configuration_mistakes_exit_one(tmp_path, capsys, command, flags,
     assert not out.exists()
 
 
-def test_simulate_without_csv_format_exits_one(tmp_path, capsys):
-    cfg = write_config(tmp_path, GOLDEN.replace("formats csv json",
-                                                "formats json"))
+def test_leftover_formats_line_is_an_unknown_key(tmp_path, capsys):
+    # every study writes both CSV and JSON; there is no formats setting
+    cfg = write_config(tmp_path, GOLDEN + "formats csv json\n")
     out = tmp_path / "out"
-    code = cli.main(["simulate", "--config", cfg, "--out", str(out)])
+    code = cli.main(["converge", "--config", cfg, "--out", str(out)])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: CONFIG: ")
-    assert "formats must include csv" in err
-    assert err.count("error: ") == 1
+    line = len(GOLDEN.splitlines()) + 1
+    assert err == (f"error: CONFIG: line {line}: unknown key 'formats' "
+                   "in [output]\n")
     assert not out.exists()
-    # the studies still write JSON alone
-    code = cli.main(["converge", "--config", cfg, "--out", str(out)])
-    assert code == 0
-    assert (out / "convergence.json").exists()
-    assert not (out / "convergence.csv").exists()
 
 
 def test_usage_errors_exit_one(capsys):

@@ -27,7 +27,7 @@ def random_quadratic(rng, n_vars, n_out):
 
 def random_stable(rng, k):
     A = rng.normal(size=(k, k))
-    radius = max(abs(np.linalg.eigvals(A).real).max(), 1.0)
+    radius = np.max(np.abs(np.linalg.eigvals(A).real), initial=1.0)
     return A - (radius + 0.5) * np.eye(k)
 
 
@@ -201,6 +201,30 @@ def test_invariance_defect_decays_at_cubic_order():
             split.Q, split.P, f_new, g_new, manifold, z))
     slope = np.polyfit(np.log(radii), np.log(defects), 1)[0]
     assert slope >= 2.7
+
+
+def test_planar_system_is_the_empty_stable_block():
+    # k = 0: g, g_new and h2 have no outputs, and the transform, the
+    # manifold and its invariance defect take their general lines
+    rng = np.random.default_rng(67)
+    drift, sigma = random_split_system(rng, 2)
+    split, f, g = split_fields(drift, sigma)
+    assert split.P.shape == (0, 0) and g.n_out == 0
+    fplus, _ = normalform.complexify_quadratic(f.homogeneous_part(2))
+    transform = normalform.solve_quadratic(split.lam0, split.P, fplus)
+    f_new, g_new = normalform.apply_quadratic_transform(
+        f, g, split.Q, split.P, transform)
+    assert g_new.n_out == 0
+    # every quadratic monomial of a plane involves z, so none is left
+    assert f_new.homogeneous_part(2).max_coefficient() < 1e-9
+    manifold = normalform.center_manifold_quadratic(
+        split.Q, split.P, f_new, g_new)
+    assert manifold.h2.n_out == 0
+    assert normalform.tangency_residual(
+        split.Q, split.P, g_new, manifold) == 0.0
+    assert normalform.invariance_defect(
+        split.Q, split.P, f_new, g_new, manifold,
+        np.array([0.3, 0.4])) == 0.0
 
 
 def test_reduced_field_keeps_rotation_plus_cubic_only():

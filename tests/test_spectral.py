@@ -54,6 +54,11 @@ def test_split_planar_rotation_uses_identity_like_basis():
     assert split.n == 2
     assert split.P.shape == (0, 0)
     assert_allclose(split.Q, rotation_block(3.0), atol=1e-12)
+    # a rotation is already balanced at every rate: its coordinates are
+    # kept, not turned by the phase arctan2 reads off rounding noise
+    for lam0 in (0.5, 2.0, 3.0, 7.0):
+        assert_allclose(hopf_split(rotation_block(lam0)).C, np.eye(2),
+                        atol=1e-12)
 
 
 def test_split_rejects_spectrum_without_imaginary_pair():

@@ -521,7 +521,7 @@ def loop_reduction_row(system, eps, big_delta, beta, paths, dt, horizon,
                          horizon)))
     n_steps = int(round(horizon / dt))
     Z, Y, Zt = full.states[:, :, :2], full.states[:, :, 2:], reduced.states
-    hv = h2.evaluate_batch(Z.reshape(-1, 2)).reshape(paths, -1, Y.shape[2])
+    hv = h2.evaluate_batch(Z.reshape(-1, 2)).reshape(Y.shape)
     U = Y - (eps ** 0.25) * hv
     norm_u = np.sqrt((U * U).sum(axis=2))
     norm_phi = np.sqrt(((Z - Zt) ** 2).sum(axis=2))
@@ -572,6 +572,33 @@ def test_reduction_over_two_eps_equals_one_eps_at_a_time():
                               for eps in (1e-1, 1e-2))
     assert 0.0 < both.rows[0].excluded_fraction < 1.0
     assert 0.0 < both.rows[0].ball_exit_fraction < 1.0
+
+
+def test_planar_reduction_takes_the_general_path(monkeypatch):
+    # k = 0 is the empty stable block: the fold evaluates the empty h2 and
+    # the empty U like any other, and reads |U| = 0 and, on the shared
+    # noise, Phi = 0, as the per-path reference does
+    drift, sigma = golden_planar()
+    system = stats.prepare_system(drift, sigma)
+    run = dict(big_delta=1.3, beta=0.45, paths=12, dt=1e-3, horizon=0.5,
+               master_seed=3)
+    reference, _ = loop_reduction_row(system, 1e-1, **run)
+    empty_calls = []
+    evaluate_batch = PolyMap.evaluate_batch
+
+    def counted(self, points):
+        if self.n_out == 0:
+            empty_calls.append(len(points))
+        return evaluate_batch(self, points)
+
+    monkeypatch.setattr(PolyMap, "evaluate_batch", counted)
+    report = stats.reduction_diagnostics(system, (1e-1,), **run)
+    assert system.manifold.h2.n_out == 0
+    assert empty_calls
+    assert report.rows == (reference,)
+    assert report.rows[0].u_median == 0.0
+    assert report.rows[0].phi_median == 0.0
+    assert 0.0 < report.rows[0].excluded_fraction < 1.0
 
 
 def test_reduction_runs_every_eps_in_one_call(monkeypatch):

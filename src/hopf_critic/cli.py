@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -303,64 +304,51 @@ def _maybe_log(values):
     return all(v > 0.0 for v in values)
 
 
-def _convergence(cfg, system, args):
-    return stats.convergence_study(
+def _shown(value, spec):
+    """A study record's value as text; an undefined one (None) is null."""
+    return "null" if value is None else format(value, spec)
+
+
+def _converge(cfg, args, system, out):
+    """Run the limit-law study, write its tables and plot; return the
+    outputs and the summary lines."""
+    report = stats.convergence_study(
         system, cfg.epsilons, cfg.checkpoints, cfg.paths, cfg.dt,
         delta=cfg.delta, nmax=cfg.nmax, rho0=cfg.rho0,
-        master_seed=cfg.seed, workers=cfg.workers,
-        refine=getattr(args, "refine", False))
+        master_seed=cfg.seed, workers=cfg.workers, refine=args.refine)
+    stats.write_convergence_csv(report, os.path.join(out, "convergence.csv"))
+    _write_json(os.path.join(out, "convergence.json"), report.as_record())
+    outputs = ["convergence.csv", "convergence.json"]
+    if cfg.plot:
+        series = [(f"t={c:g}", list(report.epsilons),
+                   [row.cells[j].ks for row in report.rows])
+                  for j, c in enumerate(report.checkpoints)]
+        logy = all(_maybe_log(ys) for _, _, ys in series)
+        stats.svg_line_plot(os.path.join(out, "convergence.svg"), series,
+                            title="distance to the limit law",
+                            xlabel="eps", ylabel="KS", logx=True, logy=logy)
+        outputs.append("convergence.svg")
+    lines = [f"eps={row.epsilon:<8g} t={cell.checkpoint:<6g} "
+             f"ks={cell.ks:.5f} w1={cell.w1:.5f} "
+             f"stopped={row.stopped_fraction:.3f}"
+             for row in report.rows for cell in row.cells]
+    lines.append("")
+    lines += [f"verdict {name}: {value}"
+              for name, value in report.verdicts.items()]
+    return outputs, lines
 
 
-def _reduction(cfg, system):
-    return stats.reduction_diagnostics(
+def _reduce(cfg, args, system, out):
+    """Run the reduction study, write its tables and plot; return the
+    outputs and the summary lines, which spell values as the JSON does."""
+    report = stats.reduction_diagnostics(
         system, cfg.epsilons, cfg.big_delta, cfg.beta, cfg.paths, cfg.dt,
         horizon=cfg.T, z0=(cfg.rho0, 0.0), master_seed=cfg.seed,
         workers=cfg.workers)
-
-
-def _convergence_svg(out, report):
-    series = []
-    for j, c in enumerate(report.checkpoints):
-        ks = [row.cells[j].ks for row in report.rows]
-        series.append((f"t={c:g}", list(report.epsilons), ks))
-    logy = all(_maybe_log(ys) for _, _, ys in series)
-    stats.svg_line_plot(os.path.join(out, "convergence.svg"), series,
-                        title="distance to the limit law",
-                        xlabel="eps", ylabel="KS", logx=True, logy=logy)
-    return "convergence.svg"
-
-
-def _write_tables(out, stem, report, write_csv):
-    """Write the study's CSV and JSON; list them."""
-    write_csv(report, os.path.join(out, f"{stem}.csv"))
-    _write_json(os.path.join(out, f"{stem}.json"), report.as_record())
-    return [f"{stem}.csv", f"{stem}.json"]
-
-
-def _cmd_converge(cfg, args):
-    system = _prepare(cfg)
-    out = _out_dir(cfg)
-    report = _convergence(cfg, system, args)
-    outputs = _write_tables(out, "convergence", report,
-                            stats.write_convergence_csv)
-    if cfg.plot:
-        outputs.append(_convergence_svg(out, report))
-    for row in report.rows:
-        cells = "  ".join(
-            f"ks(t={c.checkpoint:g})={c.ks:.4f} w1={c.w1:.4f}"
-            for c in row.cells)
-        print(f"eps={row.epsilon:g} stopped={row.stopped_fraction:.3f} "
-              f"{cells}")
-    print(f"verdicts: {report.verdicts}")
-    return outputs
-
-
-def _cmd_reduce(cfg, args):
-    system = _prepare(cfg)
-    out = _out_dir(cfg)
-    report = _reduction(cfg, system)
-    outputs = _write_tables(out, "reduction", report,
-                            stats.write_reduction_csv)
+    stats.write_reduction_csv(report, os.path.join(out, "reduction.csv"))
+    record = report.as_record()
+    _write_json(os.path.join(out, "reduction.json"), record)
+    outputs = ["reduction.csv", "reduction.json"]
     if cfg.plot:
         eps = list(report.epsilons)
         u = [row.u_median for row in report.rows]
@@ -373,18 +361,27 @@ def _cmd_reduce(cfg, args):
                                 xlabel="eps", ylabel="median sup norm",
                                 logx=True, logy=True)
             outputs.append("reduction.svg")
-    for row in report.rows:
-        print(f"eps={row.epsilon:g} u_median={row.u_median:.6g} "
-              f"phi_median={row.phi_median:.6g} "
-              f"excluded={row.excluded_fraction:.3f}")
-    print(f"fits: q={report.q_fit:.4f} gamma={report.gamma_fit:.4f}")
+    lines = [f"eps={row['epsilon']:<8g} "
+             f"u_median={_shown(row['u_median'], '.6g')} "
+             f"phi_median={_shown(row['phi_median'], '.6g')} "
+             f"excluded={_shown(row['excluded_fraction'], '.3f')}"
+             for row in record["rows"]]
+    lines.append(f"fitted slopes: q={_shown(record['q_fit'], '.4f')} "
+                 f"gamma={_shown(record['gamma_fit'], '.4f')}")
+    return outputs, lines
+
+
+def _run_study(body, cfg, args):
+    """One study on its own: its outputs, its lines on stdout."""
+    outputs, lines = body(cfg, args, _prepare(cfg), _out_dir(cfg))
+    print("\n".join(lines))
     return outputs
 
 
 def _cmd_report(cfg, args):
     system = _prepare(cfg)
     out = _out_dir(cfg)
-    conv = _convergence(cfg, system, args)
+    outputs, conv_lines = _converge(cfg, args, system, out)
     lines = [
         "critical fluctuation study",
         "==========================",
@@ -399,47 +396,30 @@ def _cmd_report(cfg, args):
         "",
         "convergence to the limit law",
         "----------------------------",
+        *conv_lines,
     ]
-    for row in conv.rows:
-        for cell in row.cells:
-            lines.append(
-                f"eps={row.epsilon:<8g} t={cell.checkpoint:<6g} "
-                f"ks={cell.ks:.5f} w1={cell.w1:.5f} "
-                f"stopped={row.stopped_fraction:.3f}")
-    lines.append("")
-    for name, value in conv.verdicts.items():
-        lines.append(f"verdict {name}: {value}")
-    outputs = ["report.txt"]
     try:
-        red = _reduction(cfg, system)
+        red_outputs, red_lines = _reduce(cfg, args, system, out)
     except stats.NonTrivialQuadratic:
         lines += ["", "reduction diagnostics skipped: drift has mixed "
                       "quadratic terms (supply normal-form coordinates)"]
     else:
-        lines += ["", "reduction errors", "----------------"]
-        for row in red.rows:
-            lines.append(
-                f"eps={row.epsilon:<8g} u_median={row.u_median:.6g} "
-                f"phi_median={row.phi_median:.6g} "
-                f"excluded={row.excluded_fraction:.3f}")
-        lines.append(f"fitted slopes: q={red.q_fit:.4f} "
-                     f"gamma={red.gamma_fit:.4f}")
-    if cfg.plot:
-        outputs.append(_convergence_svg(out, conv))
+        outputs += red_outputs
+        lines += ["", "reduction errors", "----------------", *red_lines]
     text = "\n".join(lines) + "\n"
     with open(os.path.join(out, "report.txt"), "w",
               encoding="utf-8") as handle:
         handle.write(text)
     sys.stdout.write(text)
-    return outputs
+    return outputs + ["report.txt"]
 
 
 _DISPATCH = {
     "check": _cmd_check,
     "normal-form": _cmd_normal_form,
     "simulate": _cmd_simulate,
-    "converge": _cmd_converge,
-    "reduce": _cmd_reduce,
+    "converge": functools.partial(_run_study, _converge),
+    "reduce": functools.partial(_run_study, _reduce),
     "report": _cmd_report,
 }
 

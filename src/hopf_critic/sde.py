@@ -60,6 +60,7 @@ CHUNK = 1024
 # one chunk holds for a block of steps; a run goes through its horizon in
 # blocks of as many noise blocks as fit.
 BLOCK_CELLS = 3 << 17
+# Overflow radius of the diverged stop, read when a run starts.
 GUARD_RADIUS = 1e6
 
 STREAM_GENERIC = 0
@@ -130,8 +131,6 @@ class SimTask:
         instead of a summed pair; n_steps must be even.
     stream_class : noise key namespace, stamped by the task builder;
         coupled tasks share one.
-    guard : overflow radius for the diverged stop; the task builders
-        leave it at ``GUARD_RADIUS``.
     """
 
     dim: int
@@ -144,7 +143,6 @@ class SimTask:
     n_steps: int
     refined: bool = False
     stream_class: int = STREAM_GENERIC
-    guard: float = GUARD_RADIUS
 
     def __post_init__(self):
         if self.dim < 1 or self.m < 1:
@@ -409,8 +407,7 @@ def _resolve_workers(workers):
 
 
 # Tasks that step in one kernel loop: ``first`` of them gives the shared
-# dim, step rule and guard, ``members`` their indices among the run's
-# tasks.
+# dim and step rule, ``members`` their indices among the run's tasks.
 _Group = collections.namedtuple("_Group", "first members x0 lin drifts sigmas")
 
 # One task's freshly stepped block of states as ``run_coupled`` hands it to
@@ -433,7 +430,7 @@ def run_coupled(tasks, count, master_seed, fold, workers=None):
     ``standard_blocks(noise_blocks, m)``.  Paths are keyed by
     index and partitioned into fixed-size chunks, so the result is
     bit-identical for every worker count.  Tasks with equal dim, step
-    count, step rule, guard and drift and diffusion terms (the eps of one
+    count, step rule and drift and diffusion terms (the eps of one
     sweep) step together in one kernel loop per chunk, with results
     bitwise those of separate runs.
 
@@ -468,6 +465,7 @@ def run_coupled(tasks, count, master_seed, fold, workers=None):
         raise SdeError("coupled tasks must share stream_class, m and "
                        "noise_blocks")
     workers = _resolve_workers(workers)
+    guard = GUARD_RADIUS
     packed = [(pack_poly(t.drift, t.dim), pack_poly(t.diffusion, t.dim))
               for t in tasks]
     # Tasks of one step shape on one increment array and grid step in one
@@ -477,7 +475,7 @@ def run_coupled(tasks, count, master_seed, fold, workers=None):
         # components and exponents of the drift and diffusion terms
         terms = tuple(a.tobytes() for p in packed[i] for a in p[:2])
         by_shape.setdefault((task.dim, task.n_steps, task.refined, task.dt,
-                             task.guard, terms), []).append(i)
+                             terms), []).append(i)
     groups = [_Group(
         tasks[members[0]], members,
         np.stack([tasks[i].x0 for i in members]),
@@ -534,7 +532,7 @@ def run_coupled(tasks, count, master_seed, fold, workers=None):
                 first = carry.offset
                 states, index, code = run_chunk(
                     x0, g.lin, g.drifts, g.sigmas,
-                    dW.reshape(-1, n_steps, m), g.first.dt, g.first.guard,
+                    dW.reshape(-1, n_steps, m), g.first.dt, guard,
                     carry=carry)
                 for j, i in enumerate(g.members):
                     folded[i] = FoldBlock(first, states[j], index[j], code[j])

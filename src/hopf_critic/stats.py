@@ -324,17 +324,17 @@ def convergence_study(system, epsilons, checkpoints, paths, dt,
     """Compare amplified radial marginals against the limit across eps.
 
     For each eps the amplified split system is simulated from radius
-    ``rho0`` and converted to polar form with annulus barriers
-    ``(delta, nmax)``; the limit diffusion, with the system's radial cubic
-    coefficient ``system.limit.a``, is simulated once from the same radius
-    under the same barriers.  KS and W1 distances are taken at each
-    checkpoint between never-stopped paths of both ensembles; stopped
-    fractions are reported separately.  With ``refine=True`` the whole
-    comparison is repeated at half the step on the same Brownian paths,
-    reporting the shift of each distance.  The verdict
-    ``ks_strictly_decreasing`` maps each checkpoint to whether KS falls
-    strictly as eps falls; with a single eps there is no order to test
-    and every checkpoint maps to None.
+    ``rho0``, and ``AnnulusFold`` reads its planar radius against the
+    annulus barriers ``(delta, nmax)``; the limit diffusion, with the
+    system's radial cubic coefficient ``system.limit.a``, is simulated
+    once from the same radius under the same barriers.  KS and W1
+    distances are taken at each checkpoint between never-stopped paths of
+    both ensembles; stopped fractions are reported separately.  With
+    ``refine=True`` the whole comparison is repeated at half the step on
+    the same Brownian paths, reporting the shift of each distance.  The
+    verdict ``ks_strictly_decreasing`` maps each checkpoint to whether KS
+    falls strictly as eps falls; with a single eps there is no order to
+    test and every checkpoint maps to None.
     """
     epsilons = tuple(float(e) for e in epsilons)
     checkpoints = tuple(float(c) for c in checkpoints)

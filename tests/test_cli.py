@@ -307,7 +307,7 @@ def test_converge_summary_and_manifest_contents(tmp_path, capsys):
     assert code == 0
     text = capsys.readouterr().out
     assert "eps=0.1" in text
-    assert "verdicts:" in text
+    assert "verdict ks_strictly_decreasing: {'0.25': None}\n" in text
     # one eps has no order to test: the verdict is null, not true
     record = json.loads((out / "convergence.json").read_text())
     assert record["verdicts"]["ks_strictly_decreasing"] == {"0.25": None}
@@ -359,6 +359,18 @@ def test_converge_plot_writes_svg(tmp_path):
     assert "convergence.svg" in manifest["outputs"]
 
 
+def test_report_plot_writes_both_studies_svgs(tmp_path):
+    out = tmp_path / "out"
+    code = cli.main(["report", "--config", str(REPO_CONFIGS / "coupled3d.cfg"),
+                     "--out", str(out), "--paths", "16", "--T", "0.5",
+                     "--plot"])
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    for name in ("convergence.svg", "reduction.svg"):
+        assert (out / name).read_text().startswith("<svg")
+        assert name in manifest["outputs"]
+
+
 def test_reduce_writes_rows_per_epsilon(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
@@ -385,6 +397,20 @@ def test_planar_reduce_writes_strict_json_with_null_fits(tmp_path):
     assert record["gamma_fit"] is None
     assert [(r["u_median"], r["phi_median"]) for r in record["rows"]] == \
         [(0.0, 0.0)] * 2
+
+
+def test_undefined_reduction_values_print_as_null(tmp_path, capsys):
+    # the planar fits are null in reduction.json, and so on every line
+    # that shows them
+    cfg = str(REPO_CONFIGS / "hopf2d.cfg")
+    for command in ("reduce", "report"):
+        out = tmp_path / command
+        assert cli.main([command, "--config", cfg, "--out", str(out),
+                         "--paths", "20"]) == 0
+        text = capsys.readouterr().out
+        assert "fitted slopes: q=null gamma=null\n" in text
+        assert "nan" not in text
+    assert (out / "report.txt").read_text() == text
 
 
 def test_missing_config_file_exits_one(tmp_path, capsys):
@@ -545,6 +571,8 @@ def test_report_notes_skipped_reduction_for_mixed_quadratic(tmp_path):
     text = (out / "report.txt").read_text()
     assert "skipped" in text
     assert "reduction errors" not in text
+    assert (out / "convergence.json").exists()
+    assert not (out / "reduction.json").exists()
 
 
 def test_system_off_normal_form_converges_and_reports(tmp_path, capsys):
@@ -565,14 +593,33 @@ def test_system_off_normal_form_converges_and_reports(tmp_path, capsys):
     assert "reduction diagnostics skipped" in text
 
 
-def test_report_agrees_with_converge_and_reduce(tmp_path):
+def test_report_agrees_with_converge_and_reduce(tmp_path, capsys):
     cfg = str(REPO_CONFIGS / "coupled3d.cfg")
     flags = ["--paths", "16", "--T", "0.5", "--checkpoints", "0.25", "0.5"]
+    printed = {}
     for command, extra in (("report", ["--refine"]),
                            ("converge", ["--refine"]), ("reduce", [])):
         assert cli.main([command, "--config", cfg, "--out",
                          str(tmp_path / command), *flags, *extra]) == 0
-    text = (tmp_path / "report" / "report.txt").read_text()
+        printed[command] = capsys.readouterr().out
+    report = tmp_path / "report"
+    text = (report / "report.txt").read_text()
+    # report runs the two studies: the same tables, byte for byte, and
+    # the same lines as each prints alone
+    tables = {"converge": ["convergence.csv", "convergence.json"],
+              "reduce": ["reduction.csv", "reduction.json"]}
+    for command, names in tables.items():
+        for name in names:
+            assert (report / name).read_bytes() == \
+                (tmp_path / command / name).read_bytes()
+        assert printed[command] in text
+    manifest = json.loads((report / "manifest.json").read_text())
+    assert manifest["outputs"] == sorted(
+        tables["converge"] + tables["reduce"] + ["report.txt"])
+    assert [line for line in text.splitlines() if line.startswith("eps=")] \
+        == [line for command in ("converge", "reduce")
+            for line in printed[command].splitlines()
+            if line.startswith("eps=")]
     conv = json.loads((tmp_path / "converge" / "convergence.json")
                       .read_text())
     red = json.loads((tmp_path / "reduce" / "reduction.json").read_text())

@@ -1,6 +1,5 @@
 """Noise streams, the splitting integrator, ensembles, and polar paths."""
 
-import dataclasses
 import math
 import os
 import subprocess
@@ -143,14 +142,17 @@ def stream_increments(task, stream):
     return task.increments(stream.standard_blocks(task.noise_blocks, task.m))
 
 
-def chunk_inputs(task, count, seed):
-    """run_chunk arguments for ``count`` keyed paths of a task alone."""
+def chunk_inputs(task, count, seed, guard=None):
+    """run_chunk arguments for ``count`` keyed paths of a task alone, at
+    overflow radius ``guard`` (by default the current
+    ``sde.GUARD_RADIUS``, as ``run_coupled`` reads it)."""
     dW = np.stack([stream_increments(
         task, sde.NoiseStream(seed, p, task.stream_class))
         for p in range(count)])
     x0 = np.broadcast_to(task.x0, (1, count, task.dim))
     return (x0, task.lin[None], [pack_poly(task.drift, task.dim)],
-            [pack_poly(task.diffusion, task.dim)], dW, task.dt, task.guard)
+            [pack_poly(task.diffusion, task.dim)], dW, task.dt,
+            sde.GUARD_RADIUS if guard is None else guard)
 
 
 def term_loop_run(x0, lin, drift_packed, sigma_packed, dW, dt, guard):
@@ -166,6 +168,15 @@ def term_loop_run(x0, lin, drift_packed, sigma_packed, dW, dt, guard):
                            states, stop_index, stop_code)
 
 
+# Overflow radii of the run_chunk cases whose paths stop inside the
+# horizon: 10 and 1.6 lie inside the radii those paths reach, and 1e300
+# squares to inf, so only non-finite states (inf from a cube, nan from
+# inf - inf against the noise) stop a path.  Other cases run at
+# sde.GUARD_RADIUS.
+CASE_GUARDS = {"partial_guard": 10.0, "overflow": 1e300,
+               "coupled3d_guard": 1.6, "guard_in_one_task": 10.0}
+
+
 def kernel_tasks():
     f, g, sigma_q, sigma_p, Q, P = planar_fields()
     planar = sde.rescaled_task(f, g, sigma_q, sigma_p, Q, P, 1e-2,
@@ -178,14 +189,11 @@ def kernel_tasks():
     cube = PolyMap(1, 1, [(0, (3,), 1.0)])
     # from 0.5 the cubic blows up near t = 2: noise pushes some paths
     # past the guard mid-chunk while others survive
-    partial = dataclasses.replace(
-        sde.em_task(cube, PolyMap(1, 1, [(0, (0,), 1.0)]), np.array([0.5]),
-                    1e-2, 2.0), guard=10.0)
-    # a guard of 1e300 squares to inf, so only non-finite states (inf
-    # from the cube, nan from inf - inf against the noise) stop a path
-    overflow = dataclasses.replace(
-        sde.em_task(cube, PolyMap(1, 1, [(0, (2,), 1.0)]), np.array([1.0]),
-                    1e-2, 2.0), guard=1e300)
+    partial = sde.em_task(cube, PolyMap(1, 1, [(0, (0,), 1.0)]),
+                          np.array([0.5]), 1e-2, 2.0)
+    # at the 1e300 guard the quadratic noise drives paths to overflow
+    overflow = sde.em_task(cube, PolyMap(1, 1, [(0, (2,), 1.0)]),
+                           np.array([1.0]), 1e-2, 2.0)
     # several terms of mixed size per component, with a step long enough
     # that a reordered sum shows in the state
     dense = sde.em_task(
@@ -221,7 +229,7 @@ def kernel_tasks():
 @pytest.mark.parametrize("name", sorted(kernel_tasks()))
 def test_generated_step_matches_term_loop_bitwise(name):
     task = kernel_tasks()[name]
-    args = chunk_inputs(task, 40, 3)
+    args = chunk_inputs(task, 40, 3, CASE_GUARDS.get(name))
     with np.errstate(over="ignore", invalid="ignore"):
         expected = term_loop_run(*args)
         got = [a[0] for a in run_chunk(*args)]
@@ -406,9 +414,10 @@ def test_path_results_with_guard_stops_do_not_depend_on_chunk_width(
     # remove that too.
     cfg = load_config(REPO / "configs" / "coupled3d.cfg")
     system = stats.prepare_system(cfg.drift, cfg.sigma)
-    task = dataclasses.replace(sde.rescaled_task(
+    task = sde.rescaled_task(
         system.f, system.g, system.sigma_q, system.sigma_p, system.split.Q,
-        system.split.P, 0.1, (1.0, 0.0), np.zeros(1), 1e-3, 1.0), guard=1.25)
+        system.split.P, 0.1, (1.0, 0.0), np.zeros(1), 1e-3, 1.0)
+    monkeypatch.setattr(sde, "GUARD_RADIUS", 1.25)
     runs = []
     for width in (1024, 16, 5):
         monkeypatch.setattr(sde, "CHUNK", width)
@@ -539,12 +548,10 @@ def test_run_chunk_returns_its_block_buffer():
                   carry=carry)
 
 
-def observer_task(name, guard):
+def observer_task(name):
     fields, y0 = {"planar": (planar_fields(), np.zeros(0)),
                   "coupled3d": (coupled3d_fields(), np.zeros(1))}[name]
-    return dataclasses.replace(
-        sde.rescaled_task(*fields, 1e-1, (1.0, 0.0), y0, 1e-3, 0.5),
-        guard=guard)
+    return sde.rescaled_task(*fields, 1e-1, (1.0, 0.0), y0, 1e-3, 0.5)
 
 
 @pytest.mark.parametrize("name", ["planar", "coupled3d"])
@@ -557,7 +564,8 @@ def observer_task(name, guard):
 def test_observed_survivors_match_polar_ensemble_bitwise(
         monkeypatch, name, nmax, guard, stops):
     monkeypatch.setattr(sde, "CHUNK", 16)
-    task = observer_task(name, guard)
+    monkeypatch.setattr(sde, "GUARD_RADIUS", guard)
+    task = observer_task(name)
     delta, keep = 0.5, [125, 250, 500]
     polar = sde.polar_ensemble(sde.run_ensemble(task, 60, 11), delta, nmax)
     alive = np.array([r == "none" for r in polar.stop_reason])
@@ -646,16 +654,15 @@ def test_coupled_draw_matches_separate_ensembles_bitwise(monkeypatch):
         sde.run_coupled([tasks[0], limit], 40, 5, lambda at, blocks: None)
 
 
-def group_inputs(tasks, count, seed):
+def group_inputs(tasks, count, seed, guard=None):
     """run_chunk arguments stepping tasks of one step shape as a group."""
-    args = [chunk_inputs(task, count, seed) for task in tasks]
+    args = [chunk_inputs(task, count, seed, guard) for task in tasks]
     for other in args[1:]:
         assert other[4].tobytes() == args[0][4].tobytes()
     return (np.concatenate([a[0] for a in args]),
             np.concatenate([a[1] for a in args]),
             [p for a in args for p in a[2]], [p for a in args for p in a[3]],
-            np.concatenate([a[4] for a in args]), tasks[0].dt,
-            tasks[0].guard)
+            np.concatenate([a[4] for a in args]), tasks[0].dt, args[0][6])
 
 
 def group_tasks():
@@ -665,17 +672,15 @@ def group_tasks():
                for eps in (1e-1, 1e-2)]
     # a guard inside the typical radius: paths of both tasks stop at
     # different steps, so the live rows of each task step with its own flow
-    fenced = [dataclasses.replace(
-        sde.rescaled_task(f, g, sigma_q, sigma_p, Q, P, eps, (1.0, 0.0),
-                          np.zeros(1), 1e-3, 0.5), guard=1.6)
+    fenced = [sde.rescaled_task(f, g, sigma_q, sigma_p, Q, P, eps,
+                                (1.0, 0.0), np.zeros(1), 1e-3, 0.5)
               for eps in (1e-1, 1e-2)]
     # equal terms, but each coefficient is +1.0 in the first task and
     # -0.5 or -1.0 in the second: the first task's paths blow up past the
     # guard mid-chunk, some of them, while the second's never do
     noise = PolyMap(2, 4, [(0, (0, 0), 1.0), (3, (0, 0), 1.0)])
-    one_side = [dataclasses.replace(
-        sde.em_task(PolyMap(2, 2, [(0, (3, 0), a), (1, (0, 3), b)]), noise,
-                    np.array([0.5, 0.5]), 1e-2, 2.0), guard=10.0)
+    one_side = [sde.em_task(PolyMap(2, 2, [(0, (3, 0), a), (1, (0, 3), b)]),
+                            noise, np.array([0.5, 0.5]), 1e-2, 2.0)
                 for a, b in ((1.0, 1.0), (-0.5, -1.0))]
     return {"coupled3d": coupled, "coupled3d_guard": fenced,
             "guard_in_one_task": one_side}
@@ -697,12 +702,13 @@ def observed(result, keep):
 @pytest.mark.parametrize("name", sorted(group_tasks()))
 def test_grouped_chunk_matches_one_task_at_a_time_bitwise(name, observe):
     tasks = group_tasks()[name]
+    guard = CASE_GUARDS.get(name)
     n_steps = tasks[0].n_steps
     keep = [0, 1, n_steps // 3, n_steps] if observe else None
     with np.errstate(over="ignore", invalid="ignore"):
-        grouped = run_chunk(*group_inputs(tasks, 40, 3))
+        grouped = run_chunk(*group_inputs(tasks, 40, 3, guard))
         for g, task in enumerate(tasks):
-            alone = run_chunk(*chunk_inputs(task, 40, 3))
+            alone = run_chunk(*chunk_inputs(task, 40, 3, guard))
             one = [a[g:g + 1] for a in grouped]
             for want, have in zip(observed(alone, keep),
                                   observed(one, keep)):
@@ -750,11 +756,12 @@ def blocked_cases():
     inside blocks, on blocks' last steps and of every row early."""
     cases = {name: chunk_inputs(task, 40, 3)
              for name, task in observable_tasks().items()}
-    cases["partial_guard"] = chunk_inputs(kernel_tasks()["partial_guard"],
-                                          40, 3)
-    cases["overflow"] = chunk_inputs(kernel_tasks()["overflow"], 40, 3)
+    for name in ("partial_guard", "overflow"):
+        cases[name] = chunk_inputs(kernel_tasks()[name], 40, 3,
+                                   CASE_GUARDS[name])
     for name, tasks in group_tasks().items():
-        cases[f"group_{name}"] = group_inputs(tasks, 40, 3)
+        cases[f"group_{name}"] = group_inputs(tasks, 40, 3,
+                                              CASE_GUARDS.get(name))
     return cases
 
 
@@ -832,12 +839,11 @@ def test_noise_stream_draws_in_pieces_equal_one_draw():
     assert np.concatenate(pieces + [into]).tobytes() == whole.tobytes()
 
 
-def coupled_rule_tasks(T, dt=1e-3, guard=sde.GUARD_RADIUS):
+def coupled_rule_tasks(T, dt=1e-3):
     """Two eps, each coarse and refined, on one stream class."""
     f, g, sigma_q, sigma_p, Q, P = coupled3d_fields()
-    return [dataclasses.replace(
-        sde.rescaled_task(f, g, sigma_q, sigma_p, Q, P, eps, (1.0, 0.0),
-                          np.zeros(1), h, T, refined=r), guard=guard)
+    return [sde.rescaled_task(f, g, sigma_q, sigma_p, Q, P, eps, (1.0, 0.0),
+                              np.zeros(1), h, T, refined=r)
             for eps in (1e-1, 1e-2) for h, r in ((dt, False),
                                                  (dt / 2.0, True))]
 
@@ -853,7 +859,8 @@ def test_blocked_coupled_run_matches_one_call_per_task_bitwise(
     monkeypatch.setattr(sde, "BLOCK_CELLS",
                         span * 8 * (6 + 12 + 2 * (6 + 12)))
     # a guard near the start radius stops some paths of every task
-    tasks = coupled_rule_tasks(0.05, guard=1.2)
+    monkeypatch.setattr(sde, "GUARD_RADIUS", 1.2)
+    tasks = coupled_rule_tasks(0.05)
     keep = [[0, 7, 14, 15, 50] if not t.refined else [0, 14, 28, 29, 100]
             for t in tasks]
     lengths = []

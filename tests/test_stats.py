@@ -355,18 +355,17 @@ def test_converge_fold_matches_polar_ensemble_bitwise(monkeypatch, guard):
     system = stats.prepare_system(*golden_planar())
     split = system.split
     # a near outer barrier: paths hit both; a guard inside it stops some
-    # amplified paths as diverged
+    # amplified paths as diverged, while the limit runs keep the default
     delta, nmax, paths, seed = 0.5, 1.8, 24, 3
     steps = ((1e-3, False), (5e-4, True))
     runs = [
         [sde.limit_task(system.limit, 1.0, h, 0.5, refined=r)
          for h, r in steps],
-        [dataclasses.replace(
-            sde.rescaled_task(system.f, system.g, system.sigma_q,
-                              system.sigma_p, split.Q, split.P, eps,
-                              (1.0, 0.0), np.zeros(0), h, 0.5, refined=r),
-            guard=guard)
+        [sde.rescaled_task(system.f, system.g, system.sigma_q,
+                           system.sigma_p, split.Q, split.P, eps,
+                           (1.0, 0.0), np.zeros(0), h, 0.5, refined=r)
          for eps in (1e-1, 1e-2) for h, r in steps]]
+    guards = (sde.GUARD_RADIUS, guard)
     keep = [[[500, 250] if not t.refined else [1000, 500] for t in tasks]
             for tasks in runs]
     # A chunk's states depend on its width once a task is down to one live
@@ -374,7 +373,8 @@ def test_converge_fold_matches_polar_ensemble_bitwise(monkeypatch, guard):
     # chunks of 8 paths the pair of eps takes below.
     monkeypatch.setattr(sde, "CHUNK", 8)
     reference, reasons = [], set()
-    for tasks, rows in zip(runs, keep):
+    for tasks, rows, radius in zip(runs, keep, guards):
+        monkeypatch.setattr(sde, "GUARD_RADIUS", radius)
         for task, kept in zip(tasks, rows):
             polar = sde.polar_ensemble(sde.run_ensemble(task, paths, seed),
                                        delta, nmax)
@@ -394,7 +394,8 @@ def test_converge_fold_matches_polar_ensemble_bitwise(monkeypatch, guard):
     try:
         for workers in (1, 2, 3):
             found = []
-            for tasks, rows in zip(runs, keep):
+            for tasks, rows, radius in zip(runs, keep, guards):
+                monkeypatch.setattr(sde, "GUARD_RADIUS", radius)
                 fold = stats.AnnulusFold(rows, paths)
                 stop_code = sde.run_coupled(tasks, paths, seed, fold,
                                             workers)[1]
@@ -630,11 +631,8 @@ def test_reduction_fold_matches_every_state_bitwise(monkeypatch, guard):
     drift, sigma = coupled_3d()
     system = stats.prepare_system(drift, sigma)
     split = system.split
-    # a guard inside the Delta-ball stops most full runs as diverged
-    rescaled_task = sde.rescaled_task
-    monkeypatch.setattr(sde, "rescaled_task", lambda *args, **kwargs:
-                        dataclasses.replace(rescaled_task(*args, **kwargs),
-                                            guard=guard))
+    # a guard inside the Delta-ball stops most runs as diverged
+    monkeypatch.setattr(sde, "GUARD_RADIUS", guard)
     run = dict(big_delta=1.3, beta=0.45, paths=24, dt=1e-3, horizon=0.5,
                master_seed=3)
     epsilons = (1e-1, 1e-2)
@@ -837,9 +835,10 @@ def writer_ensembles():
     # past the guard mid-run while others survive
     cube = PolyMap(1, 1, [(0, (3,), 1.0)])
     noise = PolyMap(1, 1, [(0, (0,), 1.0)])
-    guarded = sde.run_ensemble(dataclasses.replace(
-        sde.em_task(cube, noise, np.array([0.5]), 1e-2, 2.0), guard=10.0),
-        40, 3)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sde, "GUARD_RADIUS", 10.0)
+        guarded = sde.run_ensemble(
+            sde.em_task(cube, noise, np.array([0.5]), 1e-2, 2.0), 40, 3)
     states = planar.states[:4, :6].copy()
     states[0, 1] = (-0.0, 5e-324)
     states[0, 2] = (math.inf, -math.inf)

@@ -180,8 +180,6 @@ def _write_json(path, record):
 
 
 def _write_manifest(cfg, args, outputs):
-    import scipy
-
     from . import __version__
     config_sha256 = hashlib.sha256(cfg.text.encode()).hexdigest()
     resolved = {
@@ -211,7 +209,9 @@ def _write_manifest(cfg, args, outputs):
             "package": __version__,
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            # the scipy the run loaded, if any: planar and diagonal-stable
+            # runs never load it
+            "scipy": getattr(sys.modules.get("scipy"), "__version__", None),
         },
         "outputs": sorted(outputs),
     }
@@ -333,7 +333,7 @@ def _converge(cfg, args, system, out):
              f"stopped={row.stopped_fraction:.3f}"
              for row in report.rows for cell in row.cells]
     lines.append("")
-    lines += [f"verdict {name}: {value}"
+    lines += [f"verdict {name}: {json.dumps(value)}"
               for name, value in report.verdicts.items()]
     return outputs, lines
 

@@ -28,6 +28,10 @@ that shape:
 ``run_coupled`` runs tasks on one draw of noise, stepping each chunk of
 paths through the horizon one time block of noise at a time, and hands
 each block of states to a fold, which keeps only what its study reads.
+Each path's stream draws its noise a span at a time, a span covering
+several time blocks, and each time block forms its increments from the
+span straight into the kernel's column-major layout; one budget,
+``BLOCK_CELLS``, is split evenly between the span and the time block.
 ``run_ensemble`` integrates any task (one path is an ensemble of one) with
 the fold that keeps every state, and ``polar_ensemble`` reads the radius
 of its critical plane.
@@ -47,7 +51,6 @@ from __future__ import annotations
 
 import collections
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,9 +59,10 @@ from ._kernels import STOP_REASONS, Carry, pack_poly, run_chunk
 from .polyfield import PolyMap, stack
 
 CHUNK = 1024
-# Cells (doubles) of noise, increments, stepped states and their noise sums
-# one chunk holds for a block of steps; a run goes through its horizon in
-# blocks of as many noise blocks as fit.
+# Cells (doubles) one chunk holds for its noise and a block of steps: half
+# for the span of noise its streams draw at a time, half for a time block's
+# draws in the kernel's layout, increments and stepped states.  A run goes
+# through its horizon in blocks of as many noise blocks as fit.
 BLOCK_CELLS = 3 << 17
 # Overflow radius of the diverged stop, read when a run starts.
 GUARD_RADIUS = 1e6
@@ -72,6 +76,17 @@ _MAX_PATH_INDEX = 1 << 48
 
 class SdeError(Exception):
     """Invalid simulation setup."""
+
+
+class _ZeroSeed(np.random.bit_generator.ISeedSequence):
+    """A seed sequence of zeros, for a bit generator whose state is set
+    right after it is built."""
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.zeros(n_words, dtype=dtype)
+
+
+_ZERO_SEED = _ZeroSeed()
 
 
 class NoiseStream:
@@ -99,7 +114,16 @@ class NoiseStream:
         self.stream_class = stream_class
         key = np.array([master_seed & 0xFFFFFFFFFFFFFFFF,
                         (stream_class << 48) | path_index], dtype=np.uint64)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+        # the state Philox(key=key) starts in, set on a Philox built from
+        # a seed sequence of zeros, which spares the constructor's draw
+        # of OS entropy
+        bits = np.random.Philox(_ZERO_SEED)
+        bits.state = {"bit_generator": "Philox",
+                      "state": {"counter": np.zeros(4, np.uint64),
+                                "key": key},
+                      "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+                      "has_uint32": 0, "uinteger": 0}
+        self._gen = np.random.Generator(bits)
 
     def standard_blocks(self, n_blocks, channels, out=None):
         """Standard-normal draws of shape (n_blocks, 2, channels).
@@ -434,17 +458,23 @@ def run_coupled(tasks, count, master_seed, fold, workers=None):
     sweep) step together in one kernel loop per chunk, with results
     bitwise those of separate runs.
 
-    A chunk goes through the horizon in time blocks: each block draws the
-    next noise blocks of every path and steps every group on from where
-    the last block left it, coarse tasks one step and refined tasks two
-    per noise block.  One increments buffer serves every group: each group
-    forms its first task's increments into it, repeated for its other
-    tasks, just before it steps.  The buffers are made once and refilled.
-    A block's noise, the largest group's increments and the kernel's
-    blocks of states and of noise sums fill at most ``BLOCK_CELLS``
-    doubles (or one noise block) beside the carried state each block of
-    states opens on, so a run needs memory independent of the horizon
-    beyond what its fold keeps.
+    A chunk goes through the horizon in time blocks: each block steps
+    every group on from where the last block left it, coarse tasks one
+    step and refined tasks two per noise block.  Its noise comes from a
+    span: each path's stream draws the span's noise blocks into its row
+    of one buffer, one ``standard_blocks`` call per path and span, and a
+    time block copies its noise blocks out of the span, and out of the
+    next span where it straddles two, into the kernel's layout with the
+    paths on the last axis.  Each group forms its first task's increments
+    from them, repeated for its other tasks, as the (steps, m, G*paths)
+    columns ``run_chunk`` steps without a copy.  The buffers are made once
+    per chunk and refilled.  Half of ``BLOCK_CELLS`` doubles holds the
+    span, the other half the time block's draws, each group's increments
+    and its block of states (each at least one noise block), beside the
+    carried state each block of states opens on, so a run needs memory
+    independent of the horizon beyond what its fold keeps.  Neither
+    length need divide the other or the horizon: the draws, and so the
+    results, are the same for any split.
 
     After each time block of a chunk, ``fold(paths, blocks)`` takes the
     states: ``paths`` is the chunk's slice of path indices and ``blocks``
@@ -492,48 +522,68 @@ def run_coupled(tasks, count, master_seed, fold, workers=None):
     widest = max(len(g.members) for g in groups)
     width = min(count, max(1, CHUNK // widest))
     # Per path and noise block, each group steps each of its tasks once, or
-    # twice if refined.  A time block's cells per path and noise block: the
-    # two half-step draws of each channel, the largest group's increments,
-    # and the kernel's block of states and its buffer of noise sums, each a
-    # state per step, of each group.
+    # twice if refined.  Half the budget holds the noise span: the two
+    # half-step draws of each channel.  The other half holds the kernel
+    # block: those draws again, laid out for it, and each group's
+    # increments and its block of states, a state per step.
     task_steps = [len(g.members) * (2 if g.first.refined else 1)
                   for g in groups]
-    cells = 2 * m + max(task_steps) * m + sum(
-        2 * n * g.first.dim for n, g in zip(task_steps, groups))
-    span = max(1, BLOCK_CELLS // (width * cells))
+    cells = 2 * m + sum(n * (m + g.first.dim)
+                        for n, g in zip(task_steps, groups))
+    span = max(1, BLOCK_CELLS // 2 // (width * 2 * m))
+    length = max(1, BLOCK_CELLS // 2 // (width * cells))
 
     def work(start):
         end = min(start + width, count)
         n_paths = end - start
         streams = [NoiseStream(master_seed, p, stream_class)
                    for p in range(start, end)]
-        # One set of buffers per chunk, refilled block by block; each group
-        # fills the increments buffer just before it steps.
-        draws = np.empty(n_paths * span * 2 * m)
-        increments = np.empty(max(task_steps) * n_paths * span * m)
+        # One set of buffers per chunk, refilled span by span and block by
+        # block: the span's draws (paths, blocks, 2, m) as the streams give
+        # them, and in the kernel's layout, with the paths on the last
+        # axis, the block's draws (blocks, 2, m, paths) and each group's
+        # increments (steps, m, G, paths).
+        draws = np.empty((n_paths, span, 2, m))
+        block_draws = np.empty((length, 2, m, n_paths))
+        increments = [np.empty(n * length * m * n_paths) for n in task_steps]
         x0s = [np.broadcast_to(g.x0[:, None, :], (len(g.members), n_paths,
                                                    g.first.dim))
                for g in groups]
         carries = [Carry(x0) for x0 in x0s]
-        for at in range(0, blocks, span):
-            n_blocks = min(span, blocks - at)
-            xi = draws[:n_paths * n_blocks * 2 * m].reshape(
-                n_paths, n_blocks, 2, m)
-            for row, stream in zip(xi, streams):
-                stream.standard_blocks(n_blocks, m, out=row)
+        # the span holds the noise blocks [drawn, held)
+        drawn = held = 0
+        for at in range(0, blocks, length):
+            n_blocks = min(length, blocks - at)
+            # the block's draws, from as many spans as it straddles
+            done = at
+            while done < at + n_blocks:
+                if done == held:
+                    drawn, held = held, min(held + span, blocks)
+                    for row, stream in zip(draws, streams):
+                        stream.standard_blocks(held - drawn, m,
+                                               out=row[:held - drawn])
+                take = min(at + n_blocks, held) - done
+                out = block_draws[done - at:done - at + take]
+                np.copyto(out.reshape(-1, n_paths),
+                          draws[:, done - drawn:done - drawn + take]
+                          .reshape(n_paths, -1).T)
+                done += take
+            xi = block_draws[:n_blocks].transpose(3, 0, 1, 2)
+            dWs = []
+            for flat, n, g in zip(increments, task_steps, groups):
+                dW = flat[:n * n_blocks * m * n_paths].reshape(
+                    -1, m, len(g.members), n_paths)
+                g.first.increments(xi, out=dW[:, :, 0].transpose(2, 0, 1))
+                dW[:, :, 1:] = dW[:, :, :1]
+                dWs.append(dW)
             folded = [None] * len(tasks)
-            for g, x0, carry in zip(groups, x0s, carries):
-                n_steps = 2 * n_blocks if g.first.refined else n_blocks
-                dW = increments[:len(g.members) * n_paths * n_steps * m] \
-                    .reshape(len(g.members), n_paths, n_steps, m)
-                g.first.increments(xi, out=dW[0])
-                dW[1:] = dW[0]
+            for g, dW, x0, carry in zip(groups, dWs, x0s, carries):
                 # the block opens on the carried states at this grid index
                 first = carry.offset
                 states, index, code = run_chunk(
                     x0, g.lin, g.drifts, g.sigmas,
-                    dW.reshape(-1, n_steps, m), g.first.dt, guard,
-                    carry=carry)
+                    dW.reshape(len(dW), m, -1).transpose(2, 0, 1),
+                    g.first.dt, guard, carry=carry)
                 for j, i in enumerate(g.members):
                     folded[i] = FoldBlock(first, states[j], index[j], code[j])
             fold(slice(start, end), folded)
@@ -547,6 +597,7 @@ def run_coupled(tasks, count, master_seed, fold, workers=None):
         for start in starts:
             work(start)
     else:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(work, starts))
     return stop_index, stop_code

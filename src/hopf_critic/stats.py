@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import _text, normalform, sde
-from ._kernels import STOP_NONE
+from ._kernels import STOP_NONE, sum_squares
 from .polyfield import PolyMap
 from .spectral import CRIT_TOL, hopf_split, transform_system
 
@@ -291,17 +291,18 @@ class AnnulusFold:
 
     def __call__(self, at, blocks):
         for i, block in enumerate(blocks):
-            x = block.states
-            r2 = x[:, :, 0] * x[:, :, 0] + x[:, :, 1] * x[:, :, 1]
-            np.minimum(self.r2_min[i, at], r2.min(axis=1),
+            # the coordinate planes (steps + 1, paths) of the block
+            x = block.states.transpose(2, 1, 0)
+            r2 = x[0] * x[0] + x[1] * x[1]
+            np.minimum(self.r2_min[i, at], r2.min(axis=0),
                        out=self.r2_min[i, at])
-            np.maximum(self.r2_max[i, at], r2.max(axis=1),
+            np.maximum(self.r2_max[i, at], r2.max(axis=0),
                        out=self.r2_max[i, at])
             cols = self.keep[i] - block.first
             here = np.flatnonzero((cols >= 0) & (cols < x.shape[1]))
             if here.size:
-                z = x[:, cols[here], :2]
-                self.radii[i][at, here] = np.sqrt((z * z).sum(axis=2))
+                z0, z1 = x[0, cols[here]], x[1, cols[here]]
+                self.radii[i][at, here] = np.sqrt(z0 * z0 + z1 * z1).T
 
     def survivors(self, stop_code, delta, nmax):
         """Per task ``(alive, radii)``: the mask (paths,) of paths that
@@ -534,28 +535,31 @@ def reduction_diagnostics(system, epsilons, big_delta, beta, paths, dt,
     def fold(at, blocks):
         for e, eps in enumerate(epsilons):
             full, reduced = blocks[2 * e], blocks[2 * e + 1]
-            X, Zt = full.states, reduced.states
-            Z = X[:, :, :2]
-            cols = full.first + np.arange(X.shape[1])
-            hv = h2.evaluate_batch(Z.reshape(-1, 2)).reshape(
-                *X.shape[:2], k)
-            U = X[:, :, 2:] - (eps ** 0.25) * hv
-            norm_u = np.sqrt((U * U).sum(axis=2))
-            norm_phi = np.sqrt(((Z - Zt) ** 2).sum(axis=2))
-            outside = (np.sqrt((X ** 2).sum(axis=2)) >= big_delta) \
-                | (np.sqrt((Zt * Zt).sum(axis=2)) >= big_delta)
-            hit = np.where(outside.any(axis=1), cols[outside.argmax(axis=1)],
-                           n_steps + 1)
+            # coordinate planes (dim, steps + 1, paths) of both runs
+            X = full.states.transpose(2, 1, 0)
+            Zt = reduced.states.transpose(2, 1, 0)
+            cols = full.first + np.arange(X.shape[1])[:, None]
+            # the manifold at every state, one point a row of its planar
+            # coordinates, as (k, steps + 1, paths) planes
+            hv = h2.evaluate_batch(X[:2].reshape(2, -1).T).T.reshape(
+                k, *X.shape[1:])
+            U = X[2:] - (eps ** 0.25) * hv
+            norm_u = np.sqrt(sum_squares(U))
+            norm_phi = np.sqrt(sum_squares(X[:2] - Zt))
+            outside = (np.sqrt(sum_squares(X)) >= big_delta) \
+                | (np.sqrt(sum_squares(Zt)) >= big_delta)
+            hit = np.where(outside.any(axis=0),
+                           cols[outside.argmax(axis=0), 0], n_steps + 1)
             for run in (full, reduced):
                 hit = np.minimum(hit, np.where(run.stop_code != STOP_NONE,
                                                run.stop_index, n_steps + 1))
             np.minimum(exit_idx[e, at], hit, out=exit_idx[e, at])
-            stop = exit_idx[e, at][:, None]
+            stop = exit_idx[e, at]
             np.maximum(sup_phi[e, at], np.max(
-                norm_phi, axis=1, initial=-np.inf,
+                norm_phi, axis=0, initial=-np.inf,
                 where=cols < np.maximum(stop, 1)), out=sup_phi[e, at])
             np.maximum(sup_u[e, at], np.max(
-                norm_u, axis=1, initial=-np.inf,
+                norm_u, axis=0, initial=-np.inf,
                 where=(cols >= i_beta[e]) & (cols < stop)), out=sup_u[e, at])
 
     sde.run_coupled(tasks, paths, master_seed, fold, workers)
@@ -624,9 +628,11 @@ def stationary_check(params, T, burn_in, dt, paths, rho0=1.0,
     def fold(at, blocks):
         block = blocks[0]
         cut = max(start - block.first, 0)
-        x = block.states[:, cut:]
+        # the coordinate planes (steps, paths) from grid index start on
+        x = block.states[:, cut:].transpose(2, 1, 0)
         begin = block.first + cut - start
-        rho[at, begin:begin + x.shape[1]] = np.sqrt((x * x).sum(axis=2))
+        rho[at, begin:begin + x.shape[1]] = np.sqrt(x[0] * x[0]
+                                                    + x[1] * x[1]).T
 
     stop_code = sde.run_coupled([task], paths, master_seed, fold,
                                 workers)[1][0]

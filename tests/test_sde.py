@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose
 
 from hopf_critic import sde, stats
 from hopf_critic._kernels import (STOP_DIVERGED, STOP_REASONS, Carry,
-                                  pack_poly, run_chunk)
+                                  pack_poly, run_chunk, sum_squares)
 from hopf_critic.config import load_config
 from hopf_critic.polyfield import PolyMap
 
@@ -259,6 +259,21 @@ def test_noise_stream_prefix_stability():
     assert np.array_equal(long[:16], short)
 
 
+@pytest.mark.parametrize("seed, path, stream_class", [
+    (0, 0, sde.STREAM_GENERIC), (42, 7, sde.STREAM_CRITICAL),
+    ((1 << 70) + 5, (1 << 48) - 1, (1 << 16) - 1)])
+def test_noise_stream_is_the_philox_stream_of_its_key(seed, path,
+                                                      stream_class):
+    # the stream is that of a Philox keyed by the seed's low 64 bits and
+    # the class and path index, counter 0, whatever way it is built
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, (stream_class << 48) | path],
+                   dtype=np.uint64)
+    want = np.random.Generator(np.random.Philox(key=key)) \
+        .standard_normal((40, 2, 3))
+    got = sde.NoiseStream(seed, path, stream_class).standard_blocks(40, 3)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_noise_stream_stream_classes_are_independent():
     a = sde.NoiseStream(9, 1, stream_class=sde.STREAM_CRITICAL)
     b = sde.NoiseStream(9, 1, stream_class=sde.STREAM_LIMIT)
@@ -429,6 +444,116 @@ def test_path_results_with_guard_stops_do_not_depend_on_chunk_width(
         assert run.stop_reason == runs[0].stop_reason
 
 
+def dense_task(dim, T=0.05):
+    """An amplified task of ``dim`` coordinates whose stable block is a
+    dense matrix, so that every coordinate of its linear flow sums dim
+    products, and whose stable modes are forced by the critical plane."""
+    k = dim - 2
+    rng = np.random.default_rng(dim)
+    P = -1.5 * np.eye(k) + 0.2 * rng.standard_normal((k, k))
+    exps = np.eye(dim, dtype=int)
+    cubic = [(0, tuple(3 * exps[0]), -1.0),
+             (0, tuple(exps[0] + 2 * exps[1]), -1.0),
+             (1, tuple(2 * exps[0] + exps[1]), -1.0),
+             (1, tuple(3 * exps[1]), -1.0),
+             (0, tuple(exps[0] + exps[2]), 0.5)]
+    f = PolyMap(dim, 2, cubic)
+    g = PolyMap(dim, k, [(i, tuple(2 * exps[0]), 1.0 / (i + 1))
+                         for i in range(k)])
+    sigma_q = PolyMap(dim, 4, [(0, (0,) * dim, 1.0), (3, (0,) * dim, 1.0)])
+    sigma_p = PolyMap(dim, 2 * k, [(2 * i + i % 2, (0,) * dim, 0.5)
+                                   for i in range(k)])
+    Q = np.array([[0.0, -1.0], [1.0, 0.0]])
+    return sde.rescaled_task(f, g, sigma_q, sigma_p, Q, P, 1e-2, (1.0, 0.0),
+                             np.zeros(k), 1e-3, T)
+
+
+@pytest.mark.parametrize("dim", [9, 16])
+def test_path_bits_do_not_depend_on_chunk_width_at_high_dim(monkeypatch,
+                                                           dim):
+    # The linear flow of each task is x @ lin.T on its (paths, dim) rows,
+    # whose rounding BLAS keeps for every count of rows; a chunk of two or
+    # three paths steps each of them as a chunk of six does.
+    task = dense_task(dim)
+    assert np.count_nonzero(task.lin) > dim * dim // 2
+    runs = []
+    for width in (6, 3, 2):
+        monkeypatch.setattr(sde, "CHUNK", width)
+        runs.append(every_state([task], 6, 3))
+    once = run_chunk(*chunk_inputs(task, 6, 3))
+    for run in runs:
+        [(states, index, code)] = run
+        assert states.tobytes() == once[0][0].tobytes()
+        assert index.tobytes() == once[1][0].tobytes()
+        assert code.tobytes() == once[2][0].tobytes()
+
+
+def test_sum_squares_adds_coordinates_as_a_contiguous_last_axis():
+    rng = np.random.default_rng(1)
+    for dim in list(range(1, 20)) + [127, 128, 129, 300]:
+        x = rng.standard_normal((5, 7, dim)) \
+            * 10.0 ** rng.integers(-4, 4, (5, 7, dim))
+        assert x.flags.c_contiguous
+        got = sum_squares(np.moveaxis(x, 2, 0))
+        assert got.tobytes() == (x * x).sum(axis=2).tobytes()
+    # from 8 coordinates on, numpy adds a contiguous last axis pairwise and
+    # a strided one left to right
+    for dim in (9, 16):
+        x = rng.standard_normal((50, 40, dim)) \
+            * 10.0 ** rng.integers(-4, 4, (50, 40, dim))
+        planes = np.ascontiguousarray(np.moveaxis(x, 2, 0))
+        strided = np.moveaxis(planes, 0, 2)
+        assert (sum_squares(planes) != (strided * strided).sum(axis=2)).any()
+    assert sum_squares(np.zeros((0, 3, 4))).tobytes() == \
+        np.zeros((3, 4)).tobytes()
+
+
+def boundary_state(dim, seed):
+    """A state whose sum of squares rounds differently added pairwise, as
+    numpy adds a contiguous row, than added left to right, and a guard
+    whose square lies between the two sums.
+
+    Returns ``(v, guard, pairwise, ordered)``."""
+    rng = np.random.default_rng(seed)
+    while True:
+        v = np.concatenate(([1.0], rng.uniform(0.0, 1e-4, dim - 1)))
+        sq = v * v
+        pairwise = float(sq.sum())
+        ordered = 0.0
+        for s in sq.tolist():
+            ordered += s
+        low, high = sorted((pairwise, ordered))
+        guard = math.sqrt(low)
+        if low < high and low <= guard * guard < high:
+            return v, guard, pairwise, ordered
+
+
+@pytest.mark.parametrize("dim", [9, 16])
+def test_guard_test_sums_squares_as_a_contiguous_row(dim):
+    # one step from the origin on unit noise lands each path on its
+    # increments exactly; the first path lands where the guard test's
+    # answer depends on the order of the sum
+    v, guard, pairwise, ordered = boundary_state(dim, dim)
+    zero = (0,) * dim
+    task = sde.em_task(
+        PolyMap.zero(dim, dim),
+        PolyMap(dim, dim * dim, [(i * dim + i, zero, 1.0)
+                                 for i in range(dim)]),
+        np.zeros(dim), 1e-2, 1e-2)
+    dW = np.stack([v, 0.5 * v])[:, None, :]
+    args = (np.zeros((1, 2, dim)), task.lin[None],
+            [pack_poly(task.drift, dim)], [pack_poly(task.diffusion, dim)],
+            dW, task.dt, guard)
+    expected = term_loop_run(*args)
+    got = [a[0] for a in run_chunk(*args)]
+    assert got[0][0, 1].tobytes() == v.tobytes()
+    for want, have in zip(expected, got):
+        assert want.tobytes() == have.tobytes()
+    stopped = bool(got[2][0] == STOP_DIVERGED)
+    assert stopped == (pairwise > guard * guard) != (ordered > guard * guard)
+    assert got[2][1] == 0
+
+
 def test_guard_radius_marks_divergent_paths():
     # dX = +X^3 dt blows up quickly from 2
     drift = PolyMap(1, 1, [(0, (3,), 1.0)])
@@ -594,12 +719,12 @@ def every_state(tasks, count, seed, workers=None):
 
 def test_coupled_draw_matches_separate_ensembles_bitwise(monkeypatch):
     monkeypatch.setattr(sde, "CHUNK", 16)
-    # Per path and noise block: 6 draws, the largest group's increments
-    # (the refined pair's 2 x 6), and the block states and noise sums of
-    # the coarse and refined pairs (2 x 2 x 3, 2 x 2 x 6) and of the reduced
-    # task (2 x 2); 16 // 2 = 8 paths a chunk.  Time blocks of 50 noise
-    # blocks.
-    monkeypatch.setattr(sde, "BLOCK_CELLS", 50 * 8 * 58)
+    # Per path and noise block, in the kernel's half of the budget: 6
+    # draws, and the increments and block states of the coarse and
+    # refined pairs (2 x (3 + 3), 4 x (3 + 3)) and of the reduced task
+    # (3 + 2); 16 // 2 = 8 paths a chunk.  Time blocks of 50 noise blocks,
+    # all of them drawn in one span.
+    monkeypatch.setattr(sde, "BLOCK_CELLS", 2 * 50 * 8 * 47)
     f, g, sigma_q, sigma_p, Q, P = coupled3d_fields()
     tasks = [sde.rescaled_task(f, g, sigma_q, sigma_p, Q, P, eps,
                                (1.0, 0.0), np.zeros(1), h, 0.2, refined=r)
@@ -848,16 +973,16 @@ def coupled_rule_tasks(T, dt=1e-3):
                                                  (dt / 2.0, True))]
 
 
-@pytest.mark.parametrize("span", [1, 7])
+@pytest.mark.parametrize("length", [1, 7])
 @pytest.mark.parametrize("observe", [False, True], ids=["all", "keep"])
 def test_blocked_coupled_run_matches_one_call_per_task_bitwise(
-        monkeypatch, span, observe):
+        monkeypatch, length, observe):
     monkeypatch.setattr(sde, "CHUNK", 16)
-    # per path and noise block: 6 draws, the largest group's increments
-    # (the refined pair's 2 x 6), and 2 x 3 and 2 x 6 block states and as
-    # many noise sums; 16 // 2 = 8 paths a chunk
-    monkeypatch.setattr(sde, "BLOCK_CELLS",
-                        span * 8 * (6 + 12 + 2 * (6 + 12)))
+    # per path and noise block, in the kernel's half of the budget: 6
+    # draws, and the increments and block states of the coarse and refined
+    # pairs, 2 x (3 + 3) and 4 x (3 + 3); 16 // 2 = 8 paths a chunk, and
+    # noise spans of 7 time blocks
+    monkeypatch.setattr(sde, "BLOCK_CELLS", 2 * length * 8 * 42)
     # a guard near the start radius stops some paths of every task
     monkeypatch.setattr(sde, "GUARD_RADIUS", 1.2)
     tasks = coupled_rule_tasks(0.05)
@@ -886,9 +1011,53 @@ def test_blocked_coupled_run_matches_one_call_per_task_bitwise(
                 for want, have in zip(once, runs[i]):
                     assert want.tobytes() == have.tobytes()
             assert all(STOP_DIVERGED in run[-1] for run in runs)
-    # coarse groups step span steps a block, refined ones 2 * span
-    assert set(lengths) <= {span, 2 * span, 50 % span, 2 * (50 % span)}
-    assert max(lengths) == 2 * span
+    # coarse groups step length steps a block, refined ones 2 * length
+    assert set(lengths) <= {length, 2 * length, 50 % length,
+                            2 * (50 % length)}
+    assert max(lengths) == 2 * length
+
+
+def test_noise_spans_straddling_time_blocks_match_one_call_per_task_bitwise(
+        monkeypatch):
+    monkeypatch.setattr(sde, "CHUNK", 16)
+    # 16 // 2 = 8 paths a chunk; half the budget holds noise spans of
+    # 1250 // (8 x 6) = 26 noise blocks, the other half time blocks of
+    # 1250 // (8 x 42) = 3 (see
+    # test_blocked_coupled_run_matches_one_call_per_task_bitwise), so the
+    # time block of noise blocks 24 to 26 takes two from the first span and
+    # one from the next
+    monkeypatch.setattr(sde, "BLOCK_CELLS", 2500)
+    span, length, blocks = 26, 3, 50
+    assert span % length and blocks % length and blocks % span
+    monkeypatch.setattr(sde, "GUARD_RADIUS", 1.2)
+    tasks = coupled_rule_tasks(0.05)
+    with np.errstate(over="ignore", invalid="ignore"):
+        alone = [run_chunk(*chunk_inputs(task, 40, 5)) for task in tasks]
+    draws, lengths = [], []
+    standard_blocks = sde.NoiseStream.standard_blocks
+
+    def drawn(self, n_blocks, channels, out=None):
+        draws.append(n_blocks)
+        return standard_blocks(self, n_blocks, channels, out=out)
+
+    def counted(*args, **kwargs):
+        lengths.append(args[4].shape[1])
+        return run_chunk(*args, **kwargs)
+
+    monkeypatch.setattr(sde.NoiseStream, "standard_blocks", drawn)
+    monkeypatch.setattr(sde, "run_chunk", counted)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for workers in (1, 2):
+            runs = every_state(tasks, 40, 5, workers)
+            for once, run in zip(alone, runs):
+                assert [a[0].tobytes() for a in once] == \
+                    [a.tobytes() for a in run]
+            assert all(STOP_DIVERGED in run[-1] for run in runs)
+    # each path draws a span, then the rest of the horizon
+    assert sorted(draws) == [blocks - span] * 80 + [span] * 80
+    # time blocks of 3 noise blocks and the 2 left over, coarse and refined
+    assert set(lengths) == {length, 2 * length, blocks % length,
+                            2 * (blocks % length)}
 
 
 def test_unsorted_checkpoints_come_back_in_the_callers_order():
@@ -909,11 +1078,11 @@ def test_unsorted_checkpoints_come_back_in_the_callers_order():
 def test_observed_run_memory_does_not_grow_with_the_horizon(monkeypatch):
     import tracemalloc
 
-    # 64 paths of 54 noise, increment, block state and noise sum cells a
-    # noise block (see
+    # 64 paths of 42 draw, increment and block state cells a noise block
+    # in the kernel's half of the budget (see
     # test_blocked_coupled_run_matches_one_call_per_task_bitwise): time
     # blocks of 16 noise blocks, so both horizons take several
-    monkeypatch.setattr(sde, "BLOCK_CELLS", 16 * 64 * 54)
+    monkeypatch.setattr(sde, "BLOCK_CELLS", 2 * 16 * 64 * 42)
     peaks = {}
     for T in (0.5, 4.0):
         tasks = coupled_rule_tasks(T, dt=1e-2)
@@ -938,7 +1107,9 @@ def test_limit_params_recompute_validation():
 
 
 IMPORT_GUARD = """
+import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -951,6 +1122,9 @@ code = cli.main(["normal-form", "--config", "configs/hopf2d.cfg",
                  "--out", sys.argv[1]])
 assert code == 0
 assert "scipy.linalg" not in sys.modules, "planar run loaded scipy.linalg"
+manifest = os.path.join(sys.argv[1], "manifest.json")
+assert json.load(open(manifest))["versions"]["scipy"] is None, \
+    "planar run recorded a scipy version"
 
 code = cli.main(["reduce", "--config", "configs/coupled3d.cfg", "--paths",
                  "4", "--out", sys.argv[1]])
@@ -973,6 +1147,12 @@ dense = sde.rescaled_task(cubic, PolyMap.zero(4, 2),
                           PolyMap(4, 2, [(1, (0, 0, 0, 0), 1.0)]),
                           split.Q, P, eps, (1.0, 0.0), np.zeros(2), dt, 0.1)
 assert "scipy.linalg" in sys.modules, "dense P did not load scipy.linalg"
+import scipy
+code = cli.main(["normal-form", "--config", "configs/hopf2d.cfg",
+                 "--out", sys.argv[1]])
+assert code == 0
+assert json.load(open(manifest))["versions"]["scipy"] == scipy.__version__, \
+    "a run with scipy loaded did not record its version"
 
 from scipy.linalg import expm
 want = expm(1.0 / math.sqrt(eps) * split.P * dt)

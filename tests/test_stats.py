@@ -381,12 +381,12 @@ def test_converge_fold_matches_polar_ensemble_bitwise(monkeypatch, guard):
             alive = np.array([r == "none" for r in polar.stop_reason])
             reference.append((alive, polar.rho[alive][:, kept].T))
             reasons.update(polar.stop_reason)
-    # 16 // 2 = 8 paths a chunk; per path and noise block 4 draws, the
-    # largest group's increments (the refined pair's 2 x 4) and 2 x 2
-    # coarse and 2 x 4 refined block states and as many noise sums: time
-    # blocks of 3 noise blocks, each opening on the last one's end
+    # 16 // 2 = 8 paths a chunk; per path and noise block, in the
+    # kernel's half of the budget, 4 draws and the increments and block
+    # states of the coarse and refined pairs, 2 x (2 + 2) and 4 x (2 + 2):
+    # time blocks of 3 noise blocks, each opening on the last one's end
     monkeypatch.setattr(sde, "CHUNK", 16)
-    monkeypatch.setattr(sde, "BLOCK_CELLS", 3 * 8 * 36)
+    monkeypatch.setattr(sde, "BLOCK_CELLS", 2 * 3 * 8 * 28)
     # up to three chunks at once, switching threads often: a fold writing
     # outside its chunk's paths would change a survivor or a radius
     interval = sys.getswitchinterval()
@@ -507,11 +507,45 @@ def test_reduction_errors_shrink_with_epsilon():
     assert record["Delta"] == 2.0
 
 
+def coupled_nd(n):
+    """The ``coupled_3d`` system widened to n coordinates: the planar cubic
+    rotation, fed back from the first stable mode through a noise
+    coefficient, and n - 2 stable modes of distinct rates, each forced by
+    z1^2."""
+    def exps(**powers):
+        return tuple(powers.get(f"x{i}", 0) for i in range(n))
+
+    terms = [(0, exps(x1=1), -1.0), (0, exps(x0=3), -1.0),
+             (0, exps(x0=1, x1=2), -1.0), (1, exps(x0=1), 1.0),
+             (1, exps(x0=2, x1=1), -1.0), (1, exps(x1=3), -1.0)]
+    for k in range(2, n):
+        terms += [(k, exps(**{f"x{k}": 1}), -1.0 - 0.1 * k),
+                  (k, exps(x0=2), 1.0 / k)]
+    sigma = PolyMap(n, n * n, [(0, exps(), 1.0), (0, exps(x2=1), 1.0)]
+                    + [(i * n + i, exps(), 1.0) for i in range(1, n)])
+    return PolyMap(n, n, terms), sigma
+
+
+def contiguous_sum(x):
+    """Sum of squares over the last axis, contiguous as the states of an
+    ensemble are, so numpy adds 8 or more of them pairwise."""
+    return (x * x).sum(axis=2)
+
+
+def ordered_sum(x):
+    """Sum of squares over the last axis, left to right."""
+    total = x[:, :, 0] * x[:, :, 0]
+    for j in range(1, x.shape[2]):
+        total = total + x[:, :, j] * x[:, :, j]
+    return total
+
+
 def loop_reduction_row(system, eps, big_delta, beta, paths, dt, horizon,
-                       master_seed):
+                       master_seed, sum_squares=contiguous_sum):
     """One eps's reduction row from the per-path loop over the sups of
     |U| and |Phi| on every state, the study's reference, and each path's
-    exit index."""
+    exit index.  ``sum_squares`` adds the squares of the coordinates of
+    every state."""
     split, h2 = system.split, system.manifold.h2
     z0, y0 = np.array([1.0, 0.0]), np.zeros(split.P.shape[0])
     # both ride stream (master_seed, p) of one stream class
@@ -524,10 +558,10 @@ def loop_reduction_row(system, eps, big_delta, beta, paths, dt, horizon,
     Z, Y, Zt = full.states[:, :, :2], full.states[:, :, 2:], reduced.states
     hv = h2.evaluate_batch(Z.reshape(-1, 2)).reshape(Y.shape)
     U = Y - (eps ** 0.25) * hv
-    norm_u = np.sqrt((U * U).sum(axis=2))
-    norm_phi = np.sqrt(((Z - Zt) ** 2).sum(axis=2))
-    outside = (np.sqrt((full.states ** 2).sum(axis=2)) >= big_delta) \
-        | (np.sqrt((Zt * Zt).sum(axis=2)) >= big_delta)
+    norm_u = np.sqrt(sum_squares(U))
+    norm_phi = np.sqrt(sum_squares(Z - Zt))
+    outside = (np.sqrt(sum_squares(full.states)) >= big_delta) \
+        | (np.sqrt(sum_squares(Zt)) >= big_delta)
     exit_idx = np.where(outside.any(axis=1), outside.argmax(axis=1),
                         n_steps + 1)
     for ens in (full, reduced):
@@ -641,13 +675,13 @@ def test_reduction_fold_matches_every_state_bitwise(monkeypatch, guard):
     # chunks of 8 paths the pair of eps takes below.
     monkeypatch.setattr(sde, "CHUNK", 8)
     reference = [loop_reduction_row(system, eps, **run) for eps in epsilons]
-    # 16 // 2 = 8 paths a chunk; per path and step 6 draws, the largest
-    # group's increments (either pair's 2 x 3) and the block states and
-    # noise sums of both full (2 x 3) and reduced (2 x 2) runs: time blocks
-    # of 3 steps, each opening on the last one's end
+    # 16 // 2 = 8 paths a chunk; per path and step, in the kernel's half
+    # of the budget, 6 draws and the increments and block states of both
+    # full (2 x (3 + 3)) and reduced (2 x (3 + 2)) runs: time blocks of 3
+    # steps, each opening on the last one's end
     span = 3
     monkeypatch.setattr(sde, "CHUNK", 16)
-    monkeypatch.setattr(sde, "BLOCK_CELLS", span * 8 * 32)
+    monkeypatch.setattr(sde, "BLOCK_CELLS", 2 * span * 8 * 28)
     # up to three chunks at once, switching threads often: a fold writing
     # outside its chunk's paths would change a row
     interval = sys.getswitchinterval()
@@ -672,15 +706,38 @@ def test_reduction_fold_matches_every_state_bitwise(monkeypatch, guard):
     assert ("diverged" in stops.stop_reason) == (guard < run["big_delta"])
 
 
+@pytest.mark.parametrize("n", [9, 16])
+def test_reduction_norms_sum_coordinates_as_contiguous_states(n):
+    # The fold reads coordinate planes, but sums their squares in the order
+    # numpy sums the last axis of the ensemble's contiguous states:
+    # pairwise from 8 coordinates on, the state's at n >= 8 (read for ball
+    # exits) and the manifold defect U's at n >= 10, whose sups and medians
+    # show the order.
+    system = stats.prepare_system(*coupled_nd(n))
+    run = dict(big_delta=2.5, beta=0.45, paths=16, dt=1e-3, horizon=0.5,
+               master_seed=3)
+    epsilons = (1e-1, 1e-2)
+    report = stats.reduction_diagnostics(system, epsilons, **run)
+    reference = [loop_reduction_row(system, eps, **run)[0]
+                 for eps in epsilons]
+    assert report.rows == tuple(reference)
+    assert all(row.excluded_fraction < 1.0 for row in report.rows)
+    if n >= 10:
+        ordered = [loop_reduction_row(system, eps, **run,
+                                      sum_squares=ordered_sum)[0]
+                   for eps in epsilons]
+        assert report.rows != tuple(ordered)
+
+
 def test_reduction_memory_does_not_grow_with_the_horizon(monkeypatch):
     import tracemalloc
 
     drift, sigma = coupled_3d()
     system = stats.prepare_system(drift, sigma)
-    # 64 paths of 32 cells a step (see
+    # 64 paths of 28 cells a step in the kernel's half of the budget (see
     # test_reduction_fold_matches_every_state_bitwise): time blocks of 16
     # steps, so both horizons take several
-    monkeypatch.setattr(sde, "BLOCK_CELLS", 16 * 64 * 32)
+    monkeypatch.setattr(sde, "BLOCK_CELLS", 2 * 16 * 64 * 28)
     peaks = {}
     for T in (0.5, 4.0):
         tracemalloc.start()
@@ -758,12 +815,12 @@ def test_stationary_check_folds_the_post_burn_in_radii_bitwise(monkeypatch):
     positions = (np.arange(samples.size) + 0.5) / samples.size
     w1 = float(np.mean(np.abs(np.sort(samples)
                               - np.interp(positions, cdf, grid))))
-    # 5 paths a chunk; per path and step 4 draws, 2 increments, 2 block
-    # states and 2 noise sums: time blocks of 7 steps, so grid index 501,
-    # the first sample, lies inside the block of grid indices 497 (the
-    # carried states) to 504
+    # 5 paths a chunk; per path and step, in the kernel's half of the
+    # budget, 4 draws, 2 increments and 2 block states: time blocks of 7
+    # steps, so grid index 501, the first sample, lies inside the block of
+    # grid indices 497 (the carried states) to 504
     monkeypatch.setattr(sde, "CHUNK", 5)
-    monkeypatch.setattr(sde, "BLOCK_CELLS", 7 * 5 * 10)
+    monkeypatch.setattr(sde, "BLOCK_CELLS", 2 * 7 * 5 * 8)
     for workers in (1, 2):
         report = stats.stationary_check(params, T, burn_in, dt, paths,
                                         master_seed=4, workers=workers)

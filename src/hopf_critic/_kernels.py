@@ -20,8 +20,7 @@ states it carries: step 0 of the carry's block buffer holds them, so the
 block repeats the last state of the block before, and each step's states
 go to the next step of the buffer.  The call returns that block: the
 caller folds what it reads out of it before the next block refills the
-buffer.  Polynomials arrive packed as flat arrays (component index,
-exponent rows, coefficients).
+buffer.
 
 A block is column-major from end to end: the carried states, each step of
 the block of states and of its noise sums are (dim, rows) arrays, and a
@@ -44,13 +43,14 @@ its chunk, as long as the chunk holds two or more paths.
 
 One chunk loop steps a group of G tasks at once, such as the amplified
 system at every eps of a sweep: tasks whose drift and diffusion have the
-same terms (components and exponents).  Only their coefficients, linear
-flows and initial states differ.  The chunk's G x paths rows are stepped
-as one block, task-major, each row on its own row of increments; the
+same term rows (``term_rows``: each term's component and exponents, in
+the PolyMap's canonical order).  Only their coefficients, linear flows
+and initial states differ.  The chunk's G x paths rows are stepped as
+one block, task-major, each row on its own row of increments; the
 linear flow is one batched matrix product of each task's rows with its
 own flow.  A lone task is the group of one.
 
-The kernel does not interpret the packed terms.  For each step shape, the
+The kernel does not interpret the terms.  For each step shape, the
 term structure plus the coefficients that are exactly 1.0 or -1.0 in every
 task of the group, it generates the source of one straight-line step
 function, with numpy calls over contiguous state columns, and of the
@@ -66,8 +66,8 @@ evaluation, so equal inputs give bitwise equal states, grouped or not:
   one reused temporary with ``out=``; a left-to-right prefix of two or
   more factors that several terms of a step start with (``u0*u0``) is
   formed once into a temporary of its own, which is the same product;
-- every drift and noise component accumulates from 0.0 in packed term
-  order, and the update is ``(u + d*dt) + n``;
+- every drift and noise component accumulates from 0.0 in the PolyMap's
+  term order, and the update is ``(u + d*dt) + n``;
 - the terms free of state factors that lead a noise component (``w0``,
   ``c*w1``) are summed from 0.0 once per block, for all its steps; each
   step then adds the component's other terms onto its step of those sums,
@@ -89,8 +89,9 @@ studies) go through ``sum_squares``, which adds the coordinate columns in
 the order numpy sums a contiguous last axis, so they are bitwise the sums
 of a row-major layout at every dim.
 
-Tasks with equal packed terms share one generated step, so the coupled
-rescaled and reduced runs of a planar system stay bitwise equal.
+Tasks whose PolyMaps have equal term rows share one generated step, so
+the coupled rescaled and reduced runs of a planar system stay bitwise
+equal.
 """
 
 from __future__ import annotations
@@ -113,26 +114,6 @@ _QUIET = {"over": "ignore", "invalid": "ignore"}
 # faster than a Python float, with the same IEEE result.
 _ZERO = np.zeros(())
 _ZERO.flags.writeable = False
-
-
-def pack_poly(p, dim):
-    """Flatten a PolyMap into (components, exponents, coefficients) arrays.
-
-    The term order is the map's canonical order, so packing is
-    deterministic.  ``dim`` is the expected input dimension; a zero map
-    packs into empty arrays.
-    """
-    if p.n_in != dim:
-        raise ValueError(f"polynomial expects {p.n_in} inputs, kernel has {dim}")
-    count = len(p.terms)
-    comps = np.zeros(count, dtype=np.int64)
-    exps = np.zeros((count, dim), dtype=np.int64)
-    coefs = np.zeros(count, dtype=np.float64)
-    for t, (comp, exponents, coef) in enumerate(p.terms):
-        comps[t] = comp
-        exps[t, :] = exponents
-        coefs[t] = coef
-    return comps, exps, coefs
 
 
 def _pairwise(terms):
@@ -168,7 +149,13 @@ def sum_squares(columns):
     return _pairwise(squares)
 
 
-def _step_shape(packed):
+def term_rows(p):
+    """The ``(component, exponents)`` row of each of a PolyMap's terms, in
+    its canonical order: what maps must share to step as one group."""
+    return tuple((comp, exps) for comp, exps, _ in p.terms)
+
+
+def _step_shape(maps):
     """Step shape and coefficients of the same map in each of G tasks.
 
     Returns ``(shape, coefs)``: ``shape`` holds one hashable
@@ -176,17 +163,15 @@ def _step_shape(packed):
     -1.0 when that coefficient is exactly so in every task and None
     otherwise; ``coefs`` is the (G, terms) coefficient matrix.
     """
-    comps, exps, _ = packed[0]
-    for other in packed[1:]:
-        if not (np.array_equal(other[0], comps)
-                and np.array_equal(other[1], exps)):
-            raise ValueError("grouped tasks must share their terms")
-    coefs = np.array([p[2] for p in packed], dtype=np.float64)
+    rows = term_rows(maps[0])
+    if any(term_rows(p) != rows for p in maps[1:]):
+        raise ValueError("grouped tasks must share their terms")
+    coefs = np.array([[c for _, _, c in p.terms] for p in maps],
+                     dtype=np.float64)
     first = coefs[0]
     unit = ((first == 1.0) | (first == -1.0)) & (coefs == first).all(axis=0)
-    shape = tuple((comp, tuple(row), c if u else None) for comp, row, c, u
-                  in zip(comps.tolist(), exps.tolist(), first.tolist(),
-                         unit.tolist()))
+    shape = tuple((comp, exps, c if u else None) for (comp, exps), c, u
+                  in zip(rows, first.tolist(), unit.tolist()))
     return shape, coefs
 
 
@@ -358,9 +343,9 @@ class Carry:
 _Plan = collections.namedtuple("_Plan", "step hoist cols temporaries")
 
 
-def _plan(drift_packed, sigma_packed, dim, m, n_paths):
-    drift_shape, drift_coefs = _step_shape(drift_packed)
-    sigma_shape, sigma_coefs = _step_shape(sigma_packed)
+def _plan(drifts, sigmas, dim, m, n_paths):
+    drift_shape, drift_coefs = _step_shape(drifts)
+    sigma_shape, sigma_coefs = _step_shape(sigmas)
     step, hoist, needs, temporaries = _generate_step(dim, m, drift_shape,
                                                      sigma_shape)
     coefs = np.concatenate((drift_coefs, sigma_coefs), axis=1)
@@ -474,11 +459,10 @@ def _find_stops(block, live, carry, guard):
     carry.stop_code[rows[hit]] = STOP_DIVERGED
 
 
-def run_chunk(x0, lin, drift_packed, sigma_packed, dW, dt, guard,
-              carry=None):
+def run_chunk(x0, lin, drifts, sigmas, dW, dt, guard, carry=None):
     """Advance one chunk of paths of a group of G tasks by one block of steps.
 
-    The group's drift and diffusion maps must have equal terms; a lone
+    The group's drift and diffusion maps must have equal term rows; a lone
     task is the group of one.  Without ``carry`` the block starts at grid
     index 0 from ``x0``, so one call with every increment runs the whole
     horizon.  A run split into blocks passes the same ``Carry(x0)`` to each
@@ -493,9 +477,11 @@ def run_chunk(x0, lin, drift_packed, sigma_packed, dW, dt, guard,
         Initial states; with ``carry`` only their shape is read.
     lin : ndarray, shape (G, dim, dim)
         Each task's exact linear flow, applied at the start of every step.
-    drift_packed, sigma_packed : sequences of G packed polynomial triples
-        Nonlinear drift (dim outputs) and diffusion (dim*m outputs,
-        row-major over the dim x m matrix).
+    drifts, sigmas : sequences of G PolyMaps
+        Each task's nonlinear drift, dim inputs to dim outputs, and
+        diffusion, dim inputs to dim*m outputs (row-major over the dim x m
+        matrix).  The group's drifts, and its diffusions, must have equal
+        term rows (``term_rows``).
     dW : ndarray, shape (G*paths, steps, m)
         Brownian increments of every row for this block's steps,
         task-major, already scaled to the step size; tasks on one Brownian
@@ -527,16 +513,19 @@ def run_chunk(x0, lin, drift_packed, sigma_packed, dW, dt, guard,
     m = w.shape[1]
     if lin.shape != (n_tasks, dim, dim) \
             or w.shape[2] != n_tasks * n_paths \
-            or len(drift_packed) != n_tasks \
-            or len(sigma_packed) != n_tasks:
-        raise ValueError("x0, lin, dW and the packed maps disagree on "
-                         "tasks, paths or dim")
+            or len(drifts) != n_tasks or len(sigmas) != n_tasks:
+        raise ValueError("x0, lin, dW and the maps disagree on tasks, "
+                         "paths or dim")
+    if any((p.n_in, p.n_out) != (dim, dim) for p in drifts) \
+            or any((p.n_in, p.n_out) != (dim, dim * m) for p in sigmas):
+        raise ValueError("a drift must map dim to dim components and a "
+                         "diffusion dim to dim*m")
     if carry is None:
         carry = Carry(x0)
     elif carry.shape != x0.shape:
         raise ValueError("carry and x0 disagree on tasks, paths or dim")
     if carry.plan is None:
-        carry.plan = _plan(drift_packed, sigma_packed, dim, m, n_paths)
+        carry.plan = _plan(drifts, sigmas, dim, m, n_paths)
     # dt as a 0-d array, which numpy takes faster than a float
     block = _chunk(lin, carry.plan, w, np.array(float(dt)), float(guard),
                    carry)

@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import STOP_REASONS, Carry, pack_poly, run_chunk
+from ._kernels import STOP_REASONS, Carry, run_chunk, term_rows
 from .polyfield import PolyMap, stack
 
 CHUNK = 1024
@@ -454,9 +454,10 @@ def run_coupled(tasks, count, master_seed, fold, workers=None):
     ``standard_blocks(noise_blocks, m)``.  Paths are keyed by
     index and partitioned into fixed-size chunks, so the result is
     bit-identical for every worker count.  Tasks with equal dim, step
-    count, step rule and drift and diffusion terms (the eps of one
-    sweep) step together in one kernel loop per chunk, with results
-    bitwise those of separate runs.
+    count, step size, step rule and drift and diffusion term rows
+    (``_kernels.term_rows`` of their PolyMaps; the eps of one sweep) step
+    together in one kernel loop per chunk, which takes each task's own
+    maps, with results bitwise those of separate runs.
 
     A chunk goes through the horizon in time blocks: each block steps
     every group on from where the last block left it, coarse tasks one
@@ -496,21 +497,19 @@ def run_coupled(tasks, count, master_seed, fold, workers=None):
                        "noise_blocks")
     workers = _resolve_workers(workers)
     guard = GUARD_RADIUS
-    packed = [(pack_poly(t.drift, t.dim), pack_poly(t.diffusion, t.dim))
-              for t in tasks]
     # Tasks of one step shape on one increment array and grid step in one
     # kernel loop per chunk.
     by_shape = {}
     for i, task in enumerate(tasks):
-        # components and exponents of the drift and diffusion terms
-        terms = tuple(a.tobytes() for p in packed[i] for a in p[:2])
         by_shape.setdefault((task.dim, task.n_steps, task.refined, task.dt,
-                             terms), []).append(i)
+                             term_rows(task.drift),
+                             term_rows(task.diffusion)), []).append(i)
     groups = [_Group(
         tasks[members[0]], members,
         np.stack([tasks[i].x0 for i in members]),
         np.stack([tasks[i].lin for i in members]),
-        [packed[i][0] for i in members], [packed[i][1] for i in members])
+        [tasks[i].drift for i in members],
+        [tasks[i].diffusion for i in members])
         for members in by_shape.values()]
     stop_index = np.empty((len(tasks), count), dtype=np.int64)
     stop_code = np.empty((len(tasks), count), dtype=np.int64)

@@ -128,10 +128,6 @@ class HypothesisReport:
     verdicts: dict = field(default_factory=dict)
     margins: dict = field(default_factory=dict)
 
-    def all_satisfied(self):
-        """True when no verdict is false; unassessed verdicts do not fail."""
-        return all(v is not False for v in self.verdicts.values())
-
     def as_record(self):
         """Flat key/value record for text or JSON emission."""
         rec = {

@@ -88,13 +88,6 @@ class AveragedDrift:
                  - self.sigma12 * sin * cos) / eta
         return float(value) if value.ndim == 0 else value
 
-    def record(self):
-        # the positive zero of the drift, 0.0 where there is none
-        root = (self.constant / -self.a) ** 0.25 \
-            if self.a < 0.0 < self.constant else 0.0
-        return {"quartic_coefficient": self.a, "constant": self.constant,
-                "root": root}
-
 
 def averaged_drift(params):
     """Averaged radial drift of the limit diffusion for given coefficients."""

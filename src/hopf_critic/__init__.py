@@ -22,7 +22,6 @@ from .spectral import (
     transform_system,
 )
 from .normalform import (
-    CenterManifold2,
     QuadraticTransform,
     apply_quadratic_transform,
     center_manifold_quadratic,
@@ -64,7 +63,7 @@ __all__ = [
     "PolyMap",
     "HypothesisReport", "SpectralSplit", "check_hypotheses",
     "freeze_parameter", "hopf_split", "transform_system",
-    "CenterManifold2", "QuadraticTransform", "apply_quadratic_transform",
+    "QuadraticTransform", "apply_quadratic_transform",
     "center_manifold_quadratic", "invariance_defect",
     "lyapunov_radial_coefficient", "reduced_field", "solve_quadratic",
     "LimitParams", "NoiseStream", "PathEnsemble", "PolarEnsemble",

@@ -25,10 +25,11 @@ buffer.
 A block is column-major from end to end: the carried states, each step of
 the block of states and of its noise sums are (dim, rows) arrays, and a
 step's increments are (m, rows), so every coordinate of every row is one
-contiguous column.  ``run_chunk`` takes and returns the row-major shapes
-(rows, steps, m) and (G, paths, steps + 1, dim) as views of those
-buffers; increments already laid out (steps, m, rows) are stepped without
-a copy.
+contiguous column.  ``run_chunk`` returns the block as coordinate planes
+(G, dim, steps + 1, paths), a view of that buffer.  The increments keep
+the shape (rows, steps, m), whose first two axes give the path-steps of
+a call as the benchmark's tracer (``perfbench/tracer.py``) counts them;
+a view of a contiguous (steps, m, rows) array is stepped without a copy.
 
 Stops are found after the block.  Its states are first bounded at once
 by their extremes; only a block that fails that bound is scanned row by
@@ -85,9 +86,8 @@ evaluation, so equal inputs give bitwise equal states, grouped or not:
   save that copy, but BLAS rounds it differently with the chunk width.
 
 Sums over the coordinates of a state (the guard test here, norms in the
-studies) go through ``sum_squares``, which adds the coordinate columns in
-the order numpy sums a contiguous last axis, so they are bitwise the sums
-of a row-major layout at every dim.
+studies) go through ``sum_squares``, which adds the coordinates' squares
+left to right.
 
 Tasks whose PolyMaps have equal term rows share one generated step, so
 the coupled rescaled and reduced runs of a planar system stay bitwise
@@ -116,37 +116,13 @@ _ZERO = np.zeros(())
 _ZERO.flags.writeable = False
 
 
-def _pairwise(terms):
-    """numpy's pairwise sum of a sequence of arrays: left to right below 8
-    terms, else eight running sums, combined in pairs, then the rest."""
-    n = len(terms)
-    if n < 8:
-        return functools.reduce(np.add, terms)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise(terms[:half]) + _pairwise(terms[half:])
-    sums = list(terms[:8])
-    whole = n - n % 8
-    for i in range(8, whole, 8):
-        sums = [a + b for a, b in zip(sums, terms[i:i + 8])]
-    total = ((sums[0] + sums[1]) + (sums[2] + sums[3])) \
-        + ((sums[4] + sums[5]) + (sums[6] + sums[7]))
-    return functools.reduce(np.add, terms[whole:], total)
-
-
 def sum_squares(columns):
-    """Sum of the squares of a sequence of equal-shape coordinate arrays.
-
-    The squares are added in the order numpy's ``(x * x).sum(axis=-1)``
-    adds them when the coordinates lie along a contiguous last axis:
-    pairwise from 8 coordinates on.  So the result is bitwise that of a
-    row-major layout, where a strided coordinate axis would be summed
-    left to right.  No coordinates sum to 0.0.
-    """
+    """Sum of the squares of a sequence of equal-shape coordinate arrays,
+    added left to right.  No coordinates sum to 0.0."""
     squares = [c * c for c in columns]
     if not squares:
         return np.zeros(np.shape(columns)[1:])
-    return _pairwise(squares)
+    return functools.reduce(np.add, squares)
 
 
 def term_rows(p):
@@ -497,10 +473,10 @@ def run_chunk(x0, lin, drifts, sigmas, dW, dt, guard, carry=None):
     -------
     (states, stop_index, stop_code), each with a leading task axis of
     length G
-        ``states``: (G, paths, steps + 1, dim), the block's states at grid
-        indices from the carried states' to its end, with frozen tails
-        after stops; a view of the carry's block buffer, which the next
-        call refills;
+        ``states``: (G, dim, steps + 1, paths), the coordinate planes of
+        the block's states at grid indices from the carried states' to its
+        end, with frozen tails after stops; a view of the carry's block
+        buffer, which the next call refills;
         ``stop_index``: the block's end for surviving paths, else the
         freeze index;
         ``stop_code``: STOP_NONE or STOP_DIVERGED.
@@ -530,6 +506,6 @@ def run_chunk(x0, lin, drifts, sigmas, dW, dt, guard, carry=None):
     block = _chunk(lin, carry.plan, w, np.array(float(dt)), float(guard),
                    carry)
     return (block.reshape(len(block), dim, n_tasks, n_paths)
-            .transpose(2, 3, 0, 1),
+            .transpose(2, 1, 0, 3),
             carry.stop_index.reshape(n_tasks, n_paths),
             carry.stop_code.reshape(n_tasks, n_paths))

@@ -113,8 +113,8 @@ def _range_errors(cfg, command):
         errors.append("paths must be at least 1")
     elif not cfg.paths >= 2 and command in ("converge", "report"):
         errors.append(f"{command} needs at least 2 paths")
-    if not cfg.seed >= 0:
-        errors.append("seed must be nonnegative")
+    if not 0 <= cfg.seed < 1 << 64:
+        errors.append("seed must lie in [0, 2**64)")
     for e in cfg.epsilons:
         if not 0.0 < e < 1.0:
             errors.append(f"epsilon {e} outside (0, 1)")
@@ -258,7 +258,7 @@ def _cmd_normal_form(cfg, args):
             "alpha2": [_complex_pair(z) for z in transform.alpha2],
             "shift_terms": transform.p_real.term_lines(),
         },
-        "manifold_terms": system.manifold.h2.term_lines(),
+        "manifold_terms": system.h2.term_lines(),
         "reduced_terms": system.reduced.term_lines(),
         "radial_cubic_coefficient": system.limit.a,
         "limit": {

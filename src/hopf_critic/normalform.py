@@ -80,17 +80,6 @@ class QuadraticTransform:
             self.alpha1, self.alpha2))
 
 
-@dataclass(frozen=True)
-class CenterManifold2:
-    """Quadratic center-manifold approximation ``y = h2(z)``.
-
-    ``h2`` maps ``R^2`` to ``R^{n-2}`` and is purely quadratic, so
-    ``h2(0) = 0`` and ``Dh2(0) = 0`` hold exactly.
-    """
-
-    h2: PolyMap
-
-
 def _quadratic_basis_size(k):
     return 3 + 2 * k
 
@@ -356,14 +345,17 @@ def apply_quadratic_transform(f, g, Q, P, transform):
 
 
 def center_manifold_quadratic(Q, P, f, g):
-    """Quadratic center-manifold coefficients from the order-2 tangency identity.
+    """Quadratic center manifold ``y = h2(z)`` from the order-2 tangency
+    identity.
 
     Solves ``Dh2(z) Q z - P h2(z) = g2(z, 0)`` exactly in the 3(n-2)
     quadratic coefficients of ``h2`` on the basis ``(z1^2, z1 z2, z2^2)``.
 
     Returns
     -------
-    CenterManifold2
+    PolyMap
+        ``h2``, mapping ``R^2`` to ``R^{n-2}``; it is purely quadratic, so
+        ``h2(0) = 0`` and ``Dh2(0) = 0`` hold exactly.
 
     Raises
     ------
@@ -378,7 +370,7 @@ def center_manifold_quadratic(Q, P, f, g):
     lam0 = float(Q[1, 0])
     if k == 0:
         # np.linalg.cond refuses the empty tangency operator
-        return CenterManifold2(h2=PolyMap.zero(2, 0, max_degree=4))
+        return PolyMap.zero(2, 0, max_degree=4)
     if g.n_out != k:
         raise NormalFormError("g output count must match the stable block")
     g2_on_plane = drop_trailing_inputs(g.homogeneous_part(2), 2)
@@ -403,12 +395,11 @@ def center_manifold_quadratic(Q, P, f, g):
     for j in range(k):
         for b, exps in enumerate(basis):
             terms.append((j, exps, coef[3 * j + b]))
-    return CenterManifold2(h2=PolyMap(2, k, terms, max_degree=4))
+    return PolyMap(2, k, terms, max_degree=4)
 
 
-def tangency_residual(Q, P, g, manifold):
+def tangency_residual(Q, P, g, h2):
     """Sup-norm residual of the order-2 tangency identity (diagnostic)."""
-    h2 = manifold.h2
     k = h2.n_out
     if k == 0:
         # no rows to stack, and stack of no maps raises
@@ -430,14 +421,13 @@ def tangency_residual(Q, P, g, manifold):
     return (lhs - g2).max_coefficient()
 
 
-def invariance_defect(Q, P, f, g, manifold, z):
+def invariance_defect(Q, P, f, g, h2, z):
     """Norm of the full invariance defect of ``y = h2(z)`` at a point.
 
     Evaluates ``Dh2(z)(Qz + f(z, h2(z))) - (P h2(z) + g(z, h2(z)))``; the
     tangency identity makes this O(|z|^3) as z -> 0.
     """
     z = np.asarray(z, dtype=float)
-    h2 = manifold.h2
     Q = np.asarray(Q, dtype=float)
     P = np.asarray(P, dtype=float)
     y = h2(z)
@@ -447,7 +437,7 @@ def invariance_defect(Q, P, f, g, manifold, z):
     return float(np.linalg.norm(h2.jacobian(z) @ dz - dy))
 
 
-def reduced_field(Q, f, manifold):
+def reduced_field(Q, f, h2):
     """Reduced two-dimensional drift on the center manifold.
 
     Parameters
@@ -455,7 +445,8 @@ def reduced_field(Q, f, manifold):
     Q : array_like, shape (2, 2)
     f : PolyMap
         Cleaned critical-plane nonlinearity (quadratic part y-only).
-    manifold : CenterManifold2
+    h2 : PolyMap
+        The quadratic center manifold of ``center_manifold_quadratic``.
 
     Returns
     -------
@@ -463,7 +454,6 @@ def reduced_field(Q, f, manifold):
         ``z -> Q z + f(z, h2(z))`` truncated at total degree 3.
     """
     Q = np.asarray(Q, dtype=float)
-    h2 = manifold.h2
     if f.n_in != 2 + h2.n_out:
         raise NormalFormError("f and h2 disagree on the stable dimension")
     inner = stack([PolyMap.identity(2, max_degree=4), h2])

@@ -103,8 +103,8 @@ class NoiseStream:
         master_seed = int(master_seed)
         path_index = int(path_index)
         stream_class = int(stream_class)
-        if master_seed < 0:
-            raise SdeError("master_seed must be nonnegative")
+        if not 0 <= master_seed < 1 << 64:
+            raise SdeError("master_seed must lie in [0, 2**64)")
         if not 0 <= path_index < _MAX_PATH_INDEX:
             raise SdeError("path_index out of range")
         if not 0 <= stream_class < (1 << 16):
@@ -112,8 +112,8 @@ class NoiseStream:
         self.master_seed = master_seed
         self.path_index = path_index
         self.stream_class = stream_class
-        key = np.array([master_seed & 0xFFFFFFFFFFFFFFFF,
-                        (stream_class << 48) | path_index], dtype=np.uint64)
+        key = np.array([master_seed, (stream_class << 48) | path_index],
+                       dtype=np.uint64)
         # the state Philox(key=key) starts in, set on a Philox built from
         # a seed sequence of zeros, which spares the constructor's draw
         # of OS entropy
@@ -436,8 +436,9 @@ _Group = collections.namedtuple("_Group", "first members x0 lin drifts sigmas")
 
 # One task's freshly stepped block of states as ``run_coupled`` hands it to
 # a fold: ``first`` is the grid index the block opens at, ``states`` the
-# states (paths, steps + 1, dim) at grid indices ``first`` on, the first
-# of them the carried states the block before ended on (or x0), and
+# coordinate planes (dim, steps + 1, paths) of the states at grid indices
+# ``first`` on, a view of the kernel's block buffer, the first step of
+# them the carried states the block before ended on (or x0), and
 # ``stop_index`` and ``stop_code`` (paths,) each path's stop index and
 # code (``STOP_NONE`` or ``STOP_DIVERGED``) at the block's end.
 FoldBlock = collections.namedtuple(
@@ -479,7 +480,8 @@ def run_coupled(tasks, count, master_seed, fold, workers=None):
 
     After each time block of a chunk, ``fold(paths, blocks)`` takes the
     states: ``paths`` is the chunk's slice of path indices and ``blocks``
-    holds, per task, the ``FoldBlock`` the block stepped.  Each block
+    holds, per task, the ``FoldBlock`` the block stepped, its states as
+    the kernel's coordinate planes (dim, steps + 1, paths).  Each block
     repeats the last state of the block before, so a fold must give the
     same result for a grid point seen twice.  The blocks are views of
     buffers the next block refills.  Calls for different chunks
@@ -613,7 +615,7 @@ def run_ensemble(task, count, master_seed, workers=None):
     def fold(paths, blocks):
         block = blocks[0]
         states[paths, block.first:block.first + block.states.shape[1]] = \
-            block.states
+            block.states.transpose(2, 1, 0)
 
     stop_index, stop_code = run_coupled([task], count, master_seed, fold,
                                         workers)

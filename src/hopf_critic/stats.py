@@ -126,15 +126,18 @@ def wasserstein1(a, b, seed=0):
     """Mean absolute difference of sorted samples (1D optimal coupling).
 
     Unequal sizes are reconciled by deterministically subsampling the
-    larger set without replacement, keyed by ``seed``.
+    larger set without replacement, keyed by ``seed`` in [0, 2**64).
     """
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
     if a.size == 0 or b.size == 0:
         raise StatsError("sample sets must be nonempty")
+    seed = int(seed)
+    if not 0 <= seed < 1 << 64:
+        raise StatsError("seed must lie in [0, 2**64)")
     if a.size != b.size:
         gen = np.random.Generator(np.random.Philox(
-            key=np.array([int(seed) & 0xFFFFFFFFFFFFFFFF, 0x5731], np.uint64)))
+            key=np.array([seed, 0x5731], np.uint64)))
         if a.size > b.size:
             a = a[gen.permutation(a.size)[:b.size]]
         else:
@@ -152,7 +155,7 @@ class PreparedSystem:
     sigma_q: PolyMap
     sigma_p: PolyMap
     transform: object
-    manifold: object
+    h2: PolyMap
     reduced: PolyMap
     limit: sde.LimitParams
 
@@ -181,15 +184,15 @@ def prepare_system(drift, sigma):
     transform = normalform.solve_quadratic(split.lam0, split.P, fplus)
     f_clean, g_clean = normalform.apply_quadratic_transform(
         f, g, split.Q, split.P, transform)
-    manifold = normalform.center_manifold_quadratic(
+    h2 = normalform.center_manifold_quadratic(
         split.Q, split.P, f_clean, g_clean)
-    reduced = normalform.reduced_field(split.Q, f_clean, manifold)
+    reduced = normalform.reduced_field(split.Q, f_clean, h2)
     sigma_bar = sigma_q(np.zeros(n)).reshape(2, m)
     limit = sde.LimitParams(
         sigma_bar, a=normalform.lyapunov_radial_coefficient(reduced))
     return PreparedSystem(
         split=split, f=f, g=g, sigma_q=sigma_q, sigma_p=sigma_p,
-        transform=transform, manifold=manifold, reduced=reduced, limit=limit)
+        transform=transform, h2=h2, reduced=reduced, limit=limit)
 
 
 def _quantiles(samples):
@@ -269,10 +272,11 @@ def _checkpoint_indices(checkpoints, dt, n_steps):
 class AnnulusFold:
     """A ``sde.run_coupled`` fold for the annulus test and the checkpoints.
 
-    Folds each time block into, per task and path, the planar radius at
-    the grid indices ``keep[i]`` (in any order; an index no block reaches
-    reads NaN) and the least and greatest planar squared radius
-    ``x0*x0 + x1*x1`` over every grid point folded.
+    Folds each time block, read as the kernel's coordinate planes, into,
+    per task and path, the least and greatest planar squared radius
+    ``r2 = x0*x0 + x1*x1`` over every grid point folded and the planar
+    radius ``sqrt(r2)`` at the grid indices ``keep[i]`` (in any order; an
+    index no block reaches reads NaN).
     """
 
     def __init__(self, keep, paths):
@@ -284,18 +288,16 @@ class AnnulusFold:
 
     def __call__(self, at, blocks):
         for i, block in enumerate(blocks):
-            # the coordinate planes (steps + 1, paths) of the block
-            x = block.states.transpose(2, 1, 0)
+            x = block.states
             r2 = x[0] * x[0] + x[1] * x[1]
             np.minimum(self.r2_min[i, at], r2.min(axis=0),
                        out=self.r2_min[i, at])
             np.maximum(self.r2_max[i, at], r2.max(axis=0),
                        out=self.r2_max[i, at])
             cols = self.keep[i] - block.first
-            here = np.flatnonzero((cols >= 0) & (cols < x.shape[1]))
+            here = np.flatnonzero((cols >= 0) & (cols < len(r2)))
             if here.size:
-                z0, z1 = x[0, cols[here]], x[1, cols[here]]
-                self.radii[i][at, here] = np.sqrt(z0 * z0 + z1 * z1).T
+                self.radii[i][at, here] = np.sqrt(r2[cols[here]]).T
 
     def survivors(self, stop_code, delta, nmax):
         """Per task ``(alive, radii)``: the mask (paths,) of paths that
@@ -501,7 +503,7 @@ def reduction_diagnostics(system, epsilons, big_delta, beta, paths, dt,
                 "normal-form coordinates")
     split = system.split
     k = split.P.shape[0]
-    h2 = system.manifold.h2
+    h2 = system.h2
     z0 = np.asarray(z0, dtype=float).reshape(2)
     # the stable coordinates start at zero, so |z0| is the state's norm
     if math.hypot(*z0) >= big_delta:
@@ -528,9 +530,7 @@ def reduction_diagnostics(system, epsilons, big_delta, beta, paths, dt,
     def fold(at, blocks):
         for e, eps in enumerate(epsilons):
             full, reduced = blocks[2 * e], blocks[2 * e + 1]
-            # coordinate planes (dim, steps + 1, paths) of both runs
-            X = full.states.transpose(2, 1, 0)
-            Zt = reduced.states.transpose(2, 1, 0)
+            X, Zt = full.states, reduced.states
             cols = full.first + np.arange(X.shape[1])[:, None]
             # the manifold at every state, one point a row of its planar
             # coordinates, as (k, steps + 1, paths) planes
@@ -622,7 +622,7 @@ def stationary_check(params, T, burn_in, dt, paths, rho0=1.0,
         block = blocks[0]
         cut = max(start - block.first, 0)
         # the coordinate planes (steps, paths) from grid index start on
-        x = block.states[:, cut:].transpose(2, 1, 0)
+        x = block.states[:, cut:]
         begin = block.first + cut - start
         rho[at, begin:begin + x.shape[1]] = np.sqrt(x[0] * x[0]
                                                     + x[1] * x[1]).T

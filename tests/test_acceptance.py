@@ -150,13 +150,13 @@ def test_center_manifold_is_tangent_and_invariant_to_cubic_order():
         transform = normalform.solve_quadratic(split.lam0, split.P, fplus)
         f_new, g_new = normalform.apply_quadratic_transform(
             f, g, split.Q, split.P, transform)
-        manifold = normalform.center_manifold_quadratic(
+        h2 = normalform.center_manifold_quadratic(
             split.Q, split.P, f_new, g_new)
         worst_tangency = max(worst_tangency, normalform.tangency_residual(
-            split.Q, split.P, g_new, manifold))
+            split.Q, split.P, g_new, h2))
         radii = (1e-1, 1e-2, 1e-3)
         defects = [normalform.invariance_defect(
-            split.Q, split.P, f_new, g_new, manifold,
+            split.Q, split.P, f_new, g_new, h2,
             r * np.array([0.6, 0.8])) for r in radii]
         slopes.append(float(np.polyfit(np.log(radii),
                                        np.log(defects), 1)[0]))

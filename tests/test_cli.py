@@ -498,11 +498,14 @@ def test_epsilons_equal_at_g_precision_exit_one(tmp_path, capsys, command,
      "checkpoints must be distinct at :g precision, repeated: 0.25", GOLDEN),
     ("report", ["--checkpoints", "0.25", "0.2500000001"],
      "checkpoints must be distinct at :g precision, repeated: 0.25", GOLDEN),
+    # a seed past 64 bits would alias a smaller one's noise
+    ("converge", ["--seed", str(2 ** 64)], "seed must lie in [0, 2**64)",
+     GOLDEN),
 ], ids=["workers-0", "converge-one-path", "report-one-path",
         "reduce-rho0-outside-Delta", "report-rho0-outside-Delta",
         "checkpoint-beyond-T", "T-nan", "T-inf", "dt-nan", "Delta-nan",
         "file-T-nan", "T-zero", "Delta-negative", "dt-overflows-steps",
-        "checkpoints-repeated", "checkpoints-equal-at-g"])
+        "checkpoints-repeated", "checkpoints-equal-at-g", "seed-2**64"])
 def test_configuration_mistakes_exit_one(tmp_path, capsys, command, flags,
                                          message, text):
     out = tmp_path / "out"

@@ -160,8 +160,8 @@ def test_center_manifold_matches_hand_solved_example():
     P = np.array([[-1.0]])
     f = PolyMap.zero(3, 2)
     g = PolyMap(3, 1, [(0, (2, 0, 0), 1.0)])
-    manifold = normalform.center_manifold_quadratic(Q, P, f, g)
-    got = {exps: coef for _, exps, coef in manifold.h2.terms}
+    h2 = normalform.center_manifold_quadratic(Q, P, f, g)
+    got = {exps: coef for _, exps, coef in h2.terms}
     expected = {(2, 0): 0.6, (1, 1): 0.4, (0, 2): 0.4}
     assert got.keys() == expected.keys()
     for key, value in expected.items():
@@ -177,10 +177,10 @@ def test_center_manifold_tangency_residual_is_tiny():
         transform = normalform.solve_quadratic(split.lam0, split.P, fplus)
         f_new, g_new = normalform.apply_quadratic_transform(
             f, g, split.Q, split.P, transform)
-        manifold = normalform.center_manifold_quadratic(
+        h2 = normalform.center_manifold_quadratic(
             split.Q, split.P, f_new, g_new)
         assert normalform.tangency_residual(
-            split.Q, split.P, g_new, manifold) < 1e-10
+            split.Q, split.P, g_new, h2) < 1e-10
 
 
 def test_invariance_defect_decays_at_cubic_order():
@@ -191,14 +191,14 @@ def test_invariance_defect_decays_at_cubic_order():
     transform = normalform.solve_quadratic(split.lam0, split.P, fplus)
     f_new, g_new = normalform.apply_quadratic_transform(
         f, g, split.Q, split.P, transform)
-    manifold = normalform.center_manifold_quadratic(
+    h2 = normalform.center_manifold_quadratic(
         split.Q, split.P, f_new, g_new)
     radii = (1e-1, 1e-2, 1e-3)
     defects = []
     for r in radii:
         z = r * np.array([0.6, 0.8])
         defects.append(normalform.invariance_defect(
-            split.Q, split.P, f_new, g_new, manifold, z))
+            split.Q, split.P, f_new, g_new, h2, z))
     slope = np.polyfit(np.log(radii), np.log(defects), 1)[0]
     assert slope >= 2.7
 
@@ -217,13 +217,13 @@ def test_planar_system_is_the_empty_stable_block():
     assert g_new.n_out == 0
     # every quadratic monomial of a plane involves z, so none is left
     assert f_new.homogeneous_part(2).max_coefficient() < 1e-9
-    manifold = normalform.center_manifold_quadratic(
+    h2 = normalform.center_manifold_quadratic(
         split.Q, split.P, f_new, g_new)
-    assert manifold.h2.n_out == 0
+    assert h2.n_out == 0
     assert normalform.tangency_residual(
-        split.Q, split.P, g_new, manifold) == 0.0
+        split.Q, split.P, g_new, h2) == 0.0
     assert normalform.invariance_defect(
-        split.Q, split.P, f_new, g_new, manifold,
+        split.Q, split.P, f_new, g_new, h2,
         np.array([0.3, 0.4])) == 0.0
 
 
@@ -234,8 +234,8 @@ def test_reduced_field_keeps_rotation_plus_cubic_only():
         (0, (3, 0, 0), -1.0), (0, (1, 2, 0), -1.0),
         (1, (2, 1, 0), -1.0), (1, (0, 3, 0), -1.0)])
     g = PolyMap(3, 1, [(0, (2, 0, 0), 1.0)])
-    manifold = normalform.center_manifold_quadratic(Q, P, f, g)
-    reduced = normalform.reduced_field(Q, f, manifold)
+    h2 = normalform.center_manifold_quadratic(Q, P, f, g)
+    reduced = normalform.reduced_field(Q, f, h2)
     assert reduced.n_in == 2 and reduced.n_out == 2
     degrees = {sum(exps) for _, exps, _ in reduced.terms}
     assert degrees == {1, 3}

@@ -1,5 +1,6 @@
 """Noise streams, the splitting integrator, ensembles, and polar paths."""
 
+import functools
 import math
 import os
 import subprocess
@@ -55,6 +56,11 @@ def coupled3d_fields():
     return f, g, sigma_q, sigma_p, Q, P
 
 
+def left_to_right(squares):
+    """Sum of the last axis of ``squares``, added left to right."""
+    return functools.reduce(np.add, np.moveaxis(squares, -1, 0))
+
+
 def term_loop_chunk(x0, lin, dcomps, dexps, dcoefs, scomps, sexps, scoefs,
                     dW, dt, guard, states, stop_index, stop_code):
     """Reference numpy kernel that interprets the terms one by one.
@@ -93,7 +99,7 @@ def term_loop_chunk(x0, lin, dcomps, dexps, dcoefs, scomps, sexps, scoefs,
         x_new = u + drift * dt + noise
         finite = np.isfinite(x_new).all(axis=1)
         x_new[~finite] = xa[~finite]
-        inside = (x_new * x_new).sum(axis=1) <= guard_sq
+        inside = left_to_right(x_new * x_new) <= guard_sq
         bad = ~(finite & inside)
         x[active] = x_new
         states[:, k + 1, :] = x
@@ -165,16 +171,18 @@ def term_arrays(p):
 
 
 def term_loop_run(x0, lin, drifts, sigmas, dW, dt, guard):
-    """The term loop on ``chunk_inputs``' arguments for one task."""
+    """The term loop on ``chunk_inputs``' arguments for one task, its
+    states as the kernel's coordinate planes (dim, steps + 1, paths)."""
     x0, lin, (drift,), (sigma,) = x0[0], lin[0], drifts, sigmas
     n_paths, n_steps = dW.shape[:2]
     states = np.empty((n_paths, n_steps + 1, x0.shape[1]))
     stop_index = np.full(n_paths, n_steps, dtype=np.int64)
     stop_code = np.zeros(n_paths, dtype=np.int64)
-    return term_loop_chunk(np.ascontiguousarray(x0), lin,
-                           *term_arrays(drift), *term_arrays(sigma), dW,
-                           float(dt), float(guard), states, stop_index,
-                           stop_code)
+    states, stop_index, stop_code = term_loop_chunk(
+        np.ascontiguousarray(x0), lin, *term_arrays(drift),
+        *term_arrays(sigma), dW, float(dt), float(guard), states, stop_index,
+        stop_code)
+    return states.transpose(2, 1, 0), stop_index, stop_code
 
 
 # Overflow radii of the run_chunk cases whose paths stop inside the
@@ -270,17 +278,25 @@ def test_noise_stream_prefix_stability():
 
 @pytest.mark.parametrize("seed, path, stream_class", [
     (0, 0, sde.STREAM_GENERIC), (42, 7, sde.STREAM_CRITICAL),
-    ((1 << 70) + 5, (1 << 48) - 1, (1 << 16) - 1)])
+    ((1 << 64) - 1, (1 << 48) - 1, (1 << 16) - 1)])
 def test_noise_stream_is_the_philox_stream_of_its_key(seed, path,
                                                       stream_class):
-    # the stream is that of a Philox keyed by the seed's low 64 bits and
-    # the class and path index, counter 0, whatever way it is built
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, (stream_class << 48) | path],
-                   dtype=np.uint64)
+    # the stream is that of a Philox keyed by the seed and the class and
+    # path index, counter 0, whatever way it is built
+    key = np.array([seed, (stream_class << 48) | path], dtype=np.uint64)
     want = np.random.Generator(np.random.Philox(key=key)) \
         .standard_normal((40, 2, 3))
     got = sde.NoiseStream(seed, path, stream_class).standard_blocks(40, 3)
     assert got.tobytes() == want.tobytes()
+
+
+def test_seeds_past_64_bits_are_refused_not_aliased():
+    # a seed of 2**64 or more would key the stream of its low 64 bits
+    for seed in (-1, 1 << 64, (1 << 64) + 5):
+        with pytest.raises(sde.SdeError, match=r"\[0, 2\*\*64\)"):
+            sde.NoiseStream(seed, 0)
+        with pytest.raises(stats.StatsError, match=r"\[0, 2\*\*64\)"):
+            stats.wasserstein1([0.0, 1.0], [2.0], seed=seed)
 
 
 def test_noise_stream_stream_classes_are_independent():
@@ -498,29 +514,35 @@ def test_path_bits_do_not_depend_on_chunk_width_at_high_dim(monkeypatch,
 
 
 def test_sum_squares_adds_coordinates_as_a_contiguous_last_axis():
+    # sum_squares adds the coordinates left to right at every dim; below 8
+    # coordinates that is also how numpy sums a contiguous last axis
     rng = np.random.default_rng(1)
     for dim in list(range(1, 20)) + [127, 128, 129, 300]:
         x = rng.standard_normal((5, 7, dim)) \
             * 10.0 ** rng.integers(-4, 4, (5, 7, dim))
         assert x.flags.c_contiguous
         got = sum_squares(np.moveaxis(x, 2, 0))
-        assert got.tobytes() == (x * x).sum(axis=2).tobytes()
+        assert got.tobytes() == left_to_right(x * x).tobytes()
+        if dim < 8:
+            assert got.tobytes() == (x * x).sum(axis=2).tobytes()
     # from 8 coordinates on, numpy adds a contiguous last axis pairwise and
-    # a strided one left to right
+    # a strided one left to right, as sum_squares does
     for dim in (9, 16):
         x = rng.standard_normal((50, 40, dim)) \
             * 10.0 ** rng.integers(-4, 4, (50, 40, dim))
         planes = np.ascontiguousarray(np.moveaxis(x, 2, 0))
         strided = np.moveaxis(planes, 0, 2)
-        assert (sum_squares(planes) != (strided * strided).sum(axis=2)).any()
+        assert sum_squares(planes).tobytes() == \
+            (strided * strided).sum(axis=2).tobytes()
+        assert (sum_squares(planes) != (x * x).sum(axis=2)).any()
     assert sum_squares(np.zeros((0, 3, 4))).tobytes() == \
         np.zeros((3, 4)).tobytes()
 
 
 def boundary_state(dim, seed):
     """A state whose sum of squares rounds differently added pairwise, as
-    numpy adds a contiguous row, than added left to right, and a guard
-    whose square lies between the two sums.
+    numpy adds a contiguous row, than added left to right, as the guard
+    test adds it, and a guard whose square lies between the two sums.
 
     Returns ``(v, guard, pairwise, ordered)``."""
     rng = np.random.default_rng(seed)
@@ -541,7 +563,7 @@ def boundary_state(dim, seed):
 def test_guard_test_sums_squares_as_a_contiguous_row(dim):
     # one step from the origin on unit noise lands each path on its
     # increments exactly; the first path lands where the guard test's
-    # answer depends on the order of the sum
+    # answer depends on the order of the sum, which is left to right
     v, guard, pairwise, ordered = boundary_state(dim, dim)
     zero = (0,) * dim
     task = sde.em_task(
@@ -554,11 +576,11 @@ def test_guard_test_sums_squares_as_a_contiguous_row(dim):
             [task.diffusion], dW, task.dt, guard)
     expected = term_loop_run(*args)
     got = [a[0] for a in run_chunk(*args)]
-    assert got[0][0, 1].tobytes() == v.tobytes()
+    assert got[0][:, 1, 0].tobytes() == v.tobytes()
     for want, have in zip(expected, got):
         assert want.tobytes() == have.tobytes()
     stopped = bool(got[2][0] == STOP_DIVERGED)
-    assert stopped == (pairwise > guard * guard) != (ordered > guard * guard)
+    assert stopped == (ordered > guard * guard) != (pairwise > guard * guard)
     assert got[2][1] == 0
 
 
@@ -643,7 +665,8 @@ def test_observed_chunk_keeps_the_full_run_columns_bitwise(name):
         once = run_chunk(*args)
     fold = stats.AnnulusFold([keep], 40)
     fold_block(fold, 0, *once)
-    states, stop_code = once[0][0], once[2][0]
+    # the states (paths, steps + 1, dim) of the task's coordinate planes
+    states, stop_code = once[0][0].transpose(2, 1, 0), once[2][0]
     z = states[:, keep, :2]
     assert fold.radii[0].tobytes() == np.sqrt((z * z).sum(axis=2)).tobytes()
     z = states[:, :, :2]
@@ -661,14 +684,14 @@ def test_run_chunk_returns_its_block_buffer():
     carry = Carry(x0)
     first = run_chunk(x0, lin, drifts, sigmas, dW[:, :50], dt, guard,
                       carry=carry)[0]
-    assert first.shape == (1, 8, 51, task.dim)
+    assert first.shape == (1, task.dim, 51, 8)
     assert np.shares_memory(first, carry.block)
     kept = first.copy()
     second = run_chunk(x0, lin, drifts, sigmas, dW[:, 50:100], dt, guard,
                        carry=carry)[0]
     # the next block refills the buffer, grid indices 50 (the carried
     # states) to 100
-    assert second.shape == (1, 8, 51, task.dim)
+    assert second.shape == (1, task.dim, 51, 8)
     assert np.shares_memory(first, second)
     once = run_chunk(x0, lin, drifts, sigmas, dW[:, :100], dt, guard)[0]
     assert once.tobytes() == np.concatenate(
@@ -679,6 +702,33 @@ def test_run_chunk_returns_its_block_buffer():
     with pytest.raises(ValueError):
         run_chunk(x0[:, :4], lin, drifts, sigmas, dW[:4], dt, guard,
                   carry=carry)
+
+
+def test_fold_blocks_are_coordinate_planes_of_the_kernel_block(monkeypatch):
+    # per path and noise block 6 draws, 3 increments and 3 block states;
+    # 5 paths a chunk: time blocks of 7 steps
+    monkeypatch.setattr(sde, "BLOCK_CELLS", 2 * 7 * 5 * 12)
+    task = kernel_tasks()["coupled3d"]
+    buffers, seen = [], []
+
+    def counted(*args, **kwargs):
+        result = run_chunk(*args, **kwargs)
+        buffers.append(kwargs["carry"].block)
+        return result
+
+    def fold(at, blocks):
+        [block] = blocks
+        assert block.states.shape == (task.dim, len(block.states[0]), 5)
+        assert np.shares_memory(block.states, buffers[-1])
+        seen.append(block.states[:, 1:].copy() if seen
+                    else block.states.copy())
+
+    monkeypatch.setattr(sde, "run_chunk", counted)
+    sde.run_coupled([task], 5, 3, fold)
+    assert len(seen) == 29 and seen[1].shape == (task.dim, 7, 5)
+    ens = sde.run_ensemble(task, 5, 3)
+    assert np.concatenate(seen, axis=1).tobytes() == \
+        ens.states.transpose(2, 1, 0).tobytes()
 
 
 def misfit_maps():
@@ -749,12 +799,13 @@ def test_observed_survivors_match_polar_ensemble_bitwise(
 
 def every_state(tasks, count, seed, workers=None):
     """``run_coupled`` with a fold that keeps every state of every task;
-    returns the states (paths, steps+1, dim) and stop arrays per task."""
-    states = [np.full((count, t.n_steps + 1, t.dim), np.nan) for t in tasks]
+    returns the states, as coordinate planes (dim, steps+1, paths), and
+    stop arrays per task."""
+    states = [np.full((t.dim, t.n_steps + 1, count), np.nan) for t in tasks]
 
     def fold(at, blocks):
         for kept, block in zip(states, blocks):
-            kept[at, block.first:block.first + block.states.shape[1]] = \
+            kept[:, block.first:block.first + block.states.shape[1], at] = \
                 block.states
 
     stop_index, stop_code = sde.run_coupled(tasks, count, seed, fold,
@@ -810,7 +861,7 @@ def test_coupled_draw_matches_separate_ensembles_bitwise(monkeypatch):
         sde.run_coupled(tasks, 40, 5, fold, workers)
         for i, (one, (states, index, code), kept) in enumerate(
                 zip(separate, coupled, alone)):
-            assert states.tobytes() == one.states.tobytes()
+            assert states.tobytes() == one.states.transpose(2, 1, 0).tobytes()
             assert index.tobytes() == one.stop_index.tobytes()
             assert tuple(STOP_REASONS[c] for c in code) == one.stop_reason
             z = one.states[:, keep[i], :2]
@@ -903,14 +954,14 @@ def blocked_run(args, length, fold=None):
     x0, lin, drifts, sigmas, dW, dt, guard = args
     n_tasks, n_paths, dim = np.shape(x0)
     n_steps = dW.shape[1]
-    states = np.full((n_tasks, n_paths, n_steps + 1, dim), np.nan)
+    states = np.full((n_tasks, dim, n_steps + 1, n_paths), np.nan)
     carry = Carry(x0)
-    last = np.asarray(x0)
+    last = np.asarray(x0).transpose(0, 2, 1)
     for at in range(0, n_steps, length):
         end = min(at + length, n_steps)
         result = run_chunk(x0, lin, drifts, sigmas, dW[:, at:end], dt,
                            guard, carry=carry)
-        assert result[0].shape == (n_tasks, n_paths, end + 1 - at, dim)
+        assert result[0].shape == (n_tasks, dim, end + 1 - at, n_paths)
         assert np.shares_memory(result[0], carry.block)
         assert result[0][:, :, 0].tobytes() == last.tobytes()
         last = result[0][:, :, -1].copy()
@@ -995,7 +1046,7 @@ def test_rows_all_stopped_before_the_last_block_only_fill_it():
     blocked = blocked_run(args[:4] + (dW,) + args[5:], 7)
     for want, have in zip(once, blocked):
         assert want.tobytes() == have.tobytes()
-    for path, stop in zip(blocked[0][0], once[1][0]):
+    for path, stop in zip(blocked[0][0].transpose(2, 1, 0), once[1][0]):
         assert np.all(path[stop:] == path[stop])
 
 

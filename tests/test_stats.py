@@ -176,7 +176,7 @@ def test_prepare_system_on_planar_normal_form():
     assert_allclose(system.limit.a, -1.0)
     assert_allclose(system.limit.s, 1.0)
     assert_allclose(system.limit.sigma12, 0.0, atol=1e-12)
-    assert system.manifold.h2.n_out == 0
+    assert system.h2.n_out == 0
     cubic = {(c, e): v for c, e, v in system.reduced.homogeneous_part(3).terms}
     for key, value in {(0, (3, 0)): -1.0, (0, (1, 2)): -1.0,
                        (1, (2, 1)): -1.0, (1, (0, 3)): -1.0}.items():
@@ -187,7 +187,7 @@ def test_prepare_system_keeps_stable_block_and_manifold():
     drift, sigma = coupled_3d()
     system = stats.prepare_system(drift, sigma)
     assert system.split.P.shape == (1, 1)
-    assert system.manifold.h2.n_out == 1
+    assert system.h2.n_out == 1
     assert system.limit.a < 0.0
     assert system.limit.s > 0.0
 
@@ -542,20 +542,21 @@ def contiguous_sum(x):
 
 
 def ordered_sum(x):
-    """Sum of squares over the last axis, left to right."""
-    total = x[:, :, 0] * x[:, :, 0]
-    for j in range(1, x.shape[2]):
+    """Sum of squares over the last axis, left to right from 0.0, which
+    adds no rounding to a square."""
+    total = np.zeros(x.shape[:2])
+    for j in range(x.shape[2]):
         total = total + x[:, :, j] * x[:, :, j]
     return total
 
 
 def loop_reduction_row(system, eps, big_delta, beta, paths, dt, horizon,
-                       master_seed, sum_squares=contiguous_sum):
+                       master_seed, sum_squares=ordered_sum):
     """One eps's reduction row from the per-path loop over the sups of
     |U| and |Phi| on every state, the study's reference, and each path's
     exit index.  ``sum_squares`` adds the squares of the coordinates of
     every state."""
-    split, h2 = system.split, system.manifold.h2
+    split, h2 = system.split, system.h2
     z0, y0 = np.array([1.0, 0.0]), np.zeros(split.P.shape[0])
     # both ride stream (master_seed, p) of one stream class
     full, reduced = (sde.run_ensemble(task, paths, master_seed) for task in (
@@ -637,7 +638,7 @@ def test_planar_reduction_takes_the_general_path(monkeypatch):
 
     monkeypatch.setattr(PolyMap, "evaluate_batch", counted)
     report = stats.reduction_diagnostics(system, (1e-1,), **run)
-    assert system.manifold.h2.n_out == 0
+    assert system.h2.n_out == 0
     assert empty_calls
     assert report.rows == (reference,)
     assert report.rows[0].u_median == 0.0
@@ -717,11 +718,11 @@ def test_reduction_fold_matches_every_state_bitwise(monkeypatch, guard):
 
 @pytest.mark.parametrize("n", [9, 16])
 def test_reduction_norms_sum_coordinates_as_contiguous_states(n):
-    # The fold reads coordinate planes, but sums their squares in the order
-    # numpy sums the last axis of the ensemble's contiguous states:
-    # pairwise from 8 coordinates on, the state's at n >= 8 (read for ball
-    # exits) and the manifold defect U's at n >= 10, whose sups and medians
-    # show the order.
+    # The fold reads coordinate planes and sums their squares left to
+    # right, where numpy sums the last axis of the ensemble's contiguous
+    # states pairwise from 8 coordinates on: the state's at n >= 8 (read
+    # for ball exits) and the manifold defect U's at n >= 10, whose sups
+    # and medians show the order.
     system = stats.prepare_system(*coupled_nd(n))
     run = dict(big_delta=2.5, beta=0.45, paths=16, dt=1e-3, horizon=0.5,
                master_seed=3)
@@ -732,10 +733,10 @@ def test_reduction_norms_sum_coordinates_as_contiguous_states(n):
     assert report.rows == tuple(reference)
     assert all(row.excluded_fraction < 1.0 for row in report.rows)
     if n >= 10:
-        ordered = [loop_reduction_row(system, eps, **run,
-                                      sum_squares=ordered_sum)[0]
-                   for eps in epsilons]
-        assert report.rows != tuple(ordered)
+        contiguous = [loop_reduction_row(system, eps, **run,
+                                         sum_squares=contiguous_sum)[0]
+                      for eps in epsilons]
+        assert report.rows != tuple(contiguous)
 
 
 def test_reduction_memory_does_not_grow_with_the_horizon(monkeypatch):

@@ -9,10 +9,12 @@ converge     distances between amplified and limit radial marginals
 reduce       coupled center-manifold and planar error diagnostics
 report       human-readable summary of both studies
 
-Every run writes a ``manifest.json`` recording the config hash, every
-resolved run parameter with a hash over them, the resolved worker count
-and package versions; with a fixed config and seed all data
-artifacts are byte-identical across reruns and worker counts.  Exit status
+Every subcommand takes a flag per ``[run]`` key, named after it
+(``config.RUN_KEYS``).  Every run writes a ``manifest.json`` recording the
+config hash, each resolved ``[run]`` value but ``workers`` under its key
+with a hash over them, the resolved worker count and package versions;
+with a fixed config and seed all data artifacts are byte-identical across
+reruns and worker counts.  Exit status
 is 0 on success (``check`` reports failed verdicts in its output, not its
 status), 1 on configuration or flag validation errors, and 2 on runtime
 failures, which are printed as ``error: CODE: message`` with an
@@ -34,12 +36,9 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, load_config
+from .config import RUN_KEYS, ConfigError, load_config
 from .spectral import check_hypotheses, freeze_parameter
 from . import sde, stats
-
-_SUBCOMMANDS = ("check", "normal-form", "simulate", "converge", "reduce",
-                "report")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,19 +54,9 @@ def _add_common(sub):
     # every other flag's dest names the Config field it overrides
     sub.add_argument("--out", dest="out_dir", metavar="OUT",
                      help="output directory override")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--paths", type=int)
-    sub.add_argument("--dt", type=float)
-    sub.add_argument("--T", type=float)
-    sub.add_argument("--epsilon", dest="epsilons", metavar="EPSILON",
-                     type=float, nargs="+")
-    sub.add_argument("--checkpoints", type=float, nargs="+")
-    sub.add_argument("--rho0", type=float)
-    sub.add_argument("--delta", type=float)
-    sub.add_argument("--N", dest="nmax", type=float)
-    sub.add_argument("--Delta", dest="big_delta", type=float)
-    sub.add_argument("--beta", type=float)
-    sub.add_argument("--workers", type=int)
+    for key, spec in RUN_KEYS.items():
+        sub.add_argument(f"--{key}", dest=spec.field, metavar=key,
+                         type=spec.type, nargs="+" if spec.several else None)
     sub.add_argument("--plot", action="store_true", default=None)
 
 
@@ -77,7 +66,7 @@ def build_parser():
                                  "verifier for noisy oscillatory systems")
     subs = parser.add_subparsers(dest="command", required=True,
                                  metavar="subcommand")
-    for name in _SUBCOMMANDS:
+    for name in _DISPATCH:
         sub = subs.add_parser(name)
         _add_common(sub)
         if name in ("converge", "report"):
@@ -182,21 +171,10 @@ def _write_json(path, record):
 def _write_manifest(cfg, args, outputs):
     from . import __version__
     config_sha256 = hashlib.sha256(cfg.text.encode()).hexdigest()
-    resolved = {
-        "seed": cfg.seed,
-        "epsilons": list(cfg.epsilons),
-        "checkpoints": list(cfg.checkpoints),
-        "dt": cfg.dt,
-        "T": cfg.T,
-        "paths": cfg.paths,
-        "rho0": cfg.rho0,
-        "delta": cfg.delta,
-        "N": cfg.nmax,
-        "Delta": cfg.big_delta,
-        "beta": cfg.beta,
-        "refine": getattr(args, "refine", False),
-        "plot": cfg.plot,
-    }
+    # workers never changes a result, so it stays out of the hash
+    resolved = {key: getattr(cfg, spec.field)
+                for key, spec in RUN_KEYS.items() if key != "workers"}
+    resolved.update(refine=getattr(args, "refine", False), plot=cfg.plot)
     resolved_text = json.dumps({"config_sha256": config_sha256, **resolved},
                                sort_keys=True)
     record = {

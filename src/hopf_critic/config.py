@@ -37,14 +37,34 @@ once, after its flags, and reports those errors without line numbers.
 
 from __future__ import annotations
 
+import collections
 from dataclasses import dataclass
 
 from .polyfield import PolyMap
 
+# One [run] key: the Config field it sets, the type of each of its values,
+# whether it takes several values (else exactly one), and its default.
+RunKey = collections.namedtuple("RunKey", "field type several default")
+
+# Every [run] key, in the order the parser reports their errors; each key
+# is also the name of the command-line flag that overrides it.
+RUN_KEYS = {
+    "epsilon": RunKey("epsilons", float, True, (1e-2,)),
+    "T": RunKey("T", float, False, 1.0),
+    "dt": RunKey("dt", float, False, 1e-3),
+    "paths": RunKey("paths", int, False, 100),
+    "seed": RunKey("seed", int, False, 0),
+    "rho0": RunKey("rho0", float, False, 1.0),
+    "delta": RunKey("delta", float, False, 0.05),
+    "N": RunKey("nmax", float, False, 10.0),
+    "Delta": RunKey("big_delta", float, False, 2.0),
+    "beta": RunKey("beta", float, False, 0.4),
+    "checkpoints": RunKey("checkpoints", float, True, None),
+    "workers": RunKey("workers", int, False, None),
+}
+
 _SECTIONS = ("system", "run", "output")
 _SYSTEM_KEYS = {"n", "m", "mu", "drift", "sigma"}
-_RUN_KEYS = {"epsilon", "T", "dt", "paths", "seed", "rho0", "delta", "N",
-             "Delta", "beta", "checkpoints", "workers"}
 _OUTPUT_KEYS = {"directory", "plot"}
 _BOOL_TOKENS = {"true": True, "yes": True, "1": True,
                 "false": False, "no": False, "0": False}
@@ -128,7 +148,7 @@ def parse_config(text):
             continue
         records.append((section, tokens[0], tokens[1:], lineno))
 
-    allowed = {"system": _SYSTEM_KEYS, "run": _RUN_KEYS,
+    allowed = {"system": _SYSTEM_KEYS, "run": RUN_KEYS,
                "output": _OUTPUT_KEYS}
     scalars = {}
     drift_lines = []
@@ -158,14 +178,14 @@ def parse_config(text):
         value = convert(args[0], lineno, key, errors)
         return default if value is None else value
 
-    def multi(key, default):
+    def multi(key, convert, default):
         if key not in scalars:
             return default
         args, lineno = scalars[key]
         if not args:
             errors.append(f"line {lineno}: {key} needs at least one value")
             return default
-        values = [_to_float(a, lineno, key, errors) for a in args]
+        values = [convert(a, lineno, key, errors) for a in args]
         if any(v is None for v in values):
             return default
         return tuple(values)
@@ -230,18 +250,10 @@ def parse_config(text):
                              indexed_cols=False)
     sigma_terms = poly_terms(sigma_lines, "sigma", n, n, indexed_cols=True)
 
-    epsilons = multi("epsilon", (1e-2,))
-    T = scalar("T", _to_float, 1.0)
-    dt = scalar("dt", _to_float, 1e-3)
-    paths = scalar("paths", _to_int, 100)
-    seed = scalar("seed", _to_int, 0)
-    rho0 = scalar("rho0", _to_float, 1.0)
-    delta = scalar("delta", _to_float, 0.05)
-    nmax = scalar("N", _to_float, 10.0)
-    big_delta = scalar("Delta", _to_float, 2.0)
-    beta = scalar("beta", _to_float, 0.4)
-    checkpoints = multi("checkpoints", None)
-    workers = scalar("workers", _to_int, None)
+    convert = {float: _to_float, int: _to_int}
+    run = {spec.field: (multi if spec.several else scalar)(
+        key, convert[spec.type], spec.default)
+        for key, spec in RUN_KEYS.items()}
 
     def out_scalar(key, default):
         if key not in scalars:
@@ -265,10 +277,7 @@ def parse_config(text):
     return Config(
         n=n, m=m, includes_mu=includes_mu,
         drift=PolyMap(n_drift_vars, n, drift_terms),
-        sigma=PolyMap(n, n * m, sigma_terms),
-        epsilons=epsilons, T=T, dt=dt, paths=paths, seed=seed, rho0=rho0,
-        delta=delta, nmax=nmax, big_delta=big_delta, beta=beta,
-        checkpoints=checkpoints, workers=workers, out_dir=out_dir,
+        sigma=PolyMap(n, n * m, sigma_terms), **run, out_dir=out_dir,
         plot=plot, text=text)
 
 

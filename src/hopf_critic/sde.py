@@ -28,9 +28,9 @@ that shape:
 ``run_coupled`` runs tasks on one draw of noise, stepping each chunk of
 paths through the horizon one time block of noise at a time, and hands
 each block of states to a fold, which keeps only what its study reads.
-Each path's stream draws its noise a span at a time, a span covering
-several time blocks, and each time block forms its increments from the
-span straight into the kernel's column-major layout; one budget,
+Each path's stream draws its noise a span at a time, a span holding a
+whole number of time blocks, and each time block forms its increments
+from its span straight into the kernel's column-major layout; one budget,
 ``BLOCK_CELLS``, is split evenly between the span and the time block.
 ``run_ensemble`` integrates any task (one path is an ensemble of one) with
 the fold that keeps every state, and ``polar_ensemble`` reads the radius
@@ -62,7 +62,8 @@ CHUNK = 1024
 # Cells (doubles) one chunk holds for its noise and a block of steps: half
 # for the span of noise its streams draw at a time, half for a time block's
 # draws in the kernel's layout, increments and stepped states.  A run goes
-# through its horizon in blocks of as many noise blocks as fit.
+# through its horizon in blocks of as many noise blocks as fit, and a span
+# holds as many whole time blocks as fit (at least one).
 BLOCK_CELLS = 3 << 17
 # Overflow radius of the diverged stop, read when a run starts.
 GUARD_RADIUS = 1e6
@@ -463,19 +464,20 @@ def run_coupled(tasks, count, master_seed, fold, workers=None):
     A chunk goes through the horizon in time blocks: each block steps
     every group on from where the last block left it, coarse tasks one
     step and refined tasks two per noise block.  Its noise comes from a
-    span: each path's stream draws the span's noise blocks into its row
-    of one buffer, one ``standard_blocks`` call per path and span, and a
-    time block copies its noise blocks out of the span, and out of the
-    next span where it straddles two, into the kernel's layout with the
-    paths on the last axis.  Each group forms its first task's increments
-    from them, repeated for its other tasks, as the (steps, m, G*paths)
-    columns ``run_chunk`` steps without a copy.  The buffers are made once
-    per chunk and refilled.  Half of ``BLOCK_CELLS`` doubles holds the
-    span, the other half the time block's draws, each group's increments
-    and its block of states (each at least one noise block), beside the
-    carried state each block of states opens on, so a run needs memory
-    independent of the horizon beyond what its fold keeps.  Neither
-    length need divide the other or the horizon: the draws, and so the
+    span of whole time blocks, so no time block straddles two spans: each
+    path's stream draws the span's noise blocks into its row of one
+    buffer, one ``standard_blocks`` call per path and span, and each time
+    block copies its noise blocks out of its span into the kernel's
+    layout with the paths on the last axis.  Each group forms its first
+    task's increments from them, repeated for its other tasks, as the
+    (steps, m, G*paths) columns ``run_chunk`` steps without a copy.  The
+    buffers are made once per chunk and refilled.  Half of
+    ``BLOCK_CELLS`` doubles holds the time block's draws, each group's
+    increments and its block of states (at least one noise block), beside
+    the carried state each block of states opens on; the other half holds
+    the span, rounded down to whole time blocks (at least one).  So a run
+    needs memory independent of the horizon beyond what its fold keeps.
+    Neither length need divide the horizon: the draws, and so the
     results, are the same for any split.
 
     After each time block of a chunk, ``fold(paths, blocks)`` takes the
@@ -531,8 +533,9 @@ def run_coupled(tasks, count, master_seed, fold, workers=None):
                   for g in groups]
     cells = 2 * m + sum(n * (m + g.first.dim)
                         for n, g in zip(task_steps, groups))
-    span = max(1, BLOCK_CELLS // 2 // (width * 2 * m))
     length = max(1, BLOCK_CELLS // 2 // (width * cells))
+    # a span holds whole time blocks, so none straddles two spans
+    span = length * max(1, BLOCK_CELLS // 2 // (width * 2 * m * length))
 
     def work(start):
         end = min(start + width, count)
@@ -551,34 +554,23 @@ def run_coupled(tasks, count, master_seed, fold, workers=None):
                                                    g.first.dim))
                for g in groups]
         carries = [Carry(x0) for x0 in x0s]
-        # the span holds the noise blocks [drawn, held)
-        drawn = held = 0
         for at in range(0, blocks, length):
             n_blocks = min(length, blocks - at)
-            # the block's draws, from as many spans as it straddles
-            done = at
-            while done < at + n_blocks:
-                if done == held:
-                    drawn, held = held, min(held + span, blocks)
-                    for row, stream in zip(draws, streams):
-                        stream.standard_blocks(held - drawn, m,
-                                               out=row[:held - drawn])
-                take = min(at + n_blocks, held) - done
-                out = block_draws[done - at:done - at + take]
-                np.copyto(out.reshape(-1, n_paths),
-                          draws[:, done - drawn:done - drawn + take]
-                          .reshape(n_paths, -1).T)
-                done += take
+            if at % span == 0:
+                n_span = min(span, blocks - at)
+                for row, stream in zip(draws, streams):
+                    stream.standard_blocks(n_span, m, out=row[:n_span])
+            np.copyto(block_draws[:n_blocks].reshape(-1, n_paths),
+                      draws[:, at % span:at % span + n_blocks]
+                      .reshape(n_paths, -1).T)
             xi = block_draws[:n_blocks].transpose(3, 0, 1, 2)
-            dWs = []
-            for flat, n, g in zip(increments, task_steps, groups):
+            folded = [None] * len(tasks)
+            for flat, n, g, x0, carry in zip(increments, task_steps, groups,
+                                             x0s, carries):
                 dW = flat[:n * n_blocks * m * n_paths].reshape(
                     -1, m, len(g.members), n_paths)
                 g.first.increments(xi, out=dW[:, :, 0].transpose(2, 0, 1))
                 dW[:, :, 1:] = dW[:, :, :1]
-                dWs.append(dW)
-            folded = [None] * len(tasks)
-            for g, dW, x0, carry in zip(groups, dWs, x0s, carries):
                 # the block opens on the carried states at this grid index
                 first = carry.offset
                 states, index, code = run_chunk(

@@ -235,28 +235,18 @@ class ConvergenceReport:
     verdicts: dict
 
     def as_record(self):
-        return {
-            "epsilons": list(self.epsilons),
-            "checkpoints": list(self.checkpoints),
-            "dt": self.dt, "n_paths": self.n_paths, "delta": self.delta,
-            "nmax": self.nmax, "rho0": self.rho0,
-            "master_seed": self.master_seed,
-            "rows": [{
-                "epsilon": row.epsilon,
-                "stopped_fraction": row.stopped_fraction,
-                "n_survivors": row.n_survivors,
-                "cells": [{
-                    "checkpoint": c.checkpoint, "ks": c.ks, "w1": c.w1,
-                    "quantiles": {str(l): v for l, v in
-                                  zip(QUANTILE_LEVELS, c.quantiles)},
-                    "ks_refined": c.ks_refined, "w1_refined": c.w1_refined,
-                } for c in row.cells],
-            } for row in self.rows],
-            "limit_quantiles": [
-                {str(l): v for l, v in zip(QUANTILE_LEVELS, q)}
-                for q in self.limit_quantiles],
-            "verdicts": self.verdicts,
-        }
+        """JSON record of every field; quantiles keyed by their level."""
+        record = asdict(self)
+        for row in record["rows"]:
+            for cell in row["cells"]:
+                cell["quantiles"] = _by_level(cell["quantiles"])
+        record["limit_quantiles"] = [_by_level(q)
+                                     for q in record["limit_quantiles"]]
+        return record
+
+
+def _by_level(quantiles):
+    return {str(l): v for l, v in zip(QUANTILE_LEVELS, quantiles)}
 
 
 def _checkpoint_indices(checkpoints, dt, n_steps):

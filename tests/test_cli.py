@@ -1,5 +1,6 @@
 """Config grammar, subcommand artifacts, exit codes, and the manifest."""
 
+import argparse
 import hashlib
 import json
 import sys
@@ -10,7 +11,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hopf_critic import cli, sde
-from hopf_critic.config import ConfigError, load_config, parse_config
+from hopf_critic.config import (RUN_KEYS, ConfigError, load_config,
+                                parse_config)
 
 GOLDEN = """\
 [system]
@@ -352,6 +354,54 @@ def test_manifest_hash_tells_override_sets_apart(tmp_path):
     assert runs["a"]["resolved_sha256"] == runs["b"]["resolved_sha256"]
     assert len({runs[name]["resolved_sha256"]
                 for name in ("a", "rho0", "paths", "plot")}) == 4
+
+
+def test_every_run_key_is_a_flag_and_a_manifest_entry(tmp_path):
+    # per [run] key: the values of a config line, then of its flag; neither
+    # is the default, and each is in range for check
+    values = {"epsilon": ("0.2 0.3", "0.4"), "T": ("0.8", "0.6"),
+              "dt": ("2e-3", "5e-3"), "paths": ("30", "31"),
+              "seed": ("7", "8"), "rho0": ("0.8", "0.9"),
+              "delta": ("0.1", "0.2"), "N": ("5", "6"), "Delta": ("3", "4"),
+              "beta": ("0.3", "0.2"), "checkpoints": ("0.25 0.5", "0.75"),
+              "workers": ("2", "3")}
+    assert list(values) == list(RUN_KEYS)
+    system = GOLDEN[:GOLDEN.index("[run]")]
+    fixed = {"subcommand", "config_sha256", "resolved_sha256", "refine",
+             "plot", "versions", "outputs"}
+    for key, spec in RUN_KEYS.items():
+        in_file, by_flag = (
+            [spec.type(t) for t in tokens.split()] if spec.several
+            else spec.type(tokens) for tokens in values[key])
+        cfg = write_config(
+            tmp_path, f"{system}[run]\n{key} {values[key][0]}\n",
+            name=f"{key}.cfg")
+        field = getattr(load_config(cfg), spec.field)
+        assert (list(field) if spec.several else field) == in_file
+        assert field != spec.default
+        manifests = []
+        for flags in ([], [f"--{key}", *values[key][1].split()]):
+            out = tmp_path / f"{key}-{len(flags)}"
+            assert cli.main(["check", "--config", cfg, "--out", str(out),
+                             *flags]) == 0
+            manifests.append(json.loads((out / "manifest.json").read_text()))
+        from_file, from_flag = manifests
+        assert set(from_file) == set(RUN_KEYS) | fixed
+        assert (from_file[key], from_flag[key]) == (in_file, by_flag)
+        # the resolved worker count is recorded, outside the hash
+        assert (from_file["resolved_sha256"] == from_flag["resolved_sha256"]) \
+            is (key == "workers")
+    # the flags are the [run] keys and a few more, on every subcommand
+    parser = cli.build_parser()
+    subs, = (action for action in parser._actions
+             if isinstance(action, argparse._SubParsersAction))
+    assert list(subs.choices) == list(cli._DISPATCH)
+    for name, sub in subs.choices.items():
+        flags = {flag for action in sub._actions if action.dest != "help"
+                 for flag in action.option_strings}
+        refine = {"--refine"} if name in ("converge", "report") else set()
+        assert flags == {f"--{key}" for key in RUN_KEYS} | refine | {
+            "--config", "--out", "--plot"}
 
 
 def test_converge_plot_writes_svg(tmp_path):

@@ -1113,18 +1113,18 @@ def test_blocked_coupled_run_matches_one_call_per_task_bitwise(
     assert max(lengths) == 2 * length
 
 
-def test_noise_spans_straddling_time_blocks_match_one_call_per_task_bitwise(
+def test_noise_spans_of_whole_time_blocks_match_one_call_per_task_bitwise(
         monkeypatch):
     monkeypatch.setattr(sde, "CHUNK", 16)
-    # 16 // 2 = 8 paths a chunk; half the budget holds noise spans of
-    # 1250 // (8 x 6) = 26 noise blocks, the other half time blocks of
-    # 1250 // (8 x 42) = 3 (see
-    # test_blocked_coupled_run_matches_one_call_per_task_bitwise), so the
-    # time block of noise blocks 24 to 26 takes two from the first span and
-    # one from the next
+    # 16 // 2 = 8 paths a chunk; half the budget holds time blocks of
+    # 1250 // (8 x 42) = 3 noise blocks (see
+    # test_blocked_coupled_run_matches_one_call_per_task_bitwise), the
+    # other half noise spans of 1250 // (8 x 6 x 3) = 8 time blocks, that
+    # is 24 noise blocks, so the horizon of 50 takes spans of 24, 24 and 2
+    # and the last time block holds the 2 left over
     monkeypatch.setattr(sde, "BLOCK_CELLS", 2500)
-    span, length, blocks = 26, 3, 50
-    assert span % length and blocks % length and blocks % span
+    span, length, blocks = 24, 3, 50
+    assert span % length == 0 and blocks % length and blocks % span
     monkeypatch.setattr(sde, "GUARD_RADIUS", 1.2)
     tasks = coupled_rule_tasks(0.05)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -1149,8 +1149,8 @@ def test_noise_spans_straddling_time_blocks_match_one_call_per_task_bitwise(
                 assert [a[0].tobytes() for a in once] == \
                     [a.tobytes() for a in run]
             assert all(STOP_DIVERGED in run[-1] for run in runs)
-    # each path draws a span, then the rest of the horizon
-    assert sorted(draws) == [blocks - span] * 80 + [span] * 80
+    # each path draws two whole spans, then the rest of the horizon
+    assert sorted(draws) == [blocks % span] * 80 + [span] * 160
     # time blocks of 3 noise blocks and the 2 left over, coarse and refined
     assert set(lengths) == {length, 2 * length, blocks % length,
                             2 * (blocks % length)}

@@ -112,7 +112,7 @@ def _range_errors(cfg, command):
     checkpoints = cfg.checkpoints if command in ("converge", "report") \
         else ()
     # outputs label eps and checkpoints at :g precision
-    for label, values in (("epsilons", cfg.epsilons),
+    for label, values in (("epsilon", cfg.epsilons),
                           ("checkpoints", checkpoints)):
         names = [f"{v:g}" for v in values]
         repeated = sorted({name for name in names if names.count(name) > 1})
@@ -265,8 +265,7 @@ def _cmd_simulate(cfg, args):
     for eps in cfg.epsilons:
         task = sde.rescaled_task(
             system.f, system.g, system.sigma_q, system.sigma_p,
-            split.Q, split.P, eps, (cfg.rho0, 0.0), np.zeros(k),
-            cfg.dt, cfg.T)
+            split.Q, split.P, eps, cfg.rho0, cfg.dt, cfg.T)
         ensemble = sde.run_ensemble(task, cfg.paths, cfg.seed, cfg.workers)
         name = f"trajectory_eps{eps:g}.csv"
         stats.write_trajectory_csv(ensemble, os.path.join(out, name),
@@ -321,7 +320,7 @@ def _reduce(cfg, args, system, out):
     outputs and the summary lines, which spell values as the JSON does."""
     report = stats.reduction_diagnostics(
         system, cfg.epsilons, cfg.big_delta, cfg.beta, cfg.paths, cfg.dt,
-        horizon=cfg.T, z0=(cfg.rho0, 0.0), master_seed=cfg.seed,
+        horizon=cfg.T, rho0=cfg.rho0, master_seed=cfg.seed,
         workers=cfg.workers)
     stats.write_reduction_csv(report, os.path.join(out, "reduction.csv"))
     record = report.as_record()

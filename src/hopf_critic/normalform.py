@@ -100,11 +100,11 @@ def complexify_quadratic(f2):
 
     Returns
     -------
-    (fplus, f_y) : (ndarray of complex, PolyMap)
-        ``fplus``: coefficients of ``F+ = f1 + i f2`` on the basis
+    fplus : ndarray of complex
+        Coefficients of ``F+ = f1 + i f2`` on the basis
         ``[w^2, wbar^2, w wbar, w y_j, wbar y_j]`` (length 3 + 2(n-2)).
-        ``f_y``: the y-only quadratic terms, returned unchanged as a real
-        map (they are not removable by the quadratic transform).
+        The y-only quadratic terms are not on the basis and are skipped:
+        the quadratic transform cannot remove them.
 
     Raises
     ------
@@ -117,7 +117,6 @@ def complexify_quadratic(f2):
         raise NonHomogeneousInput("expected a homogeneous quadratic map")
     k = f2.n_in - 2
     fplus = np.zeros(_quadratic_basis_size(k), dtype=complex)
-    y_terms = []
     # z1 = (w + wbar)/2, z2 = (w - wbar)/(2i) = -i/2 (w - wbar)
     z1 = {(1, 0): 0.5, (0, 1): 0.5}
     z2 = {(1, 0): -0.5j, (0, 1): 0.5j}
@@ -125,7 +124,6 @@ def complexify_quadratic(f2):
         e1, e2 = exps[0], exps[1]
         y_exps = exps[2:]
         if e1 + e2 == 0:
-            y_terms.append((comp, exps, coef))
             continue
         cz = coef if comp == 0 else 1j * coef
         expansion = {(0, 0): 1.0 + 0.0j}
@@ -150,8 +148,7 @@ def complexify_quadratic(f2):
             else:  # (0, 1)
                 idx = 3 + k + y_index
             fplus[idx] += cz * c
-    f_y = PolyMap(f2.n_in, 2, y_terms, max_degree=f2.max_degree)
-    return fplus, f_y
+    return fplus
 
 
 def realify_quadratic(coefficients, k, max_degree=4):
@@ -259,7 +256,7 @@ def solve_quadratic(lam0, P, fplus):
     if residual >= 1e-10:
         raise SingularOperator(f"homological solve residual {residual:.3e}")
     p_real = realify_quadratic(r, k)
-    round_trip, _ = complexify_quadratic(p_real.homogeneous_part(2))
+    round_trip = complexify_quadratic(p_real.homogeneous_part(2))
     if float(np.max(np.abs(round_trip - r))) >= 1e-12:
         raise NormalFormError("realification round-trip residual above 1e-12")
     return QuadraticTransform(

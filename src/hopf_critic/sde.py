@@ -301,7 +301,7 @@ def em_task(drift, diffusion, x0, dt, T):
                    stream_class=STREAM_GENERIC)
 
 
-def rescaled_task(f, g, sigma_q, sigma_p, Q, P, eps, z0, y0, dt, T,
+def rescaled_task(f, g, sigma_q, sigma_p, Q, P, eps, rho0, dt, T,
                   refined=False):
     """Amplified slow-time critical system as a SimTask.
 
@@ -312,10 +312,11 @@ def rescaled_task(f, g, sigma_q, sigma_p, Q, P, eps, z0, y0, dt, T,
     the evaluation at ``eps^{1/4}`` times the state together with the
     outer amplification.  Cubic drift terms and constant diffusion terms
     are therefore copied bitwise, and eps = 1 reproduces the unscaled
-    coefficients exactly.  Noise lives in the critical stream class, which
-    the reduced process shares.  A planar system is the empty stable block:
-    ``P`` is (0, 0), ``g`` and ``sigma_p`` have no outputs and ``y0`` is
-    empty, and it runs through the same lines.
+    coefficients exactly.  Starts at ``(rho0, 0)`` on the critical plane
+    with every stable coordinate at 0.  Noise lives in the critical stream
+    class, which the reduced process shares.  A planar system is the empty
+    stable block: ``P`` is (0, 0) and ``g`` and ``sigma_p`` have no
+    outputs, and it runs through the same lines.
     """
     Q = np.asarray(Q, dtype=float)
     P = np.asarray(P, dtype=float)
@@ -351,14 +352,14 @@ def rescaled_task(f, g, sigma_q, sigma_p, Q, P, eps, z0, y0, dt, T,
     drift = stack([f, g]).graded_scaled(lambda d: eps ** ((d - 3) / 4.0))
     diffusion = stack([sigma_q, sigma_p]).graded_scaled(
         lambda d: eps ** (d / 4.0))
-    x0 = np.concatenate((np.asarray(z0, dtype=float).reshape(2),
-                         np.asarray(y0, dtype=float).reshape(k)))
+    x0 = np.zeros(dim)
+    x0[0] = rho0
     return SimTask(dim=dim, m=m, lin=lin, drift=drift, diffusion=diffusion,
                    x0=x0, dt=float(dt), n_steps=_step_count(T, dt),
                    refined=refined, stream_class=STREAM_CRITICAL)
 
 
-def reduced_task(reduced, sigma_q, h2, eps, z0, dt, T):
+def reduced_task(reduced, sigma_q, h2, eps, rho0, dt, T):
     """Center-manifold 2D process as a SimTask.
 
     ``reduced`` is the reduced field (rotation plus cubic); its rotation
@@ -366,9 +367,10 @@ def reduced_task(reduced, sigma_q, h2, eps, z0, dt, T):
     unscaled, exactly as in the amplified equations.  The diffusion is the
     critical-plane block evaluated on the manifold,
     ``sigma_Q(eps^{1/4} u, h2(eps^{1/4} u))``; on a planar system ``h2``
-    has no outputs and the diffusion is ``sigma_Q(eps^{1/4} u)``.  Noise
-    lives in the same stream class as the full simulation, so equal-keyed
-    streams couple the two pathwise.
+    has no outputs and the diffusion is ``sigma_Q(eps^{1/4} u)``.  Starts
+    at ``(rho0, 0)``, where ``rescaled_task`` starts its critical plane.
+    Noise lives in the same stream class as the full simulation, so
+    equal-keyed streams couple the two pathwise.
     """
     if reduced.n_in != 2 or reduced.n_out != 2:
         raise SdeError("reduced field must be planar")
@@ -395,7 +397,7 @@ def reduced_task(reduced, sigma_q, h2, eps, z0, dt, T):
     root = 1.0 / math.sqrt(eps)
     lin = _rotation(root * lam0 * float(dt))
     return SimTask(dim=2, m=m, lin=lin, drift=drift, diffusion=diffusion,
-                   x0=np.asarray(z0, dtype=float).reshape(2), dt=float(dt),
+                   x0=np.array([float(rho0), 0.0]), dt=float(dt),
                    n_steps=_step_count(T, dt), stream_class=STREAM_CRITICAL)
 
 

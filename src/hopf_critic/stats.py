@@ -180,7 +180,7 @@ def prepare_system(drift, sigma):
             f"origin is not a critical point (|drift(0)| = {origin_residual:.3e})")
     split = hopf_split(drift.jacobian(np.zeros(n)))
     f, g, sigma_q, sigma_p = transform_system(drift, sigma, split)
-    fplus, _ = normalform.complexify_quadratic(f.homogeneous_part(2))
+    fplus = normalform.complexify_quadratic(f.homogeneous_part(2))
     transform = normalform.solve_quadratic(split.lam0, split.P, fplus)
     f_clean, g_clean = normalform.apply_quadratic_transform(
         f, g, split.Q, split.P, transform)
@@ -260,13 +260,16 @@ def _checkpoint_indices(checkpoints, dt, n_steps):
 
 
 class AnnulusFold:
-    """A ``sde.run_coupled`` fold for the annulus test and the checkpoints.
+    """The ``sde.run_coupled`` fold that reads the planar radius.
 
     Folds each time block, read as the kernel's coordinate planes, into,
     per task and path, the least and greatest planar squared radius
     ``r2 = x0*x0 + x1*x1`` over every grid point folded and the planar
     radius ``sqrt(r2)`` at the grid indices ``keep[i]`` (in any order; an
-    index no block reaches reads NaN).
+    index no block reaches reads NaN).  ``convergence_study`` keeps the
+    checkpoints and applies the annulus test through ``survivors``;
+    ``stationary_check`` keeps every index from its burn-in on and reads
+    ``radii`` alone.
     """
 
     def __init__(self, keep, paths):
@@ -340,9 +343,6 @@ def convergence_study(system, epsilons, checkpoints, paths, dt,
     T = max(checkpoints)
     indices = _checkpoint_indices(checkpoints, dt, int(round(T / dt)))
     split = system.split
-    k = split.P.shape[0]
-    z0 = (rho0, 0.0)
-    y0 = np.zeros(k)
 
     def observe(tasks):
         # One draw of noise per chunk serves every task of a stream class.
@@ -360,29 +360,25 @@ def convergence_study(system, epsilons, checkpoints, paths, dt,
     limit_quantiles = tuple(_quantiles(radii) for radii in limit_radii)
     critical = observe([sde.rescaled_task(
         system.f, system.g, system.sigma_q, system.sigma_p, split.Q,
-        split.P, eps, z0, y0, h, T, refined=r)
+        split.P, eps, rho0, h, T, refined=r)
         for eps in epsilons for h, r in steps])
 
     rows = []
     for e, eps in enumerate(epsilons):
-        alive, radii = critical[e * len(steps)]
-        if refine:
-            fine_radii = critical[e * len(steps) + 1][1]
-            fine_limit_radii = limit[1][1]
+        # one run per step setting, the plain step first
+        runs = critical[e * len(steps):(e + 1) * len(steps)]
+        alive, radii = runs[0]
         cells = []
         for j, c in enumerate(checkpoints):
             samples = radii[j]
-            limit_samples = limit_radii[j]
-            if samples.size == 0 or limit_samples.size == 0:
+            if samples.size == 0 or limit_radii[j].size == 0:
                 raise StatsError(
                     f"no surviving paths at eps={eps}, checkpoint={c}")
-            ks = ks_distance(samples, limit_samples)
-            w1 = wasserstein1(samples, limit_samples, seed=master_seed)
-            ks_ref = w1_ref = None
-            if refine:
-                fine, fine_limit = fine_radii[j], fine_limit_radii[j]
-                ks_ref = ks_distance(fine, fine_limit)
-                w1_ref = wasserstein1(fine, fine_limit, seed=master_seed)
+            pairs = [(ks_distance(run[1][j], lim[1][j]),
+                      wasserstein1(run[1][j], lim[1][j], seed=master_seed))
+                     for run, lim in zip(runs, limit)]
+            ks, w1 = pairs[0]
+            ks_ref, w1_ref = pairs[-1] if refine else (None, None)
             cells.append(CheckpointStats(
                 checkpoint=c, ks=ks, w1=w1, quantiles=_quantiles(samples),
                 ks_refined=ks_ref, w1_refined=w1_ref))
@@ -461,7 +457,7 @@ def _fit_slope(epsilons, values):
 
 
 def reduction_diagnostics(system, epsilons, big_delta, beta, paths, dt,
-                          horizon=1.0, z0=(1.0, 0.0), master_seed=0,
+                          horizon=1.0, rho0=1.0, master_seed=0,
                           workers=None):
     """Coupled full-versus-reduced error diagnostics across eps.
 
@@ -494,17 +490,15 @@ def reduction_diagnostics(system, epsilons, big_delta, beta, paths, dt,
     split = system.split
     k = split.P.shape[0]
     h2 = system.h2
-    z0 = np.asarray(z0, dtype=float).reshape(2)
-    # the stable coordinates start at zero, so |z0| is the state's norm
-    if math.hypot(*z0) >= big_delta:
+    # every run starts at (rho0, 0, ..., 0), whose norm is |rho0|
+    if abs(rho0) >= big_delta:
         raise StatsError("initial state must start inside the Delta-ball")
     # The full runs of every eps share one kernel loop per chunk, and so do
     # the reduced runs.
     tasks = [task for eps in epsilons for task in (
         sde.rescaled_task(system.f, system.g, system.sigma_q, system.sigma_p,
-                          split.Q, split.P, eps, z0, np.zeros(k), dt,
-                          horizon),
-        sde.reduced_task(system.reduced, system.sigma_q, h2, eps, z0, dt,
+                          split.Q, split.P, eps, rho0, dt, horizon),
+        sde.reduced_task(system.reduced, system.sigma_q, h2, eps, rho0, dt,
                          horizon))]
     n_steps = tasks[0].n_steps
     i_beta = [int(math.ceil(eps ** beta / dt - 1e-12)) for eps in epsilons]
@@ -590,7 +584,10 @@ def stationary_check(params, T, burn_in, dt, paths, rho0=1.0,
                      master_seed=0, workers=None):
     """Compare pooled post-burn-in radii against the invariant density.
 
-    The invariant law of the limit diffusion has density proportional to
+    The limit diffusion starts at ``(rho0, 0)``; ``AnnulusFold`` keeps
+    each path's planar radius at every grid index after ``burn_in``, and
+    the never-stopped paths' radii are pooled, with no annulus test.  The
+    invariant law of the limit diffusion has density proportional to
     ``eta * exp(a eta^4 / (2 s^2))`` with ``a = params.a < 0``; its
     normalizer and quantiles are computed by a 10^4-point trapezoid rule
     and compared to the pooled samples through the one-dimensional W1
@@ -605,23 +602,15 @@ def stationary_check(params, T, burn_in, dt, paths, rho0=1.0,
         raise StatsError("need 0 <= burn_in < T")
     task = sde.limit_task(params, rho0, dt, T)
     start = int(math.floor(burn_in / dt + 1e-9)) + 1
-    # Each path's radius at grid indices start on, folded block by block.
-    rho = np.empty((max(int(paths), 0), max(task.n_steps + 1 - start, 0)))
-
-    def fold(at, blocks):
-        block = blocks[0]
-        cut = max(start - block.first, 0)
-        # the coordinate planes (steps, paths) from grid index start on
-        x = block.states[:, cut:]
-        begin = block.first + cut - start
-        rho[at, begin:begin + x.shape[1]] = np.sqrt(x[0] * x[0]
-                                                    + x[1] * x[1]).T
-
+    # each path's radius at grid indices start on; no annulus applies, and
+    # run_coupled rejects a count below 1
+    fold = AnnulusFold([np.arange(start, task.n_steps + 1)],
+                       max(int(paths), 0))
     stop_code = sde.run_coupled([task], paths, master_seed, fold,
                                 workers)[1][0]
-    samples = rho[stop_code == STOP_NONE].ravel()
-    # the fold holds rho too; only the samples stay
-    del rho, fold
+    samples = fold.radii[0][stop_code == STOP_NONE].ravel()
+    # only the samples stay
+    del fold
     if samples.size == 0:
         raise StatsError("no samples after burn-in")
     s_sq = params.s * params.s

@@ -123,7 +123,7 @@ def test_quadratic_terms_cancel_across_random_systems():
         drift, sigma = random_split_system(rng, n)
         split = hopf_split(drift.jacobian(np.zeros(n)))
         f, g, _, _ = transform_system(drift, sigma, split)
-        fplus, _ = normalform.complexify_quadratic(f.homogeneous_part(2))
+        fplus = normalform.complexify_quadratic(f.homogeneous_part(2))
         transform = normalform.solve_quadratic(split.lam0, split.P, fplus)
         f_new, _ = normalform.apply_quadratic_transform(
             f, g, split.Q, split.P, transform)
@@ -146,7 +146,7 @@ def test_center_manifold_is_tangent_and_invariant_to_cubic_order():
         drift, sigma = random_split_system(rng, n)
         split = hopf_split(drift.jacobian(np.zeros(n)))
         f, g, _, _ = transform_system(drift, sigma, split)
-        fplus, _ = normalform.complexify_quadratic(f.homogeneous_part(2))
+        fplus = normalform.complexify_quadratic(f.homogeneous_part(2))
         transform = normalform.solve_quadratic(split.lam0, split.P, fplus)
         f_new, g_new = normalform.apply_quadratic_transform(
             f, g, split.Q, split.P, transform)
@@ -260,7 +260,7 @@ def test_phase_rotates_at_the_fast_rate():
     split = system.split
     task = sde.rescaled_task(system.f, system.g, system.sigma_q,
                              system.sigma_p, split.Q, split.P, eps,
-                             (1.0, 0.0), np.zeros(0), 1e-3, 1.0)
+                             1.0, 1e-3, 1.0)
     ensemble = sde.run_ensemble(task, 32, 0)
     angles = np.unwrap(np.arctan2(ensemble.states[:, :, 1],
                                   ensemble.states[:, :, 0]), axis=1)

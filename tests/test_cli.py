@@ -518,7 +518,7 @@ def test_epsilons_equal_at_g_precision_exit_one(tmp_path, capsys, command,
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: CONFIG: ")
-    assert "epsilons must be distinct" in err
+    assert "epsilon must be distinct at :g precision" in err
     assert not out.exists()
 
 

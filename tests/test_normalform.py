@@ -47,10 +47,10 @@ def test_complexify_realify_round_trip():
     rng = np.random.default_rng(41)
     for k in (0, 1, 3):
         f2 = random_quadratic(rng, 2 + k, 2)
-        fplus, _ = normalform.complexify_quadratic(f2)
+        fplus = normalform.complexify_quadratic(f2)
         assert fplus.shape == (3 + 2 * k,)
         p = normalform.realify_quadratic(fplus, k)
-        back, _ = normalform.complexify_quadratic(p.homogeneous_part(2))
+        back = normalform.complexify_quadratic(p.homogeneous_part(2))
         assert_allclose(back, fplus, rtol=1e-13, atol=1e-14)
 
 
@@ -95,7 +95,7 @@ def test_transform_cancels_critical_quadratics():
     for n in (3, 4, 5):
         drift, sigma = random_split_system(rng, n)
         split, f, g = split_fields(drift, sigma)
-        fplus, _ = normalform.complexify_quadratic(f.homogeneous_part(2))
+        fplus = normalform.complexify_quadratic(f.homogeneous_part(2))
         transform = normalform.solve_quadratic(split.lam0, split.P, fplus)
         f_new, g_new = normalform.apply_quadratic_transform(
             f, g, split.Q, split.P, transform)
@@ -114,7 +114,7 @@ def test_transform_passes_stable_rows_through_the_shift():
         n = 2 + k
         drift, sigma = random_split_system(rng, n)
         split, f, g = split_fields(drift, sigma)
-        fplus, _ = normalform.complexify_quadratic(f.homogeneous_part(2))
+        fplus = normalform.complexify_quadratic(f.homogeneous_part(2))
         transform = normalform.solve_quadratic(split.lam0, split.P, fplus)
         _, g_new = normalform.apply_quadratic_transform(
             f, g, split.Q, split.P, transform)
@@ -132,7 +132,7 @@ def test_transform_is_a_push_forward_of_the_field():
     rng = np.random.default_rng(53)
     drift, sigma = random_split_system(rng, 3)
     split, f, g = split_fields(drift, sigma)
-    fplus, _ = normalform.complexify_quadratic(f.homogeneous_part(2))
+    fplus = normalform.complexify_quadratic(f.homogeneous_part(2))
     transform = normalform.solve_quadratic(split.lam0, split.P, fplus)
     f_new, g_new = normalform.apply_quadratic_transform(
         f, g, split.Q, split.P, transform)
@@ -173,7 +173,7 @@ def test_center_manifold_tangency_residual_is_tiny():
     for n in (3, 4, 5):
         drift, sigma = random_split_system(rng, n)
         split, f, g = split_fields(drift, sigma)
-        fplus, _ = normalform.complexify_quadratic(f.homogeneous_part(2))
+        fplus = normalform.complexify_quadratic(f.homogeneous_part(2))
         transform = normalform.solve_quadratic(split.lam0, split.P, fplus)
         f_new, g_new = normalform.apply_quadratic_transform(
             f, g, split.Q, split.P, transform)
@@ -187,7 +187,7 @@ def test_invariance_defect_decays_at_cubic_order():
     rng = np.random.default_rng(61)
     drift, sigma = random_split_system(rng, 3)
     split, f, g = split_fields(drift, sigma)
-    fplus, _ = normalform.complexify_quadratic(f.homogeneous_part(2))
+    fplus = normalform.complexify_quadratic(f.homogeneous_part(2))
     transform = normalform.solve_quadratic(split.lam0, split.P, fplus)
     f_new, g_new = normalform.apply_quadratic_transform(
         f, g, split.Q, split.P, transform)
@@ -210,7 +210,7 @@ def test_planar_system_is_the_empty_stable_block():
     drift, sigma = random_split_system(rng, 2)
     split, f, g = split_fields(drift, sigma)
     assert split.P.shape == (0, 0) and g.n_out == 0
-    fplus, _ = normalform.complexify_quadratic(f.homogeneous_part(2))
+    fplus = normalform.complexify_quadratic(f.homogeneous_part(2))
     transform = normalform.solve_quadratic(split.lam0, split.P, fplus)
     f_new, g_new = normalform.apply_quadratic_transform(
         f, g, split.Q, split.P, transform)

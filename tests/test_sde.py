@@ -197,10 +197,10 @@ CASE_GUARDS = {"partial_guard": 10.0, "overflow": 1e300,
 def kernel_tasks():
     f, g, sigma_q, sigma_p, Q, P = planar_fields()
     planar = sde.rescaled_task(f, g, sigma_q, sigma_p, Q, P, 1e-2,
-                               (1.0, 0.0), np.zeros(0), 1e-3, 0.2)
+                               1.0, 1e-3, 0.2)
     f, g, sigma_q, sigma_p, Q, P = coupled3d_fields()
     coupled = sde.rescaled_task(f, g, sigma_q, sigma_p, Q, P, 1e-2,
-                                (1.0, 0.0), np.zeros(1), 1e-3, 0.2)
+                                1.0, 1e-3, 0.2)
     params = sde.LimitParams(np.array([[1.0, 0.5], [0.0, 2.0]]))
     limit = sde.limit_task(params, 1.0, 1e-3, 0.2)
     cube = PolyMap(1, 1, [(0, (3,), 1.0)])
@@ -312,13 +312,32 @@ def test_builders_stamp_their_stream_class():
     f, g, sigma_q, sigma_p, Q, P = planar_fields()
     em = sde.em_task(cubic_rotation(), sigma_q, np.ones(2), 1e-2, 0.1)
     rescaled = sde.rescaled_task(f, g, sigma_q, sigma_p, Q, P, 1e-2,
-                                 (1.0, 0.0), np.zeros(0), 1e-2, 0.1)
+                                 1.0, 1e-2, 0.1)
     reduced = sde.reduced_task(cubic_rotation(), sigma_q, PolyMap.zero(2, 0),
-                               1e-2, (1.0, 0.0), 1e-2, 0.1)
+                               1e-2, 1.0, 1e-2, 0.1)
     limit = sde.limit_task(sde.LimitParams(np.eye(2)), 1.0, 1e-2, 0.1)
     assert [t.stream_class for t in (em, rescaled, reduced, limit)] == [
         sde.STREAM_GENERIC, sde.STREAM_CRITICAL, sde.STREAM_CRITICAL,
         sde.STREAM_LIMIT]
+
+
+def test_builders_start_at_rho0_on_the_critical_plane():
+    # every study starts at (rho0, 0) with each stable coordinate at 0
+    rho0 = 0.7
+    tasks = [sde.rescaled_task(*fields(), 1e-2, rho0, 1e-2, 0.1)
+             for fields in (planar_fields, coupled3d_fields)]
+    tasks.append(dense_task(4, rho0=rho0))
+    sigma_q = planar_fields()[2]
+    tasks.append(sde.reduced_task(cubic_rotation(), sigma_q,
+                                  PolyMap.zero(2, 0), 1e-2, rho0, 1e-2, 0.1))
+    tasks.append(sde.limit_task(sde.LimitParams(np.eye(2)), rho0, 1e-2,
+                                0.1))
+    assert [t.dim for t in tasks] == [2, 3, 4, 2, 2]
+    for task in tasks:
+        want = np.zeros(task.dim)
+        want[0] = rho0
+        assert task.x0.dtype == np.float64
+        assert task.x0.tobytes() == want.tobytes()
 
 
 def test_increments_have_brownian_moments():
@@ -339,9 +358,9 @@ def test_increments_have_brownian_moments():
 def test_refined_increments_ride_the_same_brownian_path():
     f, g, sigma_q, sigma_p, Q, P = planar_fields()
     coarse = sde.rescaled_task(f, g, sigma_q, sigma_p, Q, P, 1e-2,
-                               (1.0, 0.0), np.zeros(0), 1e-3, 0.05)
+                               1.0, 1e-3, 0.05)
     fine = sde.rescaled_task(f, g, sigma_q, sigma_p, Q, P, 1e-2,
-                             (1.0, 0.0), np.zeros(0), 5e-4, 0.05,
+                             1.0, 5e-4, 0.05,
                              refined=True)
     dw_coarse = stream_increments(
         coarse, sde.NoiseStream(7, 0, stream_class=sde.STREAM_CRITICAL))
@@ -403,7 +422,7 @@ def test_rotation_linear_step_preserves_radius_without_forcing():
     Q = np.array([[0.0, -1.0], [1.0, 0.0]])
     P = np.zeros((0, 0))
     task = sde.rescaled_task(f, g, sigma_q, sigma_p, Q, P, 1e-2,
-                             (1.0, 0.0), np.zeros(0), 1e-3, 1.0)
+                             1.0, 1e-3, 1.0)
     path = sde.run_ensemble(task, 1, 0)
     radii = np.hypot(path.states[0, :, 0], path.states[0, :, 1])
     assert_allclose(radii, 1.0, atol=1e-12)
@@ -415,19 +434,18 @@ def test_reduced_equals_rescaled_for_planar_system():
     f, g, sigma_q, sigma_p, Q, P = planar_fields()
     eps = 1e-2
     full = sde.run_ensemble(sde.rescaled_task(
-        f, g, sigma_q, sigma_p, Q, P, eps, (1.0, 0.0), np.zeros(0), 1e-3,
-        0.5), 1, 31)
+        f, g, sigma_q, sigma_p, Q, P, eps, 1.0, 1e-3, 0.5), 1, 31)
     reduced_field = cubic_rotation()
     h2 = PolyMap.zero(2, 0)
     red = sde.run_ensemble(sde.reduced_task(
-        reduced_field, sigma_q, h2, eps, (1.0, 0.0), 1e-3, 0.5), 1, 31)
+        reduced_field, sigma_q, h2, eps, 1.0, 1e-3, 0.5), 1, 31)
     assert np.array_equal(full.states, red.states)
 
 
 def test_run_ensemble_worker_count_does_not_change_results():
     f, g, sigma_q, sigma_p, Q, P = planar_fields()
     task = sde.rescaled_task(f, g, sigma_q, sigma_p, Q, P, 1e-2,
-                             (1.0, 0.0), np.zeros(0), 1e-3, 0.2)
+                             1.0, 1e-3, 0.2)
     one = sde.run_ensemble(task, 300, 5, workers=1)
     four = sde.run_ensemble(task, 300, 5, workers=4)
     assert np.array_equal(one.states, four.states)
@@ -438,7 +456,7 @@ def test_run_ensemble_worker_count_does_not_change_results():
 def test_path_results_do_not_depend_on_ensemble_size():
     f, g, sigma_q, sigma_p, Q, P = planar_fields()
     task = sde.rescaled_task(f, g, sigma_q, sigma_p, Q, P, 1e-2,
-                             (1.0, 0.0), np.zeros(0), 1e-3, 0.2)
+                             1.0, 1e-3, 0.2)
     small = sde.run_ensemble(task, 3, 5)
     large = sde.run_ensemble(task, 300, 5)
     assert np.array_equal(large.states[:3], small.states)
@@ -456,7 +474,7 @@ def test_path_results_with_guard_stops_do_not_depend_on_chunk_width(
     system = stats.prepare_system(cfg.drift, cfg.sigma)
     task = sde.rescaled_task(
         system.f, system.g, system.sigma_q, system.sigma_p, system.split.Q,
-        system.split.P, 0.1, (1.0, 0.0), np.zeros(1), 1e-3, 1.0)
+        system.split.P, 0.1, 1.0, 1e-3, 1.0)
     monkeypatch.setattr(sde, "GUARD_RADIUS", 1.25)
     runs = []
     for width in (1024, 16, 5):
@@ -469,7 +487,7 @@ def test_path_results_with_guard_stops_do_not_depend_on_chunk_width(
         assert run.stop_reason == runs[0].stop_reason
 
 
-def dense_task(dim, T=0.05):
+def dense_task(dim, T=0.05, rho0=1.0):
     """An amplified task of ``dim`` coordinates whose stable block is a
     dense matrix, so that every coordinate of its linear flow sums dim
     products, and whose stable modes are forced by the critical plane."""
@@ -489,8 +507,8 @@ def dense_task(dim, T=0.05):
     sigma_p = PolyMap(dim, 2 * k, [(2 * i + i % 2, (0,) * dim, 0.5)
                                    for i in range(k)])
     Q = np.array([[0.0, -1.0], [1.0, 0.0]])
-    return sde.rescaled_task(f, g, sigma_q, sigma_p, Q, P, 1e-2, (1.0, 0.0),
-                             np.zeros(k), 1e-3, T)
+    return sde.rescaled_task(f, g, sigma_q, sigma_p, Q, P, 1e-2, rho0, 1e-3,
+                             T)
 
 
 @pytest.mark.parametrize("dim", [9, 16])
@@ -513,7 +531,7 @@ def test_path_bits_do_not_depend_on_chunk_width_at_high_dim(monkeypatch,
         assert code.tobytes() == once[2][0].tobytes()
 
 
-def test_sum_squares_adds_coordinates_as_a_contiguous_last_axis():
+def test_sum_squares_adds_coordinates_left_to_right():
     # sum_squares adds the coordinates left to right at every dim; below 8
     # coordinates that is also how numpy sums a contiguous last axis
     rng = np.random.default_rng(1)
@@ -560,7 +578,7 @@ def boundary_state(dim, seed):
 
 
 @pytest.mark.parametrize("dim", [9, 16])
-def test_guard_test_sums_squares_as_a_contiguous_row(dim):
+def test_guard_test_sums_squares_left_to_right(dim):
     # one step from the origin on unit noise lands each path on its
     # increments exactly; the first path lands where the guard test's
     # answer depends on the order of the sum, which is left to right
@@ -618,7 +636,7 @@ def test_polar_ensemble_freezes_at_outer_barrier():
 def test_polar_ensemble_matches_per_path_conversion():
     f, g, sigma_q, sigma_p, Q, P = planar_fields()
     task = sde.rescaled_task(f, g, sigma_q, sigma_p, Q, P, 1e-1,
-                             (1.0, 0.0), np.zeros(0), 1e-3, 1.0)
+                             1.0, 1e-3, 1.0)
     ens = sde.run_ensemble(task, 50, 3)
     polar = sde.polar_ensemble(ens, 0.4, 2.5)
     for i in range(len(ens.states)):
@@ -769,9 +787,8 @@ def test_run_chunk_refuses_maps_that_do_not_fit_the_group(name):
 
 
 def observer_task(name):
-    fields, y0 = {"planar": (planar_fields(), np.zeros(0)),
-                  "coupled3d": (coupled3d_fields(), np.zeros(1))}[name]
-    return sde.rescaled_task(*fields, 1e-1, (1.0, 0.0), y0, 1e-3, 0.5)
+    fields = {"planar": planar_fields, "coupled3d": coupled3d_fields}[name]
+    return sde.rescaled_task(*fields(), 1e-1, 1.0, 1e-3, 0.5)
 
 
 @pytest.mark.parametrize("name", ["planar", "coupled3d"])
@@ -823,15 +840,14 @@ def test_coupled_draw_matches_separate_ensembles_bitwise(monkeypatch):
     monkeypatch.setattr(sde, "BLOCK_CELLS", 2 * 50 * 8 * 47)
     f, g, sigma_q, sigma_p, Q, P = coupled3d_fields()
     tasks = [sde.rescaled_task(f, g, sigma_q, sigma_p, Q, P, eps,
-                               (1.0, 0.0), np.zeros(1), h, 0.2, refined=r)
+                               1.0, h, 0.2, refined=r)
              for eps in (1e-1, 1e-2) for h, r in ((1e-3, False),
                                                   (5e-4, True))]
     tasks.append(sde.reduced_task(
         PolyMap(2, 2, [(0, (0, 1), -1.0), (0, (3, 0), -1.0),
                        (0, (1, 2), -1.0), (1, (1, 0), 1.0),
                        (1, (2, 1), -1.0), (1, (0, 3), -1.0)]),
-        sigma_q, PolyMap(2, 1, [(0, (2, 0), 0.5)]), 1e-2, (1.0, 0.0),
-        1e-3, 0.2))
+        sigma_q, PolyMap(2, 1, [(0, (2, 0), 0.5)]), 1e-2, 1.0, 1e-3, 0.2))
     keep = [[0, 100, 200] if not t.refined else [0, 200, 400]
             for t in tasks]
     separate = [sde.run_ensemble(task, 40, 5) for task in tasks]
@@ -889,12 +905,12 @@ def group_inputs(tasks, count, seed, guard=None):
 def group_tasks():
     f, g, sigma_q, sigma_p, Q, P = coupled3d_fields()
     coupled = [sde.rescaled_task(f, g, sigma_q, sigma_p, Q, P, eps,
-                                 (1.0, 0.0), np.zeros(1), 1e-3, 0.2)
+                                 1.0, 1e-3, 0.2)
                for eps in (1e-1, 1e-2)]
     # a guard inside the typical radius: paths of both tasks stop at
     # different steps, so the live rows of each task step with its own flow
     fenced = [sde.rescaled_task(f, g, sigma_q, sigma_p, Q, P, eps,
-                                (1.0, 0.0), np.zeros(1), 1e-3, 0.5)
+                                1.0, 1e-3, 0.5)
               for eps in (1e-1, 1e-2)]
     # equal terms, but each coefficient is +1.0 in the first task and
     # -0.5 or -1.0 in the second: the first task's paths blow up past the
@@ -1063,8 +1079,8 @@ def test_noise_stream_draws_in_pieces_equal_one_draw():
 def coupled_rule_tasks(T, dt=1e-3):
     """Two eps, each coarse and refined, on one stream class."""
     f, g, sigma_q, sigma_p, Q, P = coupled3d_fields()
-    return [sde.rescaled_task(f, g, sigma_q, sigma_p, Q, P, eps, (1.0, 0.0),
-                              np.zeros(1), h, T, refined=r)
+    return [sde.rescaled_task(f, g, sigma_q, sigma_p, Q, P, eps, 1.0, h, T,
+                              refined=r)
             for eps in (1e-1, 1e-2) for h, r in ((dt, False),
                                                  (dt / 2.0, True))]
 
@@ -1230,8 +1246,7 @@ system = stats.prepare_system(cfg.drift, cfg.sigma)
 split = system.split
 eps, dt = 1e-2, 1e-3
 task = sde.rescaled_task(system.f, system.g, system.sigma_q, system.sigma_p,
-                         split.Q, split.P, eps, (1.0, 0.0), np.zeros(1),
-                         dt, 0.1)
+                         split.Q, split.P, eps, 1.0, dt, 0.1)
 sde.run_ensemble(task, 4, 0)
 assert "scipy.linalg" not in sys.modules, "diagonal P loaded scipy.linalg"
 
@@ -1241,7 +1256,7 @@ cubic = PolyMap(4, 2, [(0, (3, 0, 0, 0), -1.0), (1, (0, 3, 0, 0), -1.0)])
 dense = sde.rescaled_task(cubic, PolyMap.zero(4, 2),
                           PolyMap(4, 2, [(0, (0, 0, 0, 0), 1.0)]),
                           PolyMap(4, 2, [(1, (0, 0, 0, 0), 1.0)]),
-                          split.Q, P, eps, (1.0, 0.0), np.zeros(2), dt, 0.1)
+                          split.Q, P, eps, 1.0, dt, 0.1)
 assert "scipy.linalg" in sys.modules, "dense P did not load scipy.linalg"
 import scipy
 code = cli.main(["normal-form", "--config", "configs/hopf2d.cfg",

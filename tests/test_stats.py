@@ -372,7 +372,7 @@ def test_converge_fold_matches_polar_ensemble_bitwise(monkeypatch, guard):
          for h, r in steps],
         [sde.rescaled_task(system.f, system.g, system.sigma_q,
                            system.sigma_p, split.Q, split.P, eps,
-                           (1.0, 0.0), np.zeros(0), h, 0.5, refined=r)
+                           1.0, h, 0.5, refined=r)
          for eps in (1e-1, 1e-2) for h, r in steps]]
     guards = (sde.GUARD_RADIUS, guard)
     keep = [[[500, 250] if not t.refined else [1000, 500] for t in tasks]
@@ -464,7 +464,7 @@ def test_reduction_validates_run_parameters():
         stats.reduction_diagnostics(system, (1e-2,), 2.0, 0.7, 2, 1e-3)
     with pytest.raises(stats.StatsError):
         stats.reduction_diagnostics(system, (1e-2,), 2.0, 0.4, 2, 1e-3,
-                                    z0=(5.0, 0.0))
+                                    rho0=5.0)
 
 
 def test_reduction_on_planar_system_has_no_manifold_defect():
@@ -557,12 +557,11 @@ def loop_reduction_row(system, eps, big_delta, beta, paths, dt, horizon,
     exit index.  ``sum_squares`` adds the squares of the coordinates of
     every state."""
     split, h2 = system.split, system.h2
-    z0, y0 = np.array([1.0, 0.0]), np.zeros(split.P.shape[0])
     # both ride stream (master_seed, p) of one stream class
     full, reduced = (sde.run_ensemble(task, paths, master_seed) for task in (
         sde.rescaled_task(system.f, system.g, system.sigma_q, system.sigma_p,
-                          split.Q, split.P, eps, z0, y0, dt, horizon),
-        sde.reduced_task(system.reduced, system.sigma_q, h2, eps, z0, dt,
+                          split.Q, split.P, eps, 1.0, dt, horizon),
+        sde.reduced_task(system.reduced, system.sigma_q, h2, eps, 1.0, dt,
                          horizon)))
     n_steps = int(round(horizon / dt))
     Z, Y, Zt = full.states[:, :, :2], full.states[:, :, 2:], reduced.states
@@ -710,14 +709,13 @@ def test_reduction_fold_matches_every_state_bitwise(monkeypatch, guard):
     assert (left % span == 0).any() and (left % span != 0).any()
     task = sde.rescaled_task(system.f, system.g, system.sigma_q,
                              system.sigma_p, split.Q, split.P, 1e-1,
-                             (1.0, 0.0), np.zeros(1), run["dt"],
-                             run["horizon"])
+                             1.0, run["dt"], run["horizon"])
     stops = sde.run_ensemble(task, run["paths"], run["master_seed"])
     assert ("diverged" in stops.stop_reason) == (guard < run["big_delta"])
 
 
 @pytest.mark.parametrize("n", [9, 16])
-def test_reduction_norms_sum_coordinates_as_contiguous_states(n):
+def test_reduction_norms_sum_coordinates_left_to_right(n):
     # The fold reads coordinate planes and sums their squares left to
     # right, where numpy sums the last axis of the ensemble's contiguous
     # states pairwise from 8 coordinates on: the state's at n >= 8 (read
@@ -837,6 +835,55 @@ def test_stationary_check_folds_the_post_burn_in_radii_bitwise(monkeypatch):
         assert report.n_samples == samples.size
         assert report.eta_max == eta_max
         assert report.w1 == w1
+
+
+def test_stationary_check_reads_radii_from_the_burn_in_index_bitwise(
+        monkeypatch):
+    # an anisotropic sigma_bar and a != -1, so every field of the record
+    # depends on the coefficients
+    params = sde.LimitParams(np.array([[1.0, 0.5], [0.0, 2.0]]), a=-0.6)
+    T, burn_in, dt, paths, seed = 1.5, 0.4, 1e-3, 11, 6
+    start = 401
+    # the reference: every state kept, the never-stopped paths' radii from
+    # grid index start on, through the study's quadrature
+    ens = sde.run_ensemble(sde.limit_task(params, 1.0, dt, T), paths, seed)
+    x = ens.states[np.array([r == "none" for r in ens.stop_reason]), start:]
+    samples = np.sqrt(x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1]).ravel()
+    s_sq = params.s * params.s
+    eta_max = max(float(samples.max()) * 1.0001,
+                  (120.0 * s_sq / -params.a) ** 0.25)
+    grid = np.linspace(0.0, eta_max, 10_000)
+    density = grid * np.exp(params.a * grid ** 4 / (2.0 * s_sq))
+    cdf = np.concatenate(([0.0], np.cumsum(
+        0.5 * (density[1:] + density[:-1]) * np.diff(grid))))
+    normalizer = float(cdf[-1])
+    cdf /= normalizer
+    positions = (np.arange(samples.size) + 0.5) / samples.size
+    w1 = float(np.mean(np.abs(np.sort(samples)
+                              - np.interp(positions, cdf, grid))))
+    reference = {"w1": w1, "n_samples": samples.size, "s": params.s,
+                 "normalizer": normalizer, "eta_max": eta_max, "horizon": T,
+                 "burn_in": burn_in, "dt": dt, "n_paths": paths}
+    # 5 paths a chunk and time blocks of 7 steps (see the test above): one
+    # block holds grid indices 399 to 406, across the burn-in index
+    spans = []
+    run_coupled = sde.run_coupled
+
+    def recording(tasks, count, master_seed, fold, workers=None):
+        def spy(at, blocks):
+            spans.append((blocks[0].first, blocks[0].states.shape[1]))
+            fold(at, blocks)
+        return run_coupled(tasks, count, master_seed, spy, workers)
+
+    monkeypatch.setattr(sde, "run_coupled", recording)
+    monkeypatch.setattr(sde, "CHUNK", 5)
+    monkeypatch.setattr(sde, "BLOCK_CELLS", 2 * 7 * 5 * 8)
+    for workers in (1, 2):
+        spans.clear()
+        report = stats.stationary_check(params, T, burn_in, dt, paths,
+                                        master_seed=seed, workers=workers)
+        assert report.as_record() == reference
+        assert any(first < start < first + rows for first, rows in spans)
 
 
 def test_stationary_check_validates_inputs():
